@@ -10,11 +10,14 @@ Layout, all little-endian:
                      prod(dims) * f64 values
 
 Loading parses the whole file before constructing anything, so a truncated
-file raises without leaving partial state behind.
+file raises without leaving partial state behind. Every parse failure
+(truncation, non-UTF-8 text, impossible shapes, a bad config) is reported as
+a ``CheckpointError``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -71,6 +74,15 @@ class _Reader:
 def load(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse(blob, path)
+    except CheckpointError:
+        raise
+    except (struct.error, ValueError) as err:  # incl. UnicodeDecodeError
+        raise CheckpointError(f"{path}: malformed checkpoint: {err}") from err
+
+
+def _parse(blob: bytes, path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     r = _Reader(blob)
     if r.take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
@@ -86,8 +98,7 @@ def load(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     for _ in range(r.u32()):
         name = r.take(r.u32()).decode()
         shape = r.u64s(r.u32())
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
+        arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         params[name] = arr.astype(np.float64)
     if r.pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.pos} trailing bytes")

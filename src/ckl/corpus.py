@@ -6,7 +6,11 @@ entry is the post), ``knowledge`` (array of strings) and ``response``
 the response to ``max_target_len`` ids including BOS/EOS, and appends
 knowledge sentences in order until the separator-joined concatenation would
 exceed ``max_source_len``; a sentence that does not fit is dropped whole,
-along with everything after it, so per-sentence labels stay aligned.
+along with everything after it, so per-sentence labels stay aligned. When
+that would keep no sentence at all, the first sentence gets reserved room
+instead: older utterances are dropped and the post is truncated from the
+left to make space for it, and only a sentence that cannot fit next to a
+one-token post is truncated from the right.
 """
 
 from __future__ import annotations
@@ -188,6 +192,27 @@ class EncodedSample:
         return offsets
 
 
+def _joined_len(segments: list[list[str]]) -> int:
+    return sum(map(len, segments)) + len(segments) - 1
+
+
+def _fit_context(context: list[list[str]], budget: int) -> list[list[str]]:
+    """Drop the oldest utterances until the SEP-joined context fits ``budget``.
+
+    A post longer than the whole budget keeps only its last ``budget`` tokens.
+    """
+    post = context[-1]
+    if len(post) > budget:
+        warnings.warn(
+            f"post of {len(post)} tokens exceeds its {budget}-token source budget; "
+            "truncating from the left"
+        )
+        return [post[-budget:]]
+    while len(context) > 1 and _joined_len(context) > budget:
+        context = context[1:]
+    return context
+
+
 def kept_segments(
     sample: DialogueSample, config: EncodeConfig
 ) -> tuple[list[list[str]], list[list[str]], list[str]]:
@@ -196,18 +221,11 @@ def kept_segments(
     Returns (context token lists, knowledge token lists, response tokens);
     the response here excludes BOS/EOS but honours the id budget.
     """
-    context = [tokenize(u) for u in sample.context[-config.m_max :]]
+    limit = config.max_source_len
+    utterances = [tokenize(u) for u in sample.context[-config.m_max :]]
+    context = _fit_context(utterances, limit)
 
-    post = context[-1]
-    if len(post) > config.max_source_len:
-        warnings.warn("post alone exceeds max_source_len; truncating from the left")
-        context = [post[-config.max_source_len :]]
-    else:
-        # Drop the oldest kept utterances until the context side fits.
-        while len(context) > 1 and sum(map(len, context)) + len(context) - 1 > config.max_source_len:
-            context = context[1:]
-
-    budget = config.max_source_len - (sum(map(len, context)) + len(context) - 1)
+    budget = limit - _joined_len(context)
     knowledge: list[list[str]] = []
     for sent in sample.knowledge:
         toks = tokenize(sent)
@@ -215,6 +233,15 @@ def kept_segments(
             break
         knowledge.append(toks)
         budget -= len(toks) + 1
+
+    if not knowledge and 3 <= limit and len(utterances[-1]) <= limit:
+        # Reserve room for the first sentence: a one-token post, a SEP and it.
+        first = tokenize(sample.knowledge[0])
+        if len(first) > limit - 2:
+            warnings.warn("first knowledge sentence alone exceeds its budget; truncating")
+            first = first[: limit - 2]
+        context = _fit_context(utterances, limit - len(first) - 1)
+        knowledge = [first]
 
     response = tokenize(sample.response)[: config.max_target_len - 2]
     return context, knowledge, response

@@ -7,10 +7,18 @@ Two trainable latent vectors cross-attend to those views: the context latent
 vector yields two weight sets (one for response generation, one for
 conditioning knowledge weighting) and the knowledge latent vector, optionally
 conditioned on the context via latent-weight-enhanced attention, yields one
-weight per knowledge sentence. The decoder's cross-attention computes softmax
-attention within each segment separately, scales each segment's output by its
-latent weight, and sums - no renormalisation across segments, so a zero
-weight removes a segment's contribution exactly.
+weight per knowledge sentence.
+
+Attention keeps heads and segments as array axes. Heads are a leading axis
+of one batched matmul. The decoder's LWE (latent-weight-enhanced)
+cross-attention computes one score matrix against the concatenation of all
+segment views, takes a softmax within each segment's columns separately
+(``segment_softmax``), scales each segment's columns by its latent weight and
+multiplies once by the stacked values. Nothing is renormalised across
+segments, so a zero weight removes a segment's contribution exactly. The
+weight generators give their latent query one row per segment and a
+block-diagonal mask, so each row attends only to its own utterance or
+sentence and one pass yields every weight.
 """
 
 from __future__ import annotations
@@ -26,19 +34,19 @@ from .tensor import (
     Tensor,
     add,
     add_row,
-    cols,
-    concat_cols,
+    concat_rows,
     concat_vec,
-    element,
     embedding_lookup,
     layer_norm,
     matmul,
-    mul,
+    merge_heads,
     relu,
     rows,
     scale,
+    segment_softmax,
     sigmoid,
     softmax_lastdim,
+    split_heads,
     transpose,
 )
 
@@ -141,18 +149,34 @@ class LatentWeights:
         }
 
 
+def _scores(q: Tensor, k: Tensor) -> Tensor:
+    return scale(matmul(q, transpose(k)), 1.0 / math.sqrt(k.shape[-1]))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v for 2-D operands; mask is additive."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError("attention needs 2-D q, k, v")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
-        raise ShapeError(
-            f"attention shapes disagree: q{q.shape} k{k.shape} v{v.shape}"
-        )
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(k.shape[1]))
+    """softmax(q k^T / sqrt(d) + mask) v.
+
+    Operands are 2-D, or 3-D stacks with one matrix per head; an additive
+    2-D mask applies to every head. ``matmul`` rejects mismatched shapes.
+    """
+    scores = _scores(q, k)
     if mask is not None:
-        scores = add(scores, Tensor(mask))
+        scores = add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
     return matmul(softmax_lastdim(scores), v)
+
+
+def _segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths, w: Tensor) -> Tensor:
+    """Attention whose keys form consecutive segments of ``lengths`` rows.
+
+    The softmax runs within each segment, segment s is scaled by ``w[s]``,
+    and one matmul with ``v`` sums the scaled outputs of every segment.
+    """
+    return matmul(segment_softmax(_scores(q, k), lengths, w), v)
+
+
+def _stack_views(views: list[Tensor]) -> tuple[Tensor, list[int]]:
+    """The views as one matrix of rows, plus each view's row count."""
+    return concat_rows(views), [view.shape[0] for view in views]
 
 
 def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) -> Tensor:
@@ -165,12 +189,18 @@ def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) ->
         raise ShapeError("lwe_attention needs at least one segment")
     if len(segments) != len(lw):
         raise ShapeError(f"{len(segments)} segments but {len(lw)} latent weights")
-    total = None
-    for (k, v), w in zip(segments, lw):
-        out = attention(q, k, v)
-        part = mul(out, w) if isinstance(w, Tensor) else scale(out, float(w))
-        total = part if total is None else add(total, part)
-    return total
+    if any(k.shape[0] != v.shape[0] for k, v in segments):
+        raise ShapeError("every segment needs as many value rows as key rows")
+    w = concat_vec([x if isinstance(x, Tensor) else Tensor(float(x)) for x in lw])
+    k, lengths = _stack_views([k for k, _ in segments])
+    v = concat_rows([v for _, v in segments])
+    return _segment_attention(q, k, v, lengths, w)
+
+
+def _own_segment_mask(lengths: list[int]) -> np.ndarray:
+    """Row s is 0 over segment s's columns and MASK_VALUE elsewhere."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    return np.where(seg[None, :] == np.arange(len(lengths))[:, None], 0.0, MASK_VALUE)
 
 
 def _causal_mask(t: int) -> np.ndarray:
@@ -258,42 +288,38 @@ class CKLModel:
     def _norm(self, name: str, x: Tensor) -> Tensor:
         return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _mha(self, name, x_q, x_kv, mask=None, n_heads=None) -> Tensor:
-        n_heads = n_heads or self.config.n_heads
-        q = self._project(f"{name}.wq", x_q)
-        k = self._project(f"{name}.wk", x_kv)
-        v = self._project(f"{name}.wv", x_kv)
-        dh = self.config.d_model // n_heads
-        heads = [
-            attention(cols(q, h * dh, dh), cols(k, h * dh, dh), cols(v, h * dh, dh), mask)
-            for h in range(n_heads)
-        ]
-        merged = heads[0] if len(heads) == 1 else concat_cols(heads)
-        return self._project(f"{name}.wo", merged)
+    def _mha(self, name, x_q, x_kv, mask=None, n_heads=None, segments=None) -> Tensor:
+        """Multi-head attention with every head in one batched op.
 
-    def _mha_lwe(self, name, x_q, views, lw, n_heads=None) -> Tensor:
+        ``segments=(lengths, w)`` makes it LWE attention: the keys form
+        segments of ``lengths`` rows, each normalised on its own and scaled
+        by its entry of the weight vector ``w``.
+        """
         n_heads = n_heads or self.config.n_heads
-        q = self._project(f"{name}.wq", x_q)
-        ks = [self._project(f"{name}.wk", view) for view in views]
-        vs = [self._project(f"{name}.wv", view) for view in views]
-        dh = self.config.d_model // n_heads
-        heads = []
-        for h in range(n_heads):
-            segs = [
-                (cols(k, h * dh, dh), cols(v, h * dh, dh)) for k, v in zip(ks, vs)
-            ]
-            heads.append(lwe_attention(cols(q, h * dh, dh), segs, lw))
-        merged = heads[0] if len(heads) == 1 else concat_cols(heads)
-        return self._project(f"{name}.wo", merged)
-
-    def _cross_block(self, name, q, kv=None, views=None, lw=None) -> Tensor:
-        """Single-head cross-attention block with residuals and layer norms."""
-        if views is None:
-            attn = self._mha(f"{name}.attn", q, kv, n_heads=1)
+        q = split_heads(self._project(f"{name}.wq", x_q), n_heads)
+        k = split_heads(self._project(f"{name}.wk", x_kv), n_heads)
+        v = split_heads(self._project(f"{name}.wv", x_kv), n_heads)
+        if segments is None:
+            out = attention(q, k, v, mask)
         else:
-            attn = self._mha_lwe(f"{name}.attn", q, views, lw, n_heads=1)
+            out = _segment_attention(q, k, v, *segments)
+        return self._project(f"{name}.wo", merge_heads(out))
+
+    def _cross_block(self, name, q, kv, mask=None, segments=None) -> Tensor:
+        """Single-head cross-attention block with residuals and layer norms."""
+        attn = self._mha(f"{name}.attn", q, kv, mask=mask, n_heads=1, segments=segments)
         h = self._norm(f"{name}.ln1", add(q, attn))
         return self._norm(f"{name}.ln2", add(h, self._ffn(f"{name}.ffn", h)))
+
+    def _per_view_block(self, name, latent: Tensor, views: list[Tensor]) -> Tensor:
+        """Row s is the block's output for ``latent`` attending to ``views[s]`` alone."""
+        kv, lengths = _stack_views(views)
+        q = embedding_lookup(latent, [0] * len(views))  # the latent row, once per view
+        return self._cross_block(name, q, kv, mask=_own_segment_mask(lengths))
+
+    def _weights(self, name, h) -> Tensor:
+        """One sigmoid weight per row of h, as a vector."""
+        return concat_vec([sigmoid(self._project(name, h))])
 
     # ----- components ---------------------------------------------------
 
@@ -324,13 +350,8 @@ class CKLModel:
 
     def clw_generate(self, enc: SegmentedEncoding) -> tuple[Tensor, Tensor]:
         """One response weight and one knowledge weight per context utterance."""
-        q = self.params["clw.latent"]
-        r_parts, k_parts = [], []
-        for view in enc.context_views:
-            h = self._cross_block("clw.block", q, kv=view)
-            r_parts.append(sigmoid(self._project("clw.head_r", h)))
-            k_parts.append(sigmoid(self._project("clw.head_k", h)))
-        return concat_vec(r_parts), concat_vec(k_parts)
+        h = self._per_view_block("clw.block", self.params["clw.latent"], enc.context_views)
+        return self._weights("clw.head_r", h), self._weights("clw.head_k", h)
 
     def klw_generate(self, enc: SegmentedEncoding, clwk: Tensor, use_ck_dep: bool | None = None) -> Tensor:
         """One weight per knowledge sentence, optionally context-conditioned."""
@@ -338,13 +359,10 @@ class CKLModel:
             use_ck_dep = self.config.use_ck_dep
         z = self.params["klw.latent"]
         if use_ck_dep:
-            lw = [element(clwk, i) for i in range(enc.m)]
-            z = self._cross_block("klw.ck", z, views=enc.context_views, lw=lw)
-        parts = []
-        for view in enc.knowledge_views:
-            h = self._cross_block("klw.know", z, kv=view)
-            parts.append(sigmoid(self._project("klw.head", h)))
-        return concat_vec(parts)
+            kv, lengths = _stack_views(enc.context_views)
+            z = self._cross_block("klw.ck", z, kv, segments=(lengths, clwk))
+        h = self._per_view_block("klw.know", z, enc.knowledge_views)
+        return self._weights("klw.head", h)
 
     def decoder_forward(self, prefix_ids: list[int], enc: SegmentedEncoding, clwr: Tensor, klw: Tensor) -> Tensor:
         """Teacher-forced decoder logits, one row per prefix position."""
@@ -360,13 +378,11 @@ class CKLModel:
             rows(self.params["emb.pos_tgt"], 0, t),
         )
         mask = _causal_mask(t)
-        views = enc.context_views + enc.knowledge_views
-        lw = [element(clwr, i) for i in range(enc.m)] + [
-            element(klw, j) for j in range(enc.l)
-        ]
+        memory, lengths = _stack_views(enc.context_views + enc.knowledge_views)
+        segments = (lengths, concat_vec([clwr, klw]))
         for i in range(self.config.n_decoder_layers):
             y = self._norm(f"dec{i}.ln1", add(y, self._mha(f"dec{i}.self", y, y, mask)))
-            cross = self._mha_lwe(f"dec{i}.cross", y, views, lw)
+            cross = self._mha(f"dec{i}.cross", y, memory, segments=segments)
             y = self._norm(f"dec{i}.ln2", add(y, cross))
             y = self._norm(f"dec{i}.ln3", add(y, self._ffn(f"dec{i}.ffn", y)))
         return self._project("out", y)

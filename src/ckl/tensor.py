@@ -5,9 +5,12 @@ active, each operation appends one record holding the op kind, the node ids of
 its tracked inputs, the output node id, and a closure over the values needed
 for the backward pass. ``Tape.backward`` walks the records once, in reverse.
 
-Only the kernels a small transformer needs are provided. There is no
-broadcasting beyond scalar-vs-tensor; every other shape mismatch is a hard
-error so gradient rules stay simple and bugs stay loud.
+Only the kernels a small transformer needs are provided. Attention keeps heads
+and key segments as array axes: ``matmul`` and ``transpose`` also take 3-D
+stacks of matrices, and ``segment_softmax`` normalises consecutive column
+blocks separately. There is no broadcasting beyond scalar-vs-tensor; every
+other shape mismatch is a hard error so gradient rules stay simple and bugs
+stay loud.
 """
 
 from __future__ import annotations
@@ -193,23 +196,57 @@ def _make(kind: str, out_data: np.ndarray, inputs) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    """Matrix product of two 2-D operands, or of two 3-D stacks of matrices
+    that share their leading (batch) axis."""
+    nd = a.data.ndim
+    if nd not in (2, 3) or b.data.ndim != nd:
+        raise ShapeError(f"matmul needs two 2-D or two 3-D operands, got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
     return _make(
         "matmul",
         ad @ bd,
-        [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)],
+        [(a, lambda g: g @ _swap_last(bd)), (b, lambda g: _swap_last(ad) @ g)],
     )
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _make("transpose", a.data.T.copy(), [(a, lambda g: g.T.copy())])
+    """Swap the last two axes of a 2-D or 3-D tensor."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose needs a 2-D or 3-D tensor, got {a.shape}")
+    return _make(
+        "transpose",
+        np.ascontiguousarray(_swap_last(a.data)),
+        [(a, lambda g: np.ascontiguousarray(_swap_last(g)))],
+    )
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(n, d) -> (n_heads, n, d / n_heads): head h holds columns [h*dh, (h+1)*dh)."""
+    if x.data.ndim != 2 or n_heads < 1 or x.shape[1] % n_heads:
+        raise ShapeError(f"cannot split {x.shape} into {n_heads} heads")
+    n, d = x.shape
+    out = np.ascontiguousarray(x.data.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2))
+    return _make("split_heads", out, [(x, lambda g: g.transpose(1, 0, 2).reshape(n, d))])
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(h, n, dh) -> (n, h * dh), the inverse of ``split_heads``."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"merge_heads needs a 3-D tensor, got {x.shape}")
+    h, n, dh = x.shape
+    out = x.data.transpose(1, 0, 2).reshape(n, h * dh)
+    return _make(
+        "merge_heads",
+        out,
+        [(x, lambda g: np.ascontiguousarray(g.reshape(n, h, dh).transpose(1, 0, 2)))],
+    )
 
 
 def _binary(kind: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
@@ -391,6 +428,21 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _make("concat_cols", np.hstack([p.data for p in parts]), inputs)
 
 
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    """Stack 2-D tensors with equal column counts on top of each other."""
+    if not parts:
+        raise ShapeError("concat_rows of an empty list")
+    d = parts[0].shape[-1]
+    if any(p.data.ndim != 2 or p.shape[1] != d for p in parts):
+        raise ShapeError("concat_rows needs 2-D tensors with equal column counts")
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    inputs = [
+        (p, lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e])
+        for i, p in enumerate(parts)
+    ]
+    return _make("concat_rows", np.vstack([p.data for p in parts]), inputs)
+
+
 def concat_vec(parts: list[Tensor]) -> Tensor:
     """Flatten each tensor and concatenate into one vector."""
     if not parts:
@@ -404,6 +456,41 @@ def concat_vec(parts: list[Tensor]) -> Tensor:
         for i, p in enumerate(parts)
     ]
     return _make("concat_vec", np.concatenate([p.data.ravel() for p in parts]), inputs)
+
+
+def segment_softmax(scores: Tensor, lengths, w: Tensor) -> Tensor:
+    """Softmax within each contiguous segment of the last axis, times its weight.
+
+    The last axis of ``scores`` is split into consecutive segments of
+    ``lengths[s]`` columns. Each segment is normalised on its own, after
+    subtracting its own max (a huge score in one segment cannot underflow
+    another), and then multiplied by ``w[s]``. Nothing is normalised across
+    segments, so ``w[s] = 0`` zeroes segment s exactly. Gradients flow to
+    both ``scores`` and ``w``.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1):
+        raise ShapeError(f"segment lengths must be a non-empty list of positive ints, got {lengths}")
+    if scores.shape[-1] != lengths.sum():
+        raise ShapeError(f"segments of total length {lengths.sum()} for scores {scores.shape}")
+    if w.shape != lengths.shape:
+        raise ShapeError(f"{lengths.size} segments but weights of shape {w.shape}")
+    starts = np.cumsum(lengths) - lengths
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    x = scores.data
+    e = np.exp(x - np.maximum.reduceat(x, starts, axis=-1)[..., seg])
+    y = e / np.add.reduceat(e, starts, axis=-1)[..., seg]
+    wd = w.data[seg]
+
+    def grad_scores(g):
+        gy = g * wd
+        return y * (gy - np.add.reduceat(gy * y, starts, axis=-1)[..., seg])
+
+    def grad_w(g):
+        per_seg = np.add.reduceat(g * y, starts, axis=-1)
+        return per_seg.reshape(-1, lengths.size).sum(axis=0)
+
+    return _make("segment_softmax", y * wd, [(scores, grad_scores), (w, grad_w)])
 
 
 def take_per_row(x: Tensor, ids) -> Tensor:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -238,6 +239,72 @@ class TestGenerate:
             )
             outs.append((out / "generations.jsonl").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_post_filling_the_source_still_generates(self, tmp_path):
+        post = " ".join(f"p{i}" for i in range(10))
+        records = [{"context": [post], "knowledge": ["alpha beta", "gamma"], "response": "alpha"}]
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        vocab = build_vocab(load_jsonl(data))
+        vocab.save(tmp_path / "vocab.txt")
+        config = ModelConfig(
+            vocab_size=len(vocab), d_model=8, n_heads=2, n_encoder_layers=1,
+            n_decoder_layers=1, d_ff=8, max_source_len=12, max_target_len=6,
+        )
+        ckpt.save(tmp_path / "model.ckpt", config, CKLModel(config, seed=0).parameters())
+        out = tmp_path / "gen"
+        argv = ["generate", "--data", str(data), "--vocab", str(tmp_path / "vocab.txt"),
+                "--checkpoint", str(tmp_path / "model.ckpt"), "--out", str(out)]
+        with pytest.warns(UserWarning):
+            assert main(argv) == 0
+        (record,) = [json.loads(l) for l in (out / "generations.jsonl").read_text().splitlines()]
+        assert len(record["klw"]) == 1 and len(record["clwr"]) == 1
+
+
+def _field_offsets(blob):
+    """Offsets of the first config key, first config value, first parameter
+    name and first parameter's ndim field in a checkpoint."""
+    def u32(at):
+        return struct.unpack_from("<I", blob, at)[0]
+
+    n_config = u32(4)
+    key_at = 12
+    value_at = key_at + u32(8) + 4
+    pos = 8
+    for _ in range(n_config):
+        pos += 4 + u32(pos)
+        pos += 4 + u32(pos)
+    name_at = pos + 8
+    return {"key": key_at, "value": value_at, "name": name_at, "ndim": name_at + u32(pos + 4)}
+
+
+def _damage(blob, field):
+    at = _field_offsets(blob)[field]
+    if field == "ndim":  # same values, but 65 dimensions: more than numpy allows
+        ndim = struct.unpack_from("<I", blob, at)[0]
+        dims = struct.unpack_from(f"<{ndim}Q", blob, at + 4)
+        padded = struct.pack("<I", 65) + struct.pack("<65Q", *dims, *[1] * (65 - ndim))
+        return blob[:at] + padded + blob[at + 4 + 8 * ndim :]
+    return blob[:at] + b"\xff" + blob[at + 1 :]  # never valid UTF-8
+
+
+class TestDamagedCheckpoint:
+    @pytest.mark.parametrize("field", ["key", "value", "name", "ndim"])
+    def test_parse_failure_is_checkpoint_error_and_exit_4(self, tmp_path, field):
+        data = tmp_path / "data.jsonl"
+        write_jsonl(data, overfit_corpus(2, seed=0))
+        vocab = build_vocab(load_jsonl(data))
+        vocab.save(tmp_path / "vocab.txt")
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, d_ff=8, max_source_len=64)
+        path = tmp_path / "model.ckpt"
+        ckpt.save(path, config, CKLModel(config, seed=0).parameters())
+        ckpt.load(path)
+        path.write_bytes(_damage(path.read_bytes(), field))
+        with pytest.raises(ckpt.CheckpointError):
+            ckpt.load(path)
+        argv = ["generate", "--data", str(data), "--vocab", str(tmp_path / "vocab.txt"),
+                "--checkpoint", str(path), "--out", str(tmp_path / "gen")]
+        assert main(argv) == 4
 
 
 class TestEvaluate:

@@ -16,6 +16,7 @@ from ckl.corpus import (
     load_jsonl,
     tokenize,
 )
+from ckl.model import CKLModel, ModelConfig
 
 
 def write_jsonl(path, records):
@@ -141,6 +142,49 @@ class TestEncodeSample:
         assert enc.m == 1
         assert enc.segment_lengths[0] == 8
         assert enc.context_tokens[0][-1] == "p29"
+
+    def test_full_post_leaves_room_for_first_knowledge_sentence(self):
+        post = " ".join(f"p{i}" for i in range(10))
+        s = DialogueSample([post], ["alpha beta gamma", "delta"], "resp")
+        vocab = self.make_vocab(s)
+        with pytest.warns(UserWarning):
+            enc = encode_sample(s, vocab, EncodeConfig(max_source_len=12))
+        assert enc.knowledge_tokens == [["alpha", "beta", "gamma"]]
+        assert enc.context_tokens == [[f"p{i}" for i in range(2, 10)]]
+        assert len(enc.source_ids()) == 12
+
+    def test_reserved_room_drops_oldest_utterances_first(self):
+        s = DialogueSample(
+            ["a b c", "p1 p2 p3 p4 p5"], [" ".join(f"k{i}" for i in range(8))], "resp"
+        )
+        vocab = self.make_vocab(s)
+        enc = encode_sample(s, vocab, EncodeConfig(max_source_len=14))
+        assert enc.context_tokens == [["p1", "p2", "p3", "p4", "p5"]]
+        assert enc.l == 1 and len(enc.knowledge_tokens[0]) == 8
+        assert len(enc.source_ids()) == 14
+
+    def test_sentence_too_long_for_any_post_is_truncated_from_the_right(self):
+        s = DialogueSample(["x y"], [" ".join(f"k{i}" for i in range(20)), "z"], "resp")
+        vocab = self.make_vocab(s)
+        with pytest.warns(UserWarning):
+            enc = encode_sample(s, vocab, EncodeConfig(max_source_len=8))
+        assert enc.context_tokens == [["y"]]
+        assert enc.knowledge_tokens == [[f"k{i}" for i in range(6)]]
+        assert len(enc.source_ids()) == 8
+
+    def test_empty_knowledge_regression_runs_through_the_model(self):
+        post = " ".join(f"p{i}" for i in range(10))
+        s = DialogueSample([post], ["alpha beta gamma"], "alpha resp")
+        vocab = self.make_vocab(s)
+        config = ModelConfig(
+            vocab_size=len(vocab), d_model=8, n_heads=2, n_encoder_layers=1,
+            n_decoder_layers=1, d_ff=8, max_source_len=12, max_target_len=6,
+        )
+        with pytest.warns(UserWarning):
+            enc = encode_sample(s, vocab, config.encode_config())
+        model = CKLModel(config, seed=0)
+        assert model.latent_weights(enc).klw.shape == (1,)
+        assert model.generate(enc)[0] == BOS
 
     def test_oov_becomes_unk(self):
         s = DialogueSample(["hello"], ["world"], "hello world")

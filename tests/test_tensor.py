@@ -12,6 +12,7 @@ from ckl.tensor import (
     add_row,
     cols,
     concat_cols,
+    concat_rows,
     concat_vec,
     element,
     embedding_lookup,
@@ -19,12 +20,15 @@ from ckl.tensor import (
     layer_norm,
     log_softmax_lastdim,
     matmul,
+    merge_heads,
     mul,
     relu,
     rows,
     scale,
+    segment_softmax,
     sigmoid,
     softmax_lastdim,
+    split_heads,
     sub,
     sum_all,
     take_per_row,
@@ -240,6 +244,97 @@ class TestGradientSuite:
         s = rng.uniform(-2, 2, (1,))
         gradcheck(lambda x, y: sum_all(mul(x, y)), [a, s])
         gradcheck(lambda x, y: sum_all(add(x, y)), [a, s])
+
+
+class TestAttentionKernels:
+    """Kernels that keep attention heads and key segments as array axes."""
+
+    def test_batched_matmul_matches_per_matrix_products(self):
+        rng = np.random.default_rng(20)
+        a = rng.uniform(-2, 2, (3, 2, 4))
+        b = rng.uniform(-2, 2, (3, 4, 5))
+        out = matmul(Tensor(a), Tensor(b)).data
+        for i in range(3):
+            assert np.allclose(out[i], a[i] @ b[i], atol=1e-14)
+
+    def test_batched_matmul_rejects_mismatched_batches(self):
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2))))
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2))))
+
+    def test_split_heads_layout_and_round_trip(self):
+        x = np.arange(12.0).reshape(2, 6)
+        heads = split_heads(Tensor(x), 3)
+        assert heads.shape == (3, 2, 2)
+        assert np.array_equal(heads.data[1], x[:, 2:4])
+        assert np.array_equal(merge_heads(heads).data, x)
+        with pytest.raises(ShapeError):
+            split_heads(Tensor(x), 4)
+
+    def test_concat_rows_stacks(self):
+        out = concat_rows([Tensor(np.ones((1, 2))), Tensor(np.zeros((2, 2)))])
+        assert np.array_equal(out.data, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ShapeError):
+            concat_rows([Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3)))])
+        with pytest.raises(ShapeError):
+            concat_rows([])
+
+    def test_segment_softmax_is_weighted_per_segment_softmax(self):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-3, 3, (2, 3, 6))
+        w = np.array([0.5, 2.0, 0.0])
+        out = segment_softmax(Tensor(x), [2, 3, 1], Tensor(w)).data
+        for s, (a, b) in enumerate([(0, 2), (2, 5), (5, 6)]):
+            expected = softmax_lastdim(Tensor(x[..., a:b])).data * w[s]
+            assert np.allclose(out[..., a:b], expected, atol=1e-15)
+
+    def test_huge_score_leaves_other_segments_standalone(self):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-3, 3, (3, 7))
+        x[1, 3] = 1e4
+        lengths = [2, 3, 2]
+        out = segment_softmax(Tensor(x), lengths, Tensor(np.ones(3))).data
+        assert np.isfinite(out).all()
+        for a, b in [(0, 2), (5, 7)]:
+            standalone = softmax_lastdim(Tensor(x[:, a:b])).data
+            assert np.max(np.abs(out[:, a:b] - standalone)) <= 1e-15
+        assert out[1, 3] == 1.0
+
+    def test_segment_softmax_shape_errors(self):
+        x = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ShapeError):
+            segment_softmax(x, [2, 1], Tensor(np.ones(2)))
+        with pytest.raises(ShapeError):
+            segment_softmax(x, [2, 2], Tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
+            segment_softmax(x, [4, 0], Tensor(np.ones(2)))
+
+    def test_gradients(self, gradcheck):
+        rng = np.random.default_rng(23)
+        a3 = rng.uniform(-2, 2, (2, 3, 4))
+        b3 = rng.uniform(-2, 2, (2, 4, 2))
+        gradcheck(lambda x, y: sum_all(mul(matmul(x, y), matmul(x, y))), [a3, b3])
+        gradcheck(lambda x: sum_all(mul(transpose(x), transpose(x))), [a3])
+        gradcheck(lambda x, y: sum_all(mul(matmul(x, transpose(x)), y)), [a3, rng.uniform(-2, 2, (2, 3, 3))])
+        m = rng.uniform(-2, 2, (3, 6))
+        coef = rng.uniform(-2, 2, (3, 3, 2))
+        gradcheck(lambda x: sum_all(mul(split_heads(x, 3), Tensor(coef))), [m])
+        gradcheck(lambda x: sum_all(mul(merge_heads(x), merge_heads(x))), [coef])
+        gradcheck(
+            lambda x, y: sum_all(mul(concat_rows([x, y, x]), concat_rows([x, y, x]))),
+            [m, rng.uniform(-2, 2, (1, 6))],
+        )
+        lengths = [1, 3, 2]
+        gradcheck(
+            lambda x, w: sum_all(mul(segment_softmax(x, lengths, w), Tensor(m[:2]))),
+            [rng.uniform(-2, 2, (2, 6)), rng.uniform(0.1, 1.5, 3)],
+        )
+        read_out = Tensor(rng.uniform(-2, 2, (2, 3, 6)))
+        gradcheck(
+            lambda x, w: sum_all(mul(segment_softmax(x, [4, 2], w), read_out)),
+            [rng.uniform(-2, 2, (2, 3, 6)), rng.uniform(0.1, 1.5, 2)],
+        )
 
 
 class TestInvariants:

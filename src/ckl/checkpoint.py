@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -105,18 +106,28 @@ def _parse(blob: bytes, path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     return config, params
 
 
-def restore_model(path, expected: ModelConfig | None = None, force: bool = False) -> CKLModel:
-    """Rebuild a model from a checkpoint, verifying config compatibility."""
+def restore_model(
+    path, expected: Mapping[str, object] | None = None, force: bool = False
+) -> CKLModel:
+    """Rebuild a model from a checkpoint, verifying config compatibility.
+
+    ``expected`` maps ``ModelConfig`` field names to requested values; any
+    that differ from the checkpoint's raise ``CheckpointError`` unless
+    ``force`` is set, in which case the checkpoint's values win.
+    """
     config, arrays = load(path)
-    if expected is not None and not force:
+    if expected and not force:
         mismatched = {
-            name: (getattr(expected, name), getattr(config, name))
-            for name in config.__dataclass_fields__
-            if getattr(expected, name) != getattr(config, name)
+            name: (want, getattr(config, name))
+            for name, want in expected.items()
+            if want != getattr(config, name)
         }
         if mismatched:
-            detail = ", ".join(f"{k}: want {w} got {g}" for k, (w, g) in mismatched.items())
-            raise CheckpointError(f"config mismatch ({detail})")
+            detail = ", ".join(
+                f"{k}: requested {want} but checkpoint has {got}"
+                for k, (want, got) in mismatched.items()
+            )
+            raise CheckpointError(f"config mismatch ({detail}); use --force to override")
     model = CKLModel(config, seed=0)
     model_arrays = {k: v for k, v in arrays.items() if not k.startswith("awl.")}
     if set(model_arrays) != set(model.params):

@@ -1,9 +1,9 @@
 """Command-line driver: prep, train, generate, evaluate, analyze.
 
-Configuration is a flat key=value text file validated against a fixed schema;
-command-line flags override file values, and the effective configuration is
-echoed into every output directory. Exit codes: 0 ok, 2 input error,
-3 training abort, 4 checkpoint mismatch.
+Configuration is a flat key=value text file validated against a schema
+derived from the config dataclasses; command-line flags override file values,
+and the effective configuration is echoed into every output directory. Exit
+codes: 0 ok, 2 input error, 3 training abort, 4 checkpoint mismatch.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -35,62 +36,48 @@ from .metrics import (
     WordVectorTable,
     write_metric_report,
 )
-from .model import CKLModel, ModelConfig
-from .training import TrainingAbort, TrainingConfig, train, write_trace
-from .weak_supervision import build_index, build_pseudo_gt, save_label_cache
+from .model import ModelConfig
+from .training import TrainingAbort, TrainingConfig, build_labels, train, write_trace
+from .weak_supervision import save_label_cache
 
-SCHEMA: dict[str, tuple[type, object]] = {
-    # model
-    "d_model": (int, 64),
-    "n_heads": (int, 4),
-    "n_encoder_layers": (int, 2),
-    "n_decoder_layers": (int, 2),
-    "d_ff": (int, 128),
-    "max_source_len": (int, 1024),
-    "max_target_len": (int, 64),
-    "m_max": (int, 10),
-    "top_n": (int, 1),
-    "use_loss_klw": (bool, True),
-    "use_loss_clwr": (bool, True),
-    "use_loss_clwk": (bool, True),
-    "use_ck_dep": (bool, True),
-    # training
-    "learning_rate": (float, 5e-5),
-    "epochs": (int, 10),
-    "batch_size": (int, 16),
-    "seed": (int, 0),
-    "data_fraction": (float, 1.0),
-    "grad_clip": (float, 1.0),
+
+def _defaults(cls) -> dict[str, object]:
+    """Field name to default for every field of dataclass ``cls`` that has one."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+MODEL_DEFAULTS = _defaults(ModelConfig)  # every field but vocab_size
+
+# Config key to default; a key's type is its default's type.
+SCHEMA: dict[str, object] = {
+    **MODEL_DEFAULTS,
+    **_defaults(TrainingConfig),
     # vocabulary build
-    "min_freq": (int, 1),
-    "max_size": (int, 50000),
+    "min_freq": 1,
+    "max_size": 50000,
     # decoding
-    "beam": (int, 1),
-    "max_len": (int, 0),
+    "beam": 1,
+    "max_len": 0,
     # paths
-    "data": (str, ""),
-    "vocab": (str, ""),
-    "checkpoint": (str, ""),
-    "embeddings": (str, ""),
-    "generations": (str, ""),
-    "out": (str, ""),
+    **dict.fromkeys(("data", "vocab", "checkpoint", "embeddings", "generations", "out"), ""),
 }
 
-MODEL_KEYS = (
-    "d_model",
-    "n_heads",
-    "n_encoder_layers",
-    "n_decoder_layers",
-    "d_ff",
-    "max_source_len",
-    "max_target_len",
-    "m_max",
-    "top_n",
-    "use_loss_klw",
-    "use_loss_clwr",
-    "use_loss_clwk",
-    "use_ck_dep",
-)
+# Subcommand to (help, config keys settable by flag). A boolean key, on by
+# default, becomes a --no-... flag.
+COMMANDS = {
+    "prep": ("vocabulary, TF-IDF stats, label cache", ("data", "min_freq", "max_size", "top_n")),
+    "train": (
+        "optimise on a prepared dataset",
+        ("data", "vocab", "seed", "epochs", "batch_size", "learning_rate", "data_fraction",
+         "top_n", "use_loss_klw", "use_loss_clwr", "use_loss_clwk", "use_ck_dep"),
+    ),
+    "generate": (
+        "decode responses with latent weights",
+        ("data", "vocab", "checkpoint", "beam", "max_len", "use_ck_dep"),
+    ),
+    "evaluate": ("corpus metrics for generations", ("generations", "data", "embeddings")),
+    "analyze": ("latent-weight ranking and correlations", ("generations", "data", "top_n")),
+}
 
 
 class ConfigError(ValueError):
@@ -98,7 +85,7 @@ class ConfigError(ValueError):
 
 
 def _parse_value(key: str, raw: str):
-    typ, _default = SCHEMA[key]
+    typ = type(SCHEMA[key])
     if typ is bool:
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes"):
@@ -133,7 +120,7 @@ class RunConfig:
     """Defaults, overlaid by a config file, overlaid by command-line flags."""
 
     def __init__(self, args: argparse.Namespace):
-        self.values = {key: default for key, (_t, default) in SCHEMA.items()}
+        self.values = dict(SCHEMA)
         self.explicit: set[str] = set()
         if getattr(args, "config", None):
             file_values = load_config_file(args.config)
@@ -143,15 +130,6 @@ class RunConfig:
             flag = getattr(args, key, None)
             if flag is not None:
                 self.values[key] = flag
-                self.explicit.add(key)
-        for no_flag, key in (
-            ("no_loss_klw", "use_loss_klw"),
-            ("no_loss_clwr", "use_loss_clwr"),
-            ("no_loss_clwk", "use_loss_clwk"),
-            ("no_ck_dep", "use_ck_dep"),
-        ):
-            if getattr(args, no_flag, False):
-                self.values[key] = False
                 self.explicit.add(key)
         if getattr(args, "greedy", False):
             self.values["beam"] = 1
@@ -165,26 +143,10 @@ class RunConfig:
             raise ConfigError(f"missing required path: {key}")
         return Path(self.values[key])
 
-    def model_config(self, vocab_size: int) -> ModelConfig:
-        kwargs = {key: self.values[key] for key in MODEL_KEYS}
-        return ModelConfig(vocab_size=vocab_size, **kwargs)
-
-    def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            learning_rate=self.values["learning_rate"],
-            epochs=self.values["epochs"],
-            batch_size=self.values["batch_size"],
-            seed=self.values["seed"],
-            data_fraction=self.values["data_fraction"],
-            grad_clip=self.values["grad_clip"],
-        )
-
-    def encode_config(self) -> EncodeConfig:
-        return EncodeConfig(
-            m_max=self.values["m_max"],
-            max_source_len=self.values["max_source_len"],
-            max_target_len=self.values["max_target_len"],
-        )
+    def build(self, cls, **given):
+        """A ``cls`` dataclass whose fields not in ``given`` come from the config."""
+        names = [f.name for f in fields(cls) if f.name not in given]
+        return cls(**given, **{name: self.values[name] for name in names})
 
     def echo(self, out_dir: Path) -> None:
         lines = [f"{key}={self.values[key]}" for key in sorted(SCHEMA)]
@@ -198,24 +160,15 @@ def _ensure_out(cfg: RunConfig) -> Path:
     return out
 
 
-def _build_labels(samples, cfg: RunConfig):
-    enc_cfg = cfg.encode_config()
-    kept = [kept_segments(s, enc_cfg) for s in samples]
-    index = build_index([k[1] for k in kept])
-    labels = [
-        build_pseudo_gt(context, knowledge, response, index, cfg["top_n"])
-        for context, knowledge, response in kept
-    ]
-    return kept, index, labels
-
-
 def cmd_prep(cfg: RunConfig) -> int:
     data = cfg.require_path("data")
     out = _ensure_out(cfg)
     samples = load_jsonl(data)
     vocab = build_vocab(samples, min_freq=cfg["min_freq"], max_size=cfg["max_size"])
     vocab.save(out / "vocab.txt")
-    kept, index, labels = _build_labels(samples, cfg)
+    enc_cfg = cfg.build(EncodeConfig)
+    kept = [kept_segments(s, enc_cfg) for s in samples]
+    index, labels = build_labels(kept, cfg["top_n"])
     save_label_cache(out / "labels.jsonl", labels)
     stats = {
         "samples": len(samples),
@@ -238,8 +191,8 @@ def cmd_train(cfg: RunConfig) -> int:
     vocab = Vocabulary.load(cfg.require_path("vocab"))
     out = _ensure_out(cfg)
     samples = load_jsonl(data)
-    model_cfg = cfg.model_config(len(vocab))
-    result = train(samples, vocab, model_cfg, cfg.training_config())
+    model_cfg = cfg.build(ModelConfig, vocab_size=len(vocab))
+    result = train(samples, vocab, model_cfg, cfg.build(TrainingConfig))
     params = dict(result.model.parameters())
     params.update(result.awl_params.named())
     ckpt.save(out / "checkpoint.ckpt", model_cfg, params)
@@ -251,34 +204,19 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _restore_for_inference(cfg: RunConfig, vocab: Vocabulary, force: bool) -> CKLModel:
-    """Load the checkpoint's own config; explicit keys must agree unless forced."""
-    path = cfg.require_path("checkpoint")
-    model = ckpt.restore_model(path)
+def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
+    """Decode with the checkpoint's own config; explicit model keys must agree
+    with it unless forced, and the echoed config is the checkpoint's."""
+    data = cfg.require_path("data")
+    vocab = Vocabulary.load(cfg.require_path("vocab"))
+    requested = {key: cfg[key] for key in MODEL_DEFAULTS if key in cfg.explicit}
+    model = ckpt.restore_model(cfg.require_path("checkpoint"), requested, force)
     if model.config.vocab_size != len(vocab):
         raise ckpt.CheckpointError(
             f"checkpoint vocab_size={model.config.vocab_size} but vocabulary has {len(vocab)}"
         )
-    if not force:
-        mismatched = {
-            key: (cfg[key], getattr(model.config, key))
-            for key in MODEL_KEYS
-            if key in cfg.explicit and cfg[key] != getattr(model.config, key)
-        }
-        if mismatched:
-            detail = ", ".join(
-                f"{k}: requested {want} but checkpoint has {got}"
-                for k, (want, got) in mismatched.items()
-            )
-            raise ckpt.CheckpointError(f"config mismatch ({detail}); use --force to override")
-    return model
-
-
-def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
-    data = cfg.require_path("data")
-    vocab = Vocabulary.load(cfg.require_path("vocab"))
+    cfg.values.update((key, getattr(model.config, key)) for key in MODEL_DEFAULTS)
     out = _ensure_out(cfg)
-    model = _restore_for_inference(cfg, vocab, force)
     samples = load_jsonl(data)
     beam = cfg["beam"]
     max_len = cfg["max_len"] or None
@@ -304,14 +242,15 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
     return 0
 
 
-def _load_generations(path) -> list[dict]:
+def _load_generations(path) -> list[tuple[int, dict]]:
+    """(line number, record) for every non-blank line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as err:
                 raise DatasetError(f"{path}: line {lineno}: {err.msg}") from err
     return records
@@ -325,7 +264,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise DatasetError(
             f"{len(generations)} generations for {len(samples)} samples"
         )
-    cands = [list(rec["tokens"]) for rec in generations]
+    cands = [list(rec["tokens"]) for _lineno, rec in generations]
     refs = [tokenize(s.response) for s in samples]
     n_pairs = len(cands)
     rows = [(f"bleu-{k}", bleu_n(cands, refs, k), n_pairs, 0) for k in range(1, 5)]
@@ -344,21 +283,31 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    generations = _load_generations(cfg.require_path("generations"))
+    gen_path = cfg.require_path("generations")
+    generations = _load_generations(gen_path)
     samples = load_jsonl(cfg.require_path("data"))
     out = _ensure_out(cfg)
     if len(generations) != len(samples):
         raise DatasetError(f"{len(generations)} generations for {len(samples)} samples")
-    _kept, _index, labels = _build_labels(samples, cfg)
+    enc_cfg = cfg.build(EncodeConfig)
+    _index, labels = build_labels([kept_segments(s, enc_cfg) for s in samples], cfg["top_n"])
     reranked, original, targets = [], [], []
     spearman_pairs = {"klw": [], "clwr": [], "clwk": []}
-    for rec, label in zip(generations, labels):
+    for (lineno, rec), label in zip(generations, labels):
         for key in ("klw", "clwr", "clwk"):
             if key not in rec:
-                raise DatasetError(f"generation record lacks latent weights ({key})")
+                raise DatasetError(
+                    f"{gen_path}: line {lineno}: generation record lacks latent weights ({key})"
+                )
         klw = [float(x) for x in rec["klw"]]
         if len(klw) != len(label.gt_klw) or len(rec["clwr"]) != len(label.gt_clwr):
-            raise DatasetError("latent weight lengths do not match the dataset")
+            raise DatasetError(
+                f"{gen_path}: line {lineno}: {len(rec['clwr'])} context and {len(klw)} "
+                f"knowledge weights, but the data keeps {len(label.gt_clwr)} utterances and "
+                f"{len(label.gt_klw)} sentences under m_max={cfg['m_max']} "
+                f"max_source_len={cfg['max_source_len']}; set both to the generating "
+                "model's values with --config"
+            )
         order = sorted(range(len(klw)), key=lambda i: (-klw[i], i))
         reranked.append(order)
         original.append(list(range(len(klw))))
@@ -383,58 +332,27 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
+def _add_key_flag(p: argparse.ArgumentParser, key: str) -> None:
+    default = SCHEMA[key]
+    if isinstance(default, bool):
+        flag = "--no-" + key.removeprefix("use_").replace("_", "-")
+        p.add_argument(flag, dest=key, action="store_false", default=None)
+    else:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default), default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ckl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def shared(p):
+    for command, (help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-
-    p_prep = sub.add_parser("prep", help="vocabulary, TF-IDF stats, label cache")
-    shared(p_prep)
-    p_prep.add_argument("--data", default=None, help="dataset JSON Lines file")
-    p_prep.add_argument("--min-freq", dest="min_freq", type=int, default=None)
-    p_prep.add_argument("--max-size", dest="max_size", type=int, default=None)
-    p_prep.add_argument("--top-n", dest="top_n", type=int, default=None)
-
-    p_train = sub.add_parser("train", help="optimise on a prepared dataset")
-    shared(p_train)
-    p_train.add_argument("--data", default=None)
-    p_train.add_argument("--vocab", default=None)
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p_train.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p_train.add_argument("--data-fraction", dest="data_fraction", type=float, default=None)
-    p_train.add_argument("--top-n", dest="top_n", type=int, default=None)
-    p_train.add_argument("--no-loss-klw", action="store_true")
-    p_train.add_argument("--no-loss-clwr", action="store_true")
-    p_train.add_argument("--no-loss-clwk", action="store_true")
-    p_train.add_argument("--no-ck-dep", action="store_true")
-
-    p_gen = sub.add_parser("generate", help="decode responses with latent weights")
-    shared(p_gen)
-    p_gen.add_argument("--data", default=None)
-    p_gen.add_argument("--vocab", default=None)
-    p_gen.add_argument("--checkpoint", default=None)
-    p_gen.add_argument("--beam", type=int, default=None)
-    p_gen.add_argument("--greedy", action="store_true")
-    p_gen.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p_gen.add_argument("--force", action="store_true", help="ignore config mismatch")
-    p_gen.add_argument("--no-ck-dep", action="store_true")
-
-    p_eval = sub.add_parser("evaluate", help="corpus metrics for generations")
-    shared(p_eval)
-    p_eval.add_argument("--generations", default=None)
-    p_eval.add_argument("--data", default=None)
-    p_eval.add_argument("--embeddings", default=None)
-
-    p_an = sub.add_parser("analyze", help="latent-weight ranking and correlations")
-    shared(p_an)
-    p_an.add_argument("--generations", default=None)
-    p_an.add_argument("--data", default=None)
-    p_an.add_argument("--top-n", dest="top_n", type=int, default=None)
+        for key in keys:
+            _add_key_flag(p, key)
+        if command == "generate":
+            p.add_argument("--greedy", action="store_true", help="same as --beam 1")
+            p.add_argument("--force", action="store_true", help="ignore config mismatch")
     return parser
 
 

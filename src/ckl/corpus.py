@@ -203,10 +203,6 @@ def _fit_context(context: list[list[str]], budget: int) -> list[list[str]]:
     """
     post = context[-1]
     if len(post) > budget:
-        warnings.warn(
-            f"post of {len(post)} tokens exceeds its {budget}-token source budget; "
-            "truncating from the left"
-        )
         return [post[-budget:]]
     while len(context) > 1 and _joined_len(context) > budget:
         context = context[1:]
@@ -234,7 +230,7 @@ def kept_segments(
         knowledge.append(toks)
         budget -= len(toks) + 1
 
-    if not knowledge and 3 <= limit and len(utterances[-1]) <= limit:
+    if not knowledge and 3 <= limit:
         # Reserve room for the first sentence: a one-token post, a SEP and it.
         first = tokenize(sample.knowledge[0])
         if len(first) > limit - 2:
@@ -242,6 +238,11 @@ def kept_segments(
             first = first[: limit - 2]
         context = _fit_context(utterances, limit - len(first) - 1)
         knowledge = [first]
+    if len(context[-1]) < len(utterances[-1]):
+        warnings.warn(
+            f"post of {len(utterances[-1])} tokens truncated from the left to "
+            f"{len(context[-1])} to fit the {limit}-token source"
+        )
 
     response = tokenize(sample.response)[: config.max_target_len - 2]
     return context, knowledge, response

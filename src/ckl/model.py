@@ -24,7 +24,7 @@ sentence and one pass yields every weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,15 +55,21 @@ MASK_VALUE = -1e9
 
 @dataclass
 class ModelConfig:
+    """Architecture, encode settings and loss switches.
+
+    Boolean fields are the switches; every other field is a size that must be
+    at least 1. The encode settings take ``EncodeConfig``'s defaults.
+    """
+
     vocab_size: int
     d_model: int = 64
     n_heads: int = 4
     n_encoder_layers: int = 2
     n_decoder_layers: int = 2
     d_ff: int = 128
-    max_source_len: int = 1024
-    max_target_len: int = 64
-    m_max: int = 10
+    max_source_len: int = EncodeConfig.max_source_len
+    max_target_len: int = EncodeConfig.max_target_len
+    m_max: int = EncodeConfig.m_max
     top_n: int = 1
     use_loss_klw: bool = True
     use_loss_clwr: bool = True
@@ -71,48 +77,36 @@ class ModelConfig:
     use_ck_dep: bool = True
 
     def __post_init__(self):
-        dims = {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_encoder_layers": self.n_encoder_layers,
-            "n_decoder_layers": self.n_decoder_layers,
-            "d_ff": self.d_ff,
-            "max_source_len": self.max_source_len,
-            "max_target_len": self.max_target_len,
-            "m_max": self.m_max,
-            "top_n": self.top_n,
-        }
-        for name, value in dims.items():
-            if int(value) < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(f.default, bool) and int(value) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {value}")
+        if self.max_source_len < 3:
+            raise ValueError(
+                "max_source_len must be >= 3 to fit a post token, a SEP and a "
+                f"knowledge token, got {self.max_source_len}"
+            )
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
 
     def encode_config(self) -> EncodeConfig:
-        return EncodeConfig(
-            m_max=self.m_max,
-            max_source_len=self.max_source_len,
-            max_target_len=self.max_target_len,
-        )
-
-    _BOOL_FIELDS = ("use_loss_klw", "use_loss_clwr", "use_loss_clwk", "use_ck_dep")
+        return EncodeConfig(**{f.name: getattr(self, f.name) for f in fields(EncodeConfig)})
 
     def to_dict(self) -> dict[str, str]:
         out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            out[name] = str(int(value)) if name in self._BOOL_FIELDS else str(value)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = str(int(value)) if isinstance(f.default, bool) else str(value)
         return out
 
     @classmethod
     def from_dict(cls, d: dict[str, str]) -> "ModelConfig":
         kwargs = {}
-        for name in cls.__dataclass_fields__:
-            raw = d[name]
-            kwargs[name] = bool(int(raw)) if name in cls._BOOL_FIELDS else int(raw)
+        for f in fields(cls):
+            raw = d[f.name]
+            kwargs[f.name] = bool(int(raw)) if isinstance(f.default, bool) else int(raw)
         return cls(**kwargs)
 
 

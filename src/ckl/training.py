@@ -19,7 +19,7 @@ from .corpus import DialogueSample, EncodedSample, Vocabulary, encode_sample
 from .losses import AwlParams, awl, mse, nll
 from .model import CKLModel, ModelConfig
 from .tensor import NumericError, Tape, Tensor
-from .weak_supervision import PseudoGroundTruth, build_index, build_pseudo_gt
+from .weak_supervision import PseudoGroundTruth, TfIdfIndex, build_index, build_pseudo_gt
 
 
 class TrainingAbort(RuntimeError):
@@ -125,6 +125,23 @@ class TrainResult:
     labels: list[PseudoGroundTruth] = field(repr=False, default_factory=list)
 
 
+def build_labels(
+    kept: list[tuple[list[list[str]], list[list[str]], list[str]]], top_n: int
+) -> tuple[TfIdfIndex, list[PseudoGroundTruth]]:
+    """The TF-IDF index and one pseudo ground truth per sample of a split.
+
+    ``kept`` holds each sample's (context, knowledge, response) token lists as
+    encoding keeps them (``corpus.kept_segments``), so label positions line up
+    with model segments. The index covers every kept knowledge sentence.
+    """
+    index = build_index([knowledge for _context, knowledge, _response in kept])
+    labels = [
+        build_pseudo_gt(context, knowledge, response, index, top_n)
+        for context, knowledge, response in kept
+    ]
+    return index, labels
+
+
 def prepare_training_set(
     samples: list[DialogueSample],
     vocab: Vocabulary,
@@ -140,13 +157,10 @@ def prepare_training_set(
     effective = math.ceil(train_cfg.data_fraction * len(samples))
     chosen = [samples[i] for i in order[:effective]]
     encoded = [encode_sample(s, vocab, model_cfg.encode_config()) for s in chosen]
-    index = build_index([e.knowledge_tokens for e in encoded])
-    labels = [
-        build_pseudo_gt(
-            e.context_tokens, e.knowledge_tokens, e.response_tokens, index, model_cfg.top_n
-        )
-        for e in encoded
-    ]
+    _index, labels = build_labels(
+        [(e.context_tokens, e.knowledge_tokens, e.response_tokens) for e in encoded],
+        model_cfg.top_n,
+    )
     return encoded, labels
 
 

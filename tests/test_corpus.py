@@ -139,9 +139,11 @@ class TestEncodeSample:
         vocab = self.make_vocab(s)
         with pytest.warns(UserWarning):
             enc = encode_sample(s, vocab, EncodeConfig(max_source_len=8))
-        assert enc.m == 1
-        assert enc.segment_lengths[0] == 8
+        assert enc.m == 1 and enc.l == 1
         assert enc.context_tokens[0][-1] == "p29"
+        assert enc.context_tokens == [[f"p{i}" for i in range(24, 30)]]
+        assert enc.knowledge_tokens == [["k"]]
+        assert len(enc.source_ids()) == 8
 
     def test_full_post_leaves_room_for_first_knowledge_sentence(self):
         post = " ".join(f"p{i}" for i in range(10))

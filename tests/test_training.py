@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -178,7 +180,7 @@ class TestCheckpoint:
         params = dict(result.model.parameters())
         params.update(result.awl_params.named())
         checkpoint.save(p, cfg, params)
-        restored = checkpoint.restore_model(p, expected=cfg)
+        restored = checkpoint.restore_model(p, expected=asdict(cfg))
         before = result.model.forward(result.encoded[0])[0].data
         after = restored.forward(result.encoded[0])[0].data
         assert np.array_equal(before, after)
@@ -204,7 +206,7 @@ class TestCheckpoint:
         checkpoint.save(p, cfg, model.parameters())
         other = small_model_config(vocab_size=20, d_model=32, d_ff=64)
         with pytest.raises(CheckpointError) as err:
-            checkpoint.restore_model(p, expected=other)
+            checkpoint.restore_model(p, expected=asdict(other))
         assert "d_model" in str(err.value)
 
     def test_force_overrides_mismatch(self, tmp_path):
@@ -212,5 +214,5 @@ class TestCheckpoint:
         p = tmp_path / "model.ckpt"
         checkpoint.save(p, cfg, model.parameters())
         other = small_model_config(vocab_size=20, use_ck_dep=False)
-        restored = checkpoint.restore_model(p, expected=other, force=True)
+        restored = checkpoint.restore_model(p, expected=asdict(other), force=True)
         assert restored.config == cfg

@@ -355,13 +355,30 @@ class TestGradientFlow:
         assert np.max(np.abs(g)) > 0.0
 
 
+def argmax_oracle(model, sample, max_len):
+    """Greedy decoding as a plain loop: argmax of the last full-prefix logits
+    row, stopping after EOS or at ``max_len`` ids."""
+    enc = model.encode(sample)
+    clwr, clwk = model.clw_generate(enc)
+    klw = model.klw_generate(enc, clwk)
+    ids = [BOS]
+    while len(ids) < max_len:
+        ids.append(int(np.argmax(model.decoder_forward(ids, enc, clwr, klw).data[-1])))
+        if ids[-1] == EOS:
+            break
+    return ids
+
+
 class TestGenerate:
-    def test_beam_one_equals_greedy(self):
-        model = CKLModel(tiny_config(), seed=18)
+    @pytest.mark.parametrize("seed,eos_bias", [(18, 0.0), (19, 0.0), (20, 0.0), (21, 1.0)])
+    def test_width_one_equals_argmax_oracle(self, seed, eos_bias):
+        model = CKLModel(tiny_config(), seed=seed)
+        model.params["out.b"].data[EOS] += eos_bias
         sample = tiny_sample()
-        greedy = model.generate(sample, mode="greedy")
-        beam = model.generate(sample, mode="beam", beam_size=1)
-        assert greedy == beam
+        expected = argmax_oracle(model, sample, model.config.max_target_len)
+        if eos_bias:
+            assert expected[-1] == EOS and 2 < len(expected) < model.config.max_target_len
+        assert model.generate(sample) == expected
 
     def test_terminates_with_eos_or_budget(self):
         model = CKLModel(tiny_config(), seed=19)

@@ -51,6 +51,6 @@ print("klw =", klw_values.tolist())
 print("max |logit change| after scrambling sentence 1:", float(np.max(np.abs(base.data - moved.data))))
 
 print("\n== generation ==")
-out = model.generate(enc_sample, mode="beam", beam_size=3, max_len=10)
+out = model.generate(enc_sample, beam_size=3, max_len=10)
 print("beam-3 ids:", out)
 print("decoded:", " ".join(vocab.decode([i for i in out if i > 4])))

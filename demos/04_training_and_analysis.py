@@ -54,6 +54,6 @@ for n in (1, 2, 3):
 
 print("\n== a few greedy decodes ==")
 for enc in result.encoded[:3]:
-    out = result.model.generate(enc, mode="greedy")
+    out = result.model.generate(enc)
     print("  target:", " ".join(vocab.decode([i for i in enc.response_ids if i > 4])))
     print("  output:", " ".join(vocab.decode([i for i in out if i > 4])))

@@ -16,6 +16,9 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .corpus import (
+    BOS,
+    EOS,
+    PAD,
     DatasetError,
     EncodeConfig,
     Vocabulary,
@@ -218,23 +221,14 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
     cfg.values.update((key, getattr(model.config, key)) for key in MODEL_DEFAULTS)
     out = _ensure_out(cfg)
     samples = load_jsonl(data)
-    beam = cfg["beam"]
+    beam_size = max(1, cfg["beam"])
     max_len = cfg["max_len"] or None
-    mode = "greedy" if beam <= 1 else "beam"
     records = []
     for sample in samples:
-        enc = encode_sample(sample, vocab, model.config.encode_config())
-        ids = model.generate(enc, mode=mode, beam_size=max(1, beam), max_len=max_len)
-        weights = model.latent_weights(enc)
-        content = [i for i in ids if i not in (0, 1, 2)]
-        records.append(
-            {
-                "token_ids": ids,
-                "tokens": vocab.decode(content),
-                "text": detokenize(vocab.decode(content)),
-                **weights.lists(),
-            }
-        )
+        enc, weights = model.condition(encode_sample(sample, vocab, model.config.encode_config()))
+        ids = model.decode(enc, weights, beam_size=beam_size, max_len=max_len)
+        tokens = vocab.decode([i for i in ids if i not in (PAD, BOS, EOS)])
+        records.append({"token_ids": ids, "tokens": tokens, "text": detokenize(tokens), **weights.lists()})
     with open(out / "generations.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -242,29 +236,47 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
     return 0
 
 
-def _load_generations(path) -> list[tuple[int, dict]]:
-    """(line number, record) for every non-blank line."""
+# What each list field of a generations.jsonl record holds: item types, and their name.
+RECORD_LISTS = {
+    "tokens": ((str,), "strings"),
+    **dict.fromkeys(("clwr", "clwk", "klw"), ((int, float), "numbers")),
+}
+
+
+def _load_generations(path, n_samples: int, keys: tuple[str, ...]) -> list[tuple[int, dict]]:
+    """(line number, record) for every non-blank line, one per sample.
+
+    Each record must be a JSON object in which every field named in ``keys``
+    is a list of the items ``RECORD_LISTS`` gives for it.
+    """
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
-                records.append((lineno, json.loads(line)))
+                rec = json.loads(line)
             except json.JSONDecodeError as err:
-                raise DatasetError(f"{path}: line {lineno}: {err.msg}") from err
+                raise DatasetError(f"{where}: {err.msg}") from err
+            if not isinstance(rec, dict):
+                raise DatasetError(f"{where}: generation record is not a JSON object")
+            for key in keys:
+                types, name = RECORD_LISTS[key]
+                value = rec.get(key)
+                if not isinstance(value, list) or any(type(x) not in types for x in value):
+                    raise DatasetError(f"{where}: generation record needs {key} as a list of {name}")
+            records.append((lineno, rec))
+    if len(records) != n_samples:
+        raise DatasetError(f"{path}: {len(records)} generations for {n_samples} samples")
     return records
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    generations = _load_generations(cfg.require_path("generations"))
     samples = load_jsonl(cfg.require_path("data"))
+    generations = _load_generations(cfg.require_path("generations"), len(samples), ("tokens",))
     out = _ensure_out(cfg)
-    if len(generations) != len(samples):
-        raise DatasetError(
-            f"{len(generations)} generations for {len(samples)} samples"
-        )
-    cands = [list(rec["tokens"]) for _lineno, rec in generations]
+    cands = [rec["tokens"] for _lineno, rec in generations]
     refs = [tokenize(s.response) for s in samples]
     n_pairs = len(cands)
     rows = [(f"bleu-{k}", bleu_n(cands, refs, k), n_pairs, 0) for k in range(1, 5)]
@@ -284,21 +296,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     gen_path = cfg.require_path("generations")
-    generations = _load_generations(gen_path)
     samples = load_jsonl(cfg.require_path("data"))
+    generations = _load_generations(gen_path, len(samples), ("klw", "clwr", "clwk"))
     out = _ensure_out(cfg)
-    if len(generations) != len(samples):
-        raise DatasetError(f"{len(generations)} generations for {len(samples)} samples")
     enc_cfg = cfg.build(EncodeConfig)
     _index, labels = build_labels([kept_segments(s, enc_cfg) for s in samples], cfg["top_n"])
     reranked, original, targets = [], [], []
     spearman_pairs = {"klw": [], "clwr": [], "clwk": []}
     for (lineno, rec), label in zip(generations, labels):
-        for key in ("klw", "clwr", "clwk"):
-            if key not in rec:
-                raise DatasetError(
-                    f"{gen_path}: line {lineno}: generation record lacks latent weights ({key})"
-                )
         klw = [float(x) for x in rec["klw"]]
         if len(klw) != len(label.gt_klw) or len(rec["clwr"]) != len(label.gt_clwr):
             raise DatasetError(

@@ -381,62 +381,41 @@ class CKLModel:
             y = self._norm(f"dec{i}.ln3", add(y, self._ffn(f"dec{i}.ffn", y)))
         return self._project("out", y)
 
+    def condition(self, sample: EncodedSample) -> tuple[SegmentedEncoding, LatentWeights]:
+        """Encode ``sample`` once and derive every latent weight from that encoding."""
+        enc = self.encode(sample)
+        clwr, clwk = self.clw_generate(enc)
+        return enc, LatentWeights(clwr=clwr, clwk=clwk, klw=self.klw_generate(enc, clwk))
+
     def forward(self, sample: EncodedSample) -> tuple[Tensor, LatentWeights]:
         """Teacher-forced pass over the response; logits predict the next id."""
-        enc = self.encode(sample)
-        clwr, clwk = self.clw_generate(enc)
-        klw = self.klw_generate(enc, clwk)
-        logits = self.decoder_forward(sample.response_ids[:-1], enc, clwr, klw)
-        return logits, LatentWeights(clwr=clwr, clwk=clwk, klw=klw)
+        enc, weights = self.condition(sample)
+        return self.decoder_forward(sample.response_ids[:-1], enc, weights.clwr, weights.klw), weights
 
     def latent_weights(self, sample: EncodedSample) -> LatentWeights:
-        enc = self.encode(sample)
-        clwr, clwk = self.clw_generate(enc)
-        return LatentWeights(clwr=clwr, clwk=clwk, klw=self.klw_generate(enc, clwk))
+        return self.condition(sample)[1]
 
     # ----- inference ------------------------------------------------------
 
-    def _next_log_probs(self, prefix, enc, clwr, klw) -> np.ndarray:
-        logits = self.decoder_forward(prefix, enc, clwr, klw).data[-1]
-        shifted = logits - logits.max()
-        return shifted - math.log(np.exp(shifted).sum())
-
-    def generate(
-        self,
-        sample: EncodedSample,
-        mode: str = "greedy",
-        beam_size: int = 1,
-        max_len: int | None = None,
-    ) -> list[int]:
-        """Decode from BOS until EOS or the length budget is exhausted.
+    def decode(self, enc: SegmentedEncoding, weights: LatentWeights, beam_size: int = 1,
+               max_len: int | None = None) -> list[int]:
+        """Beam search from BOS until EOS or ``max_len`` ids; width 1 is greedy.
 
         Returns ids including the leading BOS and, when reached, the final
-        EOS. Beam search ranks hypotheses by per-token mean log-probability.
+        EOS. Hypotheses are ranked by per-token mean log-probability, and a
+        stable sort keeps the lower token id on ties.
         """
-        if mode not in ("greedy", "beam"):
-            raise ValueError(f"unknown decode mode {mode!r}")
-        if mode == "beam" and beam_size < 1:
+        if beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         max_len = max_len or self.config.max_target_len
-        enc = self.encode(sample)
-        clwr, clwk = self.clw_generate(enc)
-        klw = self.klw_generate(enc, clwk)
-
-        if mode == "greedy" or beam_size == 1:
-            prefix = [BOS]
-            while len(prefix) < max_len:
-                next_id = int(np.argmax(self._next_log_probs(prefix, enc, clwr, klw)))
-                prefix.append(next_id)
-                if next_id == EOS:
-                    break
-            return prefix
-
         beams = [([BOS], 0.0)]
         finished: list[tuple[list[int], float]] = []
         while beams and len(beams[0][0]) < max_len:
             candidates = []
             for ids, logp in beams:
-                lp = self._next_log_probs(ids, enc, clwr, klw)
+                logits = self.decoder_forward(ids, enc, weights.clwr, weights.klw).data[-1]
+                shifted = logits - logits.max()
+                lp = shifted - math.log(np.exp(shifted).sum())
                 top = np.argsort(-lp, kind="stable")[:beam_size]
                 for token in top:
                     candidates.append((ids + [int(token)], logp + float(lp[token])))
@@ -450,3 +429,7 @@ class CKLModel:
         finished.extend(beams)
         finished.sort(key=lambda c: -(c[1] / max(1, len(c[0]) - 1)))
         return finished[0][0]
+
+    def generate(self, sample: EncodedSample, beam_size: int = 1, max_len: int | None = None) -> list[int]:
+        """``decode`` over the sample's ``condition``."""
+        return self.decode(*self.condition(sample), beam_size=beam_size, max_len=max_len)

@@ -207,7 +207,7 @@ def test_criterion_4_overfit_experiment():
     result = train(samples, vocab, model_cfg, train_cfg, max_steps=500)
     per_token = mean_per_token_nll(result.model, result.encoded)
     matches = sum(
-        result.model.generate(enc, mode="greedy") == enc.response_ids
+        result.model.generate(enc) == enc.response_ids
         for enc in result.encoded
     )
     elapsed = time.perf_counter() - start

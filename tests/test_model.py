@@ -388,9 +388,13 @@ class TestGenerate:
             assert out[0] == BOS
             assert out[-1] == EOS or len(out) == 6
 
+    def test_width_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            CKLModel(tiny_config(), seed=20).generate(tiny_sample(), beam_size=0)
+
     def test_beam_search_returns_valid_sequence(self):
         model = CKLModel(tiny_config(), seed=20)
-        out = model.generate(tiny_sample(), mode="beam", beam_size=3, max_len=6)
+        out = model.generate(tiny_sample(), beam_size=3, max_len=6)
         assert out[0] == BOS
         assert all(0 <= t < 16 for t in out)
 

@@ -297,42 +297,39 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_analyze(cfg: RunConfig) -> int:
     gen_path = cfg.require_path("generations")
     samples = load_jsonl(cfg.require_path("data"))
-    generations = _load_generations(gen_path, len(samples), ("klw", "clwr", "clwk"))
-    out = _ensure_out(cfg)
+    keys = ("klw", "clwr", "clwk")
+    generations = _load_generations(gen_path, len(samples), keys)
     enc_cfg = cfg.build(EncodeConfig)
     _index, labels = build_labels([kept_segments(s, enc_cfg) for s in samples], cfg["top_n"])
     reranked, original, targets = [], [], []
-    spearman_pairs = {"klw": [], "clwr": [], "clwk": []}
+    spearman_pairs = {key: [] for key in keys}
     for (lineno, rec), label in zip(generations, labels):
-        klw = [float(x) for x in rec["klw"]]
-        if len(klw) != len(label.gt_klw) or len(rec["clwr"]) != len(label.gt_clwr):
+        given = {key: [float(x) for x in rec[key]] for key in keys}
+        gold = {key: getattr(label, "gt_" + key) for key in keys}
+        if any(len(given[key]) != len(gold[key]) for key in keys):
             raise DatasetError(
-                f"{gen_path}: line {lineno}: {len(rec['clwr'])} context and {len(klw)} "
-                f"knowledge weights, but the data keeps {len(label.gt_clwr)} utterances and "
-                f"{len(label.gt_klw)} sentences under m_max={cfg['m_max']} "
-                f"max_source_len={cfg['max_source_len']}; set both to the generating "
-                "model's values with --config"
+                f"{gen_path}: line {lineno}: {len(given['clwr'])} clwr, {len(given['clwk'])} "
+                f"clwk and {len(given['klw'])} klw weights, but the data keeps "
+                f"{len(label.gt_clwr)} utterances and {len(label.gt_klw)} sentences under "
+                f"m_max={cfg['m_max']} max_source_len={cfg['max_source_len']}; set both to "
+                "the generating model's values with --config"
             )
+        klw = given["klw"]
         order = sorted(range(len(klw)), key=lambda i: (-klw[i], i))
         reranked.append(order)
         original.append(list(range(len(klw))))
         targets.append(label.top1_rk_index)
-        spearman_pairs["klw"].append((klw, [float(v) for v in label.gt_klw]))
-        spearman_pairs["clwr"].append(
-            ([float(x) for x in rec["clwr"]], [float(v) for v in label.gt_clwr])
-        )
-        spearman_pairs["clwk"].append(
-            ([float(x) for x in rec["clwk"]], [float(v) for v in label.gt_clwk])
-        )
+        for key in keys:
+            spearman_pairs[key].append((given[key], [float(v) for v in gold[key]]))
     lines = ["metric,param,value,n,n_excluded"]
     for n in range(1, 11):
         lines.append(f"p_at_n_original,{n},{p_at_n(original, targets, n)!r},{len(targets)},0")
     for n in range(1, 11):
         lines.append(f"p_at_n_reranked,{n},{p_at_n(reranked, targets, n)!r},{len(targets)},0")
-    for key in ("klw", "clwr", "clwk"):
+    for key in keys:
         mean, defined, undefined = mean_spearman(spearman_pairs[key])
         lines.append(f"spearman_{key},,{mean!r},{defined},{undefined}")
-    (out / "analysis.csv").write_text("\n".join(lines) + "\n")
+    (_ensure_out(cfg) / "analysis.csv").write_text("\n".join(lines) + "\n")
     print(f"analyze: wrote {len(lines) - 1} rows")
     return 0
 

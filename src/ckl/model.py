@@ -347,12 +347,10 @@ class CKLModel:
         h = self._per_view_block("clw.block", self.params["clw.latent"], enc.context_views)
         return self._weights("clw.head_r", h), self._weights("clw.head_k", h)
 
-    def klw_generate(self, enc: SegmentedEncoding, clwk: Tensor, use_ck_dep: bool | None = None) -> Tensor:
-        """One weight per knowledge sentence, optionally context-conditioned."""
-        if use_ck_dep is None:
-            use_ck_dep = self.config.use_ck_dep
+    def klw_generate(self, enc: SegmentedEncoding, clwk: Tensor) -> Tensor:
+        """One weight per knowledge sentence, context-conditioned if ``use_ck_dep``."""
         z = self.params["klw.latent"]
-        if use_ck_dep:
+        if self.config.use_ck_dep:
             kv, lengths = _stack_views(enc.context_views)
             z = self._cross_block("klw.ck", z, kv, segments=(lengths, clwk))
         h = self._per_view_block("klw.know", z, enc.knowledge_views)

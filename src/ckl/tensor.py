@@ -2,8 +2,10 @@
 
 The graph is rebuilt on every forward pass (define-by-run): while a Tape is
 active, each operation appends one record holding the op kind, the node ids of
-its tracked inputs, the output node id, and a closure over the values needed
-for the backward pass. ``Tape.backward`` walks the records once, in reverse.
+its tracked inputs, the output node id, and one gradient rule per tracked input.
+``Tape.backward`` walks the records once, in reverse. ``_make`` checks each op
+output for NaN/Inf; gradients come back unchecked, and training checks their
+global norm once per optimizer step.
 
 Only the kernels a small transformer needs are provided. Attention keeps heads
 and key segments as array axes: ``matmul`` and ``transpose`` also take 3-D
@@ -118,8 +120,8 @@ class Tape:
     _active: "Tape | None" = None
 
     def __init__(self):
-        # record: (op kind, input node ids, output node id, backward closure)
-        self.records: list[tuple[str, tuple, int, object]] = []
+        # record: (op kind, input node ids, output node id, gradient rules)
+        self.records: list[tuple[str, tuple, int, tuple]] = []
         self.serial = next(_tape_serials)
 
     def __enter__(self) -> "Tape":
@@ -135,20 +137,22 @@ class Tape:
     def backward(self, loss: Tensor) -> dict[int, Tensor]:
         """Accumulate gradients of a scalar loss w.r.t. every tracked node.
 
-        Visits each record exactly once, in reverse order, and returns a map
-        from node id to gradient tensor.
+        Visits each record exactly once, in reverse order, applying its rules,
+        and returns a map from node id to (unchecked) gradient tensor.
         """
         if not isinstance(loss, Tensor) or loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss tensor")
         if loss.node_id is None or loss.tape_id != self.serial:
             raise ValueError("loss was not produced on this tape")
         grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-        for _kind, _in_ids, out_id, fn in reversed(self.records):
+        for _kind, in_ids, out_id, rules in reversed(self.records):
             g = grads.get(out_id)
             if g is None:
                 continue
-            fn(g, grads)
-        return {nid: Tensor(arr) for nid, arr in grads.items()}
+            for nid, rule in zip(in_ids, rules):
+                prev = grads.get(nid)
+                grads[nid] = rule(g) if prev is None else prev + rule(g)
+        return {nid: _wrap(arr) for nid, arr in grads.items()}
 
 
 def _tracked(t: Tensor) -> bool:
@@ -158,36 +162,33 @@ def _tracked(t: Tensor) -> bool:
     return tape is not None and t.tape_id == tape.serial
 
 
-def _make(kind: str, out_data: np.ndarray, inputs) -> Tensor:
-    """Wrap an op result, recording it on the active tape when needed.
-
-    ``inputs`` pairs each input tensor with a function mapping the output
-    gradient to that input's gradient.
-    """
-    out_data = np.asarray(out_data, dtype=np.float64)
-    if not np.all(np.isfinite(out_data)):
-        raise NumericError(f"{kind} produced NaN/Inf (overflow is an error)")
+def _wrap(data) -> Tensor:
+    """A constant float64 Tensor, built without ``Tensor``'s checks."""
     out = Tensor.__new__(Tensor)
-    out.data = out_data
+    out.data = np.asarray(data, dtype=np.float64)
     out.requires_grad = False
     out.node_id = None
     out.tape_id = None
+    return out
+
+
+def _make(kind: str, out_data: np.ndarray, inputs) -> Tensor:
+    """Wrap an op result, recording it on the active tape when needed.
+
+    ``inputs`` pairs each input tensor with its gradient rule, a function
+    mapping the output gradient to that input's gradient.
+    """
+    out = _wrap(out_data)
+    if not np.all(np.isfinite(out.data)):
+        raise NumericError(f"{kind} produced NaN/Inf (overflow is an error)")
     tape = Tape._active
     if tape is not None:
-        live = [(t, gfn) for t, gfn in inputs if _tracked(t)]
+        live = [(t.node_id, rule) for t, rule in inputs if _tracked(t)]
         if live:
             out.node_id = next(_node_ids)
             out.tape_id = tape.serial
-
-            def backward_fn(g, grads, live=live):
-                for t, gfn in live:
-                    gi = gfn(g)
-                    nid = t.node_id
-                    prev = grads.get(nid)
-                    grads[nid] = gi if prev is None else prev + gi
-
-            in_ids = tuple(t.node_id for t, _ in live)
-            tape.records.append((kind, in_ids, out.node_id, backward_fn))
+            in_ids, rules = zip(*live)
+            tape.records.append((kind, in_ids, out.node_id, rules))
     return out
 
 

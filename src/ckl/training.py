@@ -2,10 +2,11 @@
 
 Each optimizer step accumulates gradients sample by sample (equivalent to a
 padded batch, since the per-sample losses are already reduced) and applies a
-bias-corrected Adam update with global-norm gradient clipping. Low-resource
-runs take the first ceil(fraction * n) samples of one seeded shuffle, fixed
-for the whole run. A per-step loss trace records the four raw losses, the
-aggregated total, and the uncertainty parameters.
+bias-corrected Adam update with global-norm gradient clipping. A NaN/Inf op
+output or a non-finite gradient norm (checked once per step, before Adam)
+aborts training. Low-resource runs take the first ceil(fraction * n) samples
+of one seeded shuffle, fixed for the whole run. A per-step loss trace records
+the four raw losses, the aggregated total, and the uncertainty parameters.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .weak_supervision import PseudoGroundTruth, TfIdfIndex, build_index, build_
 
 
 class TrainingAbort(RuntimeError):
-    """Training hit a non-finite loss; carries the failing step number."""
+    """Training hit a non-finite value; carries the failing step number."""
 
     def __init__(self, step: int, detail: str):
-        super().__init__(f"non-finite loss at step {step}: {detail}")
+        super().__init__(f"non-finite value at step {step}: {detail}")
         self.step = step
 
 
@@ -220,9 +221,6 @@ def train(
                         node_grads = tape.backward(total)
                 except NumericError as err:
                     raise TrainingAbort(step, str(err)) from err
-                values = [l_clwr.item(), l_clwk.item(), l_klw.item(), total.item()]
-                if not all(math.isfinite(v) for v in values):
-                    raise TrainingAbort(step, "loss is NaN/Inf")
                 sums += [l_clwr.item(), l_clwk.item(), l_klw.item(), l_nll.item(), total.item()]
                 inv_b = 1.0 / len(batch)
                 for name, p in trainables.items():
@@ -231,7 +229,8 @@ def train(
                         continue
                     acc = grads_acc.get(name)
                     grads_acc[name] = g.data * inv_b if acc is None else acc + g.data * inv_b
-            clip_gradients(grads_acc, train_cfg.grad_clip)
+            if not math.isfinite(clip_gradients(grads_acc, train_cfg.grad_clip)):
+                raise TrainingAbort(step, "gradient norm is NaN/Inf")
             adam_step(trainables, grads_acc, state, train_cfg.learning_rate)
             means = [float(v) for v in sums / len(batch)]
             trace.append(

@@ -108,6 +108,16 @@ class TestTrain:
         first = (out / "trace.csv").read_text().splitlines()[0]
         assert first == "# effective_samples=4 total_samples=8"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_forward_overflow_exits_3_and_writes_no_results(self, workspace, capsys):
+        # Step 1 moves every parameter by about the learning rate, so step 2's
+        # forward pass overflows inside an op and raises NumericError.
+        code, out, _ = self.train(workspace, "--learning-rate", "1e300")
+        assert code == 3
+        assert "step 2: matmul produced NaN/Inf" in capsys.readouterr().err
+        assert not (out / "checkpoint.ckpt").exists()
+        assert not (out / "trace.csv").exists()
+
     def test_no_ck_dep_recorded_and_enforced(self, workspace):
         tmp, data, config = workspace
         code, out, prep = self.train(workspace, "--no-ck-dep")

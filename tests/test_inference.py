@@ -1,5 +1,6 @@
 """`ckl generate` conditions each sample once; evaluate and analyze reject
-malformed generation records with exit 2 and a line-numbered message."""
+malformed generation records, and analyze rejects latent-weight counts that
+disagree with the data, with exit 2 and a line-numbered message."""
 
 import json
 
@@ -71,3 +72,23 @@ def test_malformed_record_exits_2_naming_the_line(tmp_path, data, capsys, comman
     assert main([command, "--generations", gen, "--data", str(data), "--out", str(out)]) == 2
     assert "generations.jsonl: line 2:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_analyze_rejects_a_wrong_length_clwk(tmp_path, data, capsys):
+    # One weight per kept utterance (clwr, clwk) and per kept sentence (klw);
+    # line 2 carries four clwk weights for its one utterance.
+    lines = [
+        {"clwr": [0.5, 0.5], "clwk": [0.5, 0.5], "klw": [0.5, 0.5]},
+        {"clwr": [0.5], "clwk": [0.1, 0.2, 0.3, 0.4], "klw": [0.2, 0.3, 0.5]},
+        {"clwr": [0.5], "clwk": [0.5], "klw": [0.5]},
+    ]
+    gen = tmp_path / "generations.jsonl"
+    gen.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    argv = ["analyze", "--generations", str(gen), "--data", str(data)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "generations.jsonl: line 2:" in err and "4 clwk" in err
+    assert not (tmp_path / "out").exists()
+    lines[1]["clwk"] = [0.5]
+    gen.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    assert main(argv + ["--out", str(tmp_path / "fixed")]) == 0

@@ -381,12 +381,11 @@ class TestGenerate:
         assert model.generate(sample) == expected
 
     def test_terminates_with_eos_or_budget(self):
-        model = CKLModel(tiny_config(), seed=19)
-        for seed in range(3):
-            sample = tiny_sample()
-            out = model.generate(sample, max_len=6)
+        for seed in (19, 20, 21):
+            out = CKLModel(tiny_config(), seed=seed).generate(tiny_sample(), max_len=6)
             assert out[0] == BOS
-            assert out[-1] == EOS or len(out) == 6
+            assert EOS not in out[1:-1], seed
+            assert out[-1] == EOS or len(out) == 6, seed
 
     def test_width_below_one_rejected(self):
         with pytest.raises(ValueError):

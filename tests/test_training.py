@@ -3,14 +3,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ckl import checkpoint
+from ckl import checkpoint, training
 from ckl.checkpoint import CheckpointError
 from ckl.corpus import build_vocab
 from ckl.model import CKLModel, ModelConfig
 from ckl.synthetic import overfit_corpus
-from ckl.tensor import Tensor
+from ckl.tensor import Tape, Tensor
 from ckl.training import (
     AdamState,
+    TrainingAbort,
     TrainingConfig,
     adam_step,
     clip_gradients,
@@ -154,6 +155,34 @@ class TestTrainLoop:
         _, _, _, _, result = tiny_run
         value = mean_per_token_nll(result.model, result.encoded)
         assert value > 0.0
+
+    def test_nan_gradient_aborts_before_adam(self, tiny_run, monkeypatch):
+        samples, vocab, mcfg, tcfg, _ = tiny_run
+        after_step_1 = train(samples, vocab, mcfg, tcfg, max_steps=1).model.parameters()
+        models = []
+
+        def recording_model(cfg, seed):
+            models.append(CKLModel(cfg, seed=seed))
+            return models[-1]
+
+        backward = Tape.backward
+        calls = []
+
+        def poisoned_backward(tape, loss):
+            grads = backward(tape, loss)
+            calls.append(loss)
+            if len(calls) == tcfg.batch_size + 2:  # second sample of step 2
+                leaf = grads[models[0].params["out.b"].node_id]
+                leaf.data = np.full_like(leaf.data, np.nan)
+            return grads
+
+        monkeypatch.setattr(training, "CKLModel", recording_model)
+        monkeypatch.setattr(Tape, "backward", poisoned_backward)
+        with pytest.raises(TrainingAbort, match="gradient norm") as err:
+            train(samples, vocab, mcfg, tcfg)
+        assert err.value.step == 2
+        for name, p in models[0].parameters().items():
+            assert np.array_equal(p.data, after_step_1[name].data), name
 
 
 class TestCheckpoint:

@@ -9,7 +9,7 @@ Run with: python3 demos/03_latent_weight_model.py
 import numpy as np
 
 from ckl.corpus import build_vocab, encode_sample
-from ckl.model import CKLModel, ModelConfig
+from ckl.model import CKLModel, ModelConfig, SegmentedEncoding
 from ckl.synthetic import retrieval_corpus
 from ckl.tensor import Tensor
 
@@ -42,10 +42,13 @@ klw_values = np.array([0.8, 0.0, 0.6])
 klw = Tensor(klw_values)
 base = model.decoder_forward(enc_sample.response_ids[:-1], enc, clwr, klw)
 
-# scramble the zero-weighted sentence's representation and decode again
-scrambled = model.encode(enc_sample)
-noise = np.random.default_rng(1).normal(scale=25.0, size=scrambled.knowledge_views[1].shape)
-scrambled.knowledge_views[1] = Tensor(scrambled.knowledge_views[1].data + noise)
+# scramble the zero-weighted sentence's rows of the memory and decode again
+start = sum(enc.lengths[: enc.m + 1])
+length = enc.lengths[enc.m + 1]
+memory = enc.memory.data.copy()
+noise = np.random.default_rng(1).normal(scale=25.0, size=(length, config.d_model))
+memory[start : start + length] += noise
+scrambled = SegmentedEncoding(Tensor(memory), enc.lengths, enc.m)
 moved = model.decoder_forward(enc_sample.response_ids[:-1], scrambled, clwr, klw)
 print("klw =", klw_values.tolist())
 print("max |logit change| after scrambling sentence 1:", float(np.max(np.abs(base.data - moved.data))))

@@ -87,7 +87,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw: str, where: str):
     typ = type(SCHEMA[key])
     if typ is bool:
         lowered = raw.strip().lower()
@@ -95,11 +95,11 @@ def _parse_value(key: str, raw: str):
             return True
         if lowered in ("0", "false", "no"):
             return False
-        raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
+        raise ConfigError(f"{where}: config key {key}: expected a boolean, got {raw!r}")
     try:
         return typ(raw.strip())
     except ValueError as err:
-        raise ConfigError(f"config key {key}: {err}") from err
+        raise ConfigError(f"{where}: config key {key}: {err}") from err
 
 
 def load_config_file(path) -> dict:
@@ -109,13 +109,14 @@ def load_config_file(path) -> dict:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
+            where = f"{path}: line {lineno}"
             if "=" not in stripped:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
+                raise ConfigError(f"{where}: expected key=value")
             key, raw = stripped.split("=", 1)
             key = key.strip()
             if key not in SCHEMA:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, raw)
+                raise ConfigError(f"{where}: unknown key {key!r}")
+            values[key] = _parse_value(key, raw, where)
     return values
 
 
@@ -219,16 +220,15 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
             f"checkpoint vocab_size={model.config.vocab_size} but vocabulary has {len(vocab)}"
         )
     cfg.values.update((key, getattr(model.config, key)) for key in MODEL_DEFAULTS)
-    out = _ensure_out(cfg)
     samples = load_jsonl(data)
     beam_size = max(1, cfg["beam"])
-    max_len = cfg["max_len"] or None
     records = []
     for sample in samples:
         enc, weights = model.condition(encode_sample(sample, vocab, model.config.encode_config()))
-        ids = model.decode(enc, weights, beam_size=beam_size, max_len=max_len)
+        ids = model.decode(enc, weights, beam_size=beam_size, max_len=cfg["max_len"])
         tokens = vocab.decode([i for i in ids if i not in (PAD, BOS, EOS)])
         records.append({"token_ids": ids, "tokens": tokens, "text": detokenize(tokens), **weights.lists()})
+    out = _ensure_out(cfg)
     with open(out / "generations.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -295,7 +295,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
+    """Encode keys not set by --config or a flag come from the generating run's
+    effective_config.txt, when one sits beside the generations."""
     gen_path = cfg.require_path("generations")
+    echoed = gen_path.parent / "effective_config.txt"
+    generating = load_config_file(echoed) if echoed.exists() else {}
+    cfg.values.update((f.name, generating[f.name]) for f in fields(EncodeConfig)
+                      if f.name in generating and f.name not in cfg.explicit)
     samples = load_jsonl(cfg.require_path("data"))
     keys = ("klw", "clwr", "clwk")
     generations = _load_generations(gen_path, len(samples), keys)

@@ -1,9 +1,9 @@
 """Encoder/decoder network with per-segment latent weights.
 
 The encoder runs over the SEP-joined concatenation of context utterances and
-knowledge sentences, then splits the result back into per-segment views so
-each utterance and sentence keeps a representation that saw the full input.
-Two trainable latent vectors cross-attend to those views: the context latent
+knowledge sentences; its non-SEP output rows form the memory, in which each
+segment is a consecutive block of rows that saw the full input. Two
+trainable latent vectors cross-attend to the segments: the context latent
 vector yields two weight sets (one for response generation, one for
 conditioning knowledge weighting) and the knowledge latent vector, optionally
 conditioned on the context via latent-weight-enhanced attention, yields one
@@ -11,20 +11,20 @@ weight per knowledge sentence.
 
 Attention keeps heads and segments as array axes. Heads are a leading axis
 of one batched matmul. The decoder's LWE (latent-weight-enhanced)
-cross-attention computes one score matrix against the concatenation of all
-segment views, takes a softmax within each segment's columns separately
-(``segment_softmax``), scales each segment's columns by its latent weight and
-multiplies once by the stacked values. Nothing is renormalised across
-segments, so a zero weight removes a segment's contribution exactly. The
-weight generators give their latent query one row per segment and a
-block-diagonal mask, so each row attends only to its own utterance or
-sentence and one pass yields every weight.
+cross-attention computes one score matrix against the whole memory, takes a
+softmax within each segment's columns separately (``segment_softmax``),
+scales each segment's columns by its latent weight and multiplies once by
+the values. Nothing is renormalised across segments, so a zero weight
+removes a segment's contribution exactly. The weight generators give their
+latent query one row per segment and a block-diagonal mask, so each row
+attends only to its own utterance or sentence and one pass yields every
+weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -112,21 +112,23 @@ class ModelConfig:
 
 @dataclass
 class SegmentedEncoding:
-    """Encoder output plus per-segment views (offset, length, tensor)."""
+    """Encoder memory: the rows of every segment, stacked in segment order.
 
-    full_rep: Tensor
-    context_segments: list[tuple[int, int]]
-    knowledge_segments: list[tuple[int, int]]
-    context_views: list[Tensor] = field(repr=False, default_factory=list)
-    knowledge_views: list[Tensor] = field(repr=False, default_factory=list)
+    Segment s is ``lengths[s]`` rows long; the first ``m`` segments are the
+    context utterances, the rest the knowledge sentences.
+    """
 
-    @property
-    def m(self) -> int:
-        return len(self.context_views)
+    memory: Tensor
+    lengths: list[int]
+    m: int
 
     @property
     def l(self) -> int:  # noqa: E741
-        return len(self.knowledge_views)
+        return len(self.lengths) - self.m
+
+    @property
+    def context_rows(self) -> int:
+        return sum(self.lengths[: self.m])
 
 
 @dataclass
@@ -168,11 +170,6 @@ def _segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths, w: Tensor) -> T
     return matmul(segment_softmax(_scores(q, k), lengths, w), v)
 
 
-def _stack_views(views: list[Tensor]) -> tuple[Tensor, list[int]]:
-    """The views as one matrix of rows, plus each view's row count."""
-    return concat_rows(views), [view.shape[0] for view in views]
-
-
 def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) -> Tensor:
     """Per-segment attention outputs scaled by latent weights, then summed.
 
@@ -186,7 +183,8 @@ def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) ->
     if any(k.shape[0] != v.shape[0] for k, v in segments):
         raise ShapeError("every segment needs as many value rows as key rows")
     w = concat_vec([x if isinstance(x, Tensor) else Tensor(float(x)) for x in lw])
-    k, lengths = _stack_views([k for k, _ in segments])
+    lengths = [k.shape[0] for k, _ in segments]
+    k = concat_rows([k for k, _ in segments])
     v = concat_rows([v for _, v in segments])
     return _segment_attention(q, k, v, lengths, w)
 
@@ -305,10 +303,9 @@ class CKLModel:
         h = self._norm(f"{name}.ln1", add(q, attn))
         return self._norm(f"{name}.ln2", add(h, self._ffn(f"{name}.ffn", h)))
 
-    def _per_view_block(self, name, latent: Tensor, views: list[Tensor]) -> Tensor:
-        """Row s is the block's output for ``latent`` attending to ``views[s]`` alone."""
-        kv, lengths = _stack_views(views)
-        q = embedding_lookup(latent, [0] * len(views))  # the latent row, once per view
+    def _per_segment_block(self, name, latent: Tensor, kv: Tensor, lengths: list[int]) -> Tensor:
+        """Row s is the block's output for ``latent`` attending to segment s of ``kv`` alone."""
+        q = embedding_lookup(latent, [0] * len(lengths))  # the latent row, once per segment
         return self._cross_block(name, q, kv, mask=_own_segment_mask(lengths))
 
     def _weights(self, name, h) -> Tensor:
@@ -331,29 +328,23 @@ class CKLModel:
         for i in range(self.config.n_encoder_layers):
             x = self._norm(f"enc{i}.ln1", add(x, self._mha(f"enc{i}.attn", x, x)))
             x = self._norm(f"enc{i}.ln2", add(x, self._ffn(f"enc{i}.ffn", x)))
-        offsets = sample.segment_offsets()
-        views = [rows(x, off, length) for off, length in offsets]
-        m = sample.m
-        return SegmentedEncoding(
-            full_rep=x,
-            context_segments=offsets[:m],
-            knowledge_segments=offsets[m:],
-            context_views=views[:m],
-            knowledge_views=views[m:],
-        )
+        keep = [off + i for off, length in sample.segment_offsets() for i in range(length)]
+        return SegmentedEncoding(embedding_lookup(x, keep), list(sample.segment_lengths), sample.m)
 
     def clw_generate(self, enc: SegmentedEncoding) -> tuple[Tensor, Tensor]:
         """One response weight and one knowledge weight per context utterance."""
-        h = self._per_view_block("clw.block", self.params["clw.latent"], enc.context_views)
+        context = rows(enc.memory, 0, enc.context_rows)
+        h = self._per_segment_block("clw.block", self.params["clw.latent"], context, enc.lengths[: enc.m])
         return self._weights("clw.head_r", h), self._weights("clw.head_k", h)
 
     def klw_generate(self, enc: SegmentedEncoding, clwk: Tensor) -> Tensor:
         """One weight per knowledge sentence, context-conditioned if ``use_ck_dep``."""
         z = self.params["klw.latent"]
         if self.config.use_ck_dep:
-            kv, lengths = _stack_views(enc.context_views)
-            z = self._cross_block("klw.ck", z, kv, segments=(lengths, clwk))
-        h = self._per_view_block("klw.know", z, enc.knowledge_views)
+            context = rows(enc.memory, 0, enc.context_rows)
+            z = self._cross_block("klw.ck", z, context, segments=(enc.lengths[: enc.m], clwk))
+        knowledge = rows(enc.memory, enc.context_rows, enc.memory.shape[0] - enc.context_rows)
+        h = self._per_segment_block("klw.know", z, knowledge, enc.lengths[enc.m :])
         return self._weights("klw.head", h)
 
     def decoder_forward(self, prefix_ids: list[int], enc: SegmentedEncoding, clwr: Tensor, klw: Tensor) -> Tensor:
@@ -370,11 +361,10 @@ class CKLModel:
             rows(self.params["emb.pos_tgt"], 0, t),
         )
         mask = _causal_mask(t)
-        memory, lengths = _stack_views(enc.context_views + enc.knowledge_views)
-        segments = (lengths, concat_vec([clwr, klw]))
+        segments = (enc.lengths, concat_vec([clwr, klw]))
         for i in range(self.config.n_decoder_layers):
             y = self._norm(f"dec{i}.ln1", add(y, self._mha(f"dec{i}.self", y, y, mask)))
-            cross = self._mha(f"dec{i}.cross", y, memory, segments=segments)
+            cross = self._mha(f"dec{i}.cross", y, enc.memory, segments=segments)
             y = self._norm(f"dec{i}.ln2", add(y, cross))
             y = self._norm(f"dec{i}.ln3", add(y, self._ffn(f"dec{i}.ffn", y)))
         return self._project("out", y)
@@ -401,11 +391,15 @@ class CKLModel:
 
         Returns ids including the leading BOS and, when reached, the final
         EOS. Hypotheses are ranked by per-token mean log-probability, and a
-        stable sort keeps the lower token id on ties.
+        stable sort keeps the lower token id on ties. ``max_len`` 0 or None
+        means ``max_target_len``.
         """
         if beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        max_len = max_len or self.config.max_target_len
+        limit = self.config.max_target_len
+        max_len = max_len or limit
+        if not 1 <= max_len <= limit:
+            raise ValueError(f"max_len must be in [1, max_target_len={limit}], got {max_len}")
         beams = [([BOS], 0.0)]
         finished: list[tuple[list[int], float]] = []
         while beams and len(beams[0][0]) < max_len:

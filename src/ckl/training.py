@@ -203,8 +203,8 @@ def train(
             sums = np.zeros(5)
             s_before = awl_params.values()
             for idx in batch:
-                try:
-                    with Tape() as tape:
+                try:  # _make reports non-finite op outputs, so numpy need not warn
+                    with Tape() as tape, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                         l_clwr, l_clwk, l_klw, l_nll = sample_losses(
                             model, encoded[idx], labels[idx]
                         )

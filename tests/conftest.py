@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ckl.tensor import Tape, Tensor
+from ckl.model import SegmentedEncoding
+from ckl.tensor import Tape, Tensor, concat_rows
 
 
 def finite_difference(f, arrays, h=1e-5):
@@ -45,6 +46,11 @@ def check_gradients(build_loss, arrays, rtol=1e-4, h=1e-5):
         denom = np.maximum(1.0, np.maximum(np.abs(expected), np.abs(got)))
         rel = np.max(np.abs(got - expected) / denom)
         assert rel < rtol, f"gradient mismatch: rel err {rel:.3e}"
+
+
+def encoding_from_views(views, m):
+    """An encoding whose memory stacks ``views``; the first ``m`` are context."""
+    return SegmentedEncoding(concat_rows(views), [v.shape[0] for v in views], m)
 
 
 @pytest.fixture

@@ -24,13 +24,13 @@ from ckl.metrics import (
     spearman,
     WordVectorTable,
 )
-from ckl.model import CKLModel, ModelConfig, SegmentedEncoding, attention, lwe_attention
+from ckl.model import CKLModel, ModelConfig, attention, lwe_attention
 from ckl.synthetic import overfit_corpus, retrieval_corpus, write_jsonl
 from ckl.tensor import Tape, Tensor
 from ckl.training import TrainingConfig, mean_per_token_nll, train
 from ckl.weak_supervision import TfIdfIndex, build_pseudo_gt
 
-from conftest import check_gradients
+from conftest import check_gradients, encoding_from_views
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -171,13 +171,7 @@ def test_criterion_3_segment_zeroing():
         perturbed[m + j] = Tensor(views[m + j].data + rng.normal(scale=50.0, size=(2, 8)))
 
         def encoding(vs):
-            return SegmentedEncoding(
-                full_rep=Tensor(np.vstack([v.data for v in vs])),
-                context_segments=[(2 * i, 2) for i in range(m)],
-                knowledge_segments=[(2 * (m + k), 2) for k in range(l)],
-                context_views=vs[:m],
-                knowledge_views=vs[m:],
-            )
+            return encoding_from_views(vs, m)
 
         clwr = Tensor(rng.uniform(0.1, 0.9, m))
         klw_values = rng.uniform(0.1, 0.9, l)

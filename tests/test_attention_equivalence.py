@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ckl.corpus import BOS, EOS, EncodedSample
-from ckl.model import MASK_VALUE, CKLModel, ModelConfig, SegmentedEncoding, attention
+from ckl.model import MASK_VALUE, CKLModel, ModelConfig, attention
 from ckl.tensor import (
     Tape,
     Tensor,
@@ -33,6 +33,8 @@ from ckl.tensor import (
     sigmoid,
     sum_all,
 )
+
+from conftest import encoding_from_views
 
 FORWARD_ATOL = 1e-12
 GRAD_RTOL = 1e-10
@@ -99,19 +101,17 @@ class LoopOracle:
         for i in range(self.cfg.n_encoder_layers):
             x = self.norm(f"enc{i}.ln1", add(x, self.mha(f"enc{i}.attn", x, x)))
             x = self.norm(f"enc{i}.ln2", add(x, self.ffn(f"enc{i}.ffn", x)))
-        offsets = sample.segment_offsets()
-        views = [rows(x, off, length) for off, length in offsets]
-        return SegmentedEncoding(
-            full_rep=x,
-            context_segments=offsets[: sample.m],
-            knowledge_segments=offsets[sample.m :],
-            context_views=views[: sample.m],
-            knowledge_views=views[sample.m :],
-        )
+        views = [rows(x, off, length) for off, length in sample.segment_offsets()]
+        return encoding_from_views(views, sample.m)
+
+    def views(self, enc):
+        """Each segment's rows of the memory, in segment order."""
+        starts = np.cumsum([0] + enc.lengths[:-1])
+        return [rows(enc.memory, int(s), n) for s, n in zip(starts, enc.lengths)]
 
     def clw_generate(self, enc):
         r_parts, k_parts = [], []
-        for view in enc.context_views:
+        for view in self.views(enc)[: enc.m]:
             h = self.cross_block("clw.block", self.p["clw.latent"], kv=view)
             r_parts.append(sigmoid(self.project("clw.head_r", h)))
             k_parts.append(sigmoid(self.project("clw.head_k", h)))
@@ -121,9 +121,9 @@ class LoopOracle:
         z = self.p["klw.latent"]
         if self.cfg.use_ck_dep:
             lw = [element(clwk, i) for i in range(enc.m)]
-            z = self.cross_block("klw.ck", z, views=enc.context_views, lw=lw)
+            z = self.cross_block("klw.ck", z, views=self.views(enc)[: enc.m], lw=lw)
         parts = []
-        for view in enc.knowledge_views:
+        for view in self.views(enc)[enc.m :]:
             h = self.cross_block("klw.know", z, kv=view)
             parts.append(sigmoid(self.project("klw.head", h)))
         return concat_vec(parts)
@@ -135,7 +135,7 @@ class LoopOracle:
             rows(self.p["emb.pos_tgt"], 0, t),
         )
         mask = np.triu(np.full((t, t), MASK_VALUE), k=1)
-        views = enc.context_views + enc.knowledge_views
+        views = self.views(enc)
         lw = [element(clwr, i) for i in range(enc.m)] + [
             element(klw, j) for j in range(enc.l)
         ]
@@ -241,20 +241,14 @@ def test_full_forward_and_gradients_match_loop_oracle(n_heads, lengths, m, use_c
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_components_on_views_that_differ_from_full_rep(n_heads):
-    """Each component must read the views, not the full encoder output."""
+    """Each component must read its own segments' rows of a hand-built memory."""
     rng = np.random.default_rng(40 + n_heads)
     model = CKLModel(random_config(n_heads), seed=3)
     oracle = LoopOracle(model)
     lengths, m = [2, 1, 3, 1], 2
     views = [Tensor(rng.normal(size=(n, 8))) for n in lengths]
-    enc = SegmentedEncoding(
-        full_rep=Tensor(rng.normal(size=(11, 8))),
-        context_segments=[(0, 2), (3, 1)],
-        knowledge_segments=[(5, 3), (9, 1)],
-        context_views=views[:m],
-        knowledge_views=views[m:],
-    )
-    enc.knowledge_views[1] = Tensor(rng.normal(size=(1, 8)) * 5.0)
+    views[3] = Tensor(rng.normal(size=(1, 8)) * 5.0)
+    enc = encoding_from_views(views, m)
     clwk = Tensor(rng.uniform(0.1, 0.9, m), requires_grad=True)
     clwr = Tensor(rng.uniform(0.1, 0.9, m), requires_grad=True)
     klw = Tensor(rng.uniform(0.1, 0.9, 2), requires_grad=True)

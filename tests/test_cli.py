@@ -108,7 +108,6 @@ class TestTrain:
         first = (out / "trace.csv").read_text().splitlines()[0]
         assert first == "# effective_samples=4 total_samples=8"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_forward_overflow_exits_3_and_writes_no_results(self, workspace, capsys):
         # Step 1 moves every parameter by about the learning rate, so step 2's
         # forward pass overflows inside an op and raises NumericError.

@@ -136,15 +136,24 @@ class TestGenerate:
         assert effective_config(tmp_path / "gen")["max_source_len"] == "12"
 
 
+# Under max_source_len=12 the second sample keeps 2 of its 3 sentences.
+TRUNCATED_RECORDS = [
+    {"context": ["a b"], "knowledge": ["k1 k2"], "response": "k1"},
+    {"context": ["a b"], "knowledge": ["k1 k2 k3", "k4 k5 k6", "k7 k8 k9"], "response": "k4"},
+]
+
+
+def analyze_argv(tmp_path):
+    return ["analyze", "--generations", str(tmp_path / "gen" / "generations.jsonl"),
+            "--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path / "an")]
+
+
 def test_analyze_names_the_line_and_the_encode_keys(tmp_path, capsys):
-    records = [
-        {"context": ["a b"], "knowledge": ["k1 k2"], "response": "k1"},
-        {"context": ["a b"], "knowledge": ["k1 k2 k3", "k4 k5 k6", "k7 k8 k9"], "response": "k4"},
-    ]
-    argv = write_run(tmp_path, records, max_source_len=12)
+    argv = write_run(tmp_path, TRUNCATED_RECORDS, max_source_len=12)
     assert main(argv) == 0
-    analyze = ["analyze", "--generations", str(tmp_path / "gen" / "generations.jsonl"),
-               "--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path / "an")]
+    analyze = analyze_argv(tmp_path)
+    assert main(analyze) == 0  # reads max_source_len=12 from gen/effective_config.txt
+    (tmp_path / "gen" / "effective_config.txt").unlink()
     assert main(analyze) == 2
     err = capsys.readouterr().err
     assert "generations.jsonl: line 2:" in err
@@ -152,3 +161,19 @@ def test_analyze_names_the_line_and_the_encode_keys(tmp_path, capsys):
     config = tmp_path / "model.cfg"
     config.write_text("max_source_len=12\n")
     assert main(analyze + ["--config", str(config)]) == 0
+
+
+def test_analyze_prefers_explicit_keys_and_rejects_a_damaged_echo(tmp_path, capsys):
+    assert main(write_run(tmp_path, TRUNCATED_RECORDS, max_source_len=12)) == 0
+    analyze = analyze_argv(tmp_path)
+    config = tmp_path / "default.cfg"
+    config.write_text("max_source_len=1024\n")
+    assert main(analyze + ["--config", str(config)]) == 2  # the explicit value wins
+    assert "max_source_len=1024" in capsys.readouterr().err
+    echoed = tmp_path / "gen" / "effective_config.txt"
+    n_lines = len(echoed.read_text().splitlines())
+    echoed.write_text(echoed.read_text() + "max_source_len=twelve\n")
+    assert main(analyze) == 2
+    err = capsys.readouterr().err
+    assert f"effective_config.txt: line {n_lines + 1}: config key max_source_len" in err
+    assert not (tmp_path / "an").exists()

@@ -1,4 +1,5 @@
-"""`ckl generate` conditions each sample once; evaluate and analyze reject
+"""`ckl generate` conditions each sample once and rejects a ``--max-len``
+outside [1, max_target_len] before writing; evaluate and analyze reject
 malformed generation records, and analyze rejects latent-weight counts that
 disagree with the data, with exit 2 and a line-numbered message."""
 
@@ -25,8 +26,9 @@ def data(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("flags", [["--greedy"], ["--beam", "3"]])
-def test_generate_encodes_each_sample_once(tmp_path, data, monkeypatch, flags):
+def generate_argv(tmp_path, data):
+    """``ckl generate`` arguments for a fresh checkpoint with max_target_len=5,
+    writing to ``gen/``."""
     vocab = build_vocab(load_jsonl(data))
     vocab.save(tmp_path / "vocab.txt")
     config = ModelConfig(
@@ -34,6 +36,13 @@ def test_generate_encodes_each_sample_once(tmp_path, data, monkeypatch, flags):
         n_decoder_layers=1, d_ff=8, max_target_len=5,
     )
     ckpt.save(tmp_path / "model.ckpt", config, CKLModel(config, seed=0).parameters())
+    return ["generate", "--data", str(data), "--vocab", str(tmp_path / "vocab.txt"),
+            "--checkpoint", str(tmp_path / "model.ckpt"), "--out", str(tmp_path / "gen")]
+
+
+@pytest.mark.parametrize("flags", [["--greedy"], ["--beam", "3"]])
+def test_generate_encodes_each_sample_once(tmp_path, data, monkeypatch, flags):
+    argv = generate_argv(tmp_path, data)
     encoded = []
     encode = CKLModel.encode
 
@@ -42,10 +51,15 @@ def test_generate_encodes_each_sample_once(tmp_path, data, monkeypatch, flags):
         return encode(self, sample)
 
     monkeypatch.setattr(CKLModel, "encode", counting_encode)
-    argv = ["generate", "--data", str(data), "--vocab", str(tmp_path / "vocab.txt"),
-            "--checkpoint", str(tmp_path / "model.ckpt"), "--out", str(tmp_path / "gen"), *flags]
-    assert main(argv) == 0
+    assert main(argv + flags) == 0
     assert len(encoded) == len(RECORDS)
+
+
+@pytest.mark.parametrize("max_len", ["6", "-3"], ids=["above-max-target-len", "negative"])
+def test_generate_rejects_max_len_outside_range(tmp_path, data, capsys, max_len):
+    assert main(generate_argv(tmp_path, data) + ["--max-len", max_len]) == 2
+    assert f"max_len must be in [1, max_target_len=5], got {max_len}" in capsys.readouterr().err
+    assert not (tmp_path / "gen").exists()
 
 
 def write_generations(tmp_path, bad_record):

@@ -14,6 +14,8 @@ from ckl.model import (
 )
 from ckl.tensor import ShapeError, Tape, Tensor
 
+from conftest import encoding_from_views
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -46,13 +48,14 @@ def tiny_sample(m=2, l=2):  # noqa: E741
 def manual_encoding(m=2, l=2, d=8, seed=0):  # noqa: E741
     rng = np.random.default_rng(seed)
     views = [Tensor(rng.normal(size=(2, d))) for _ in range(m + l)]
-    return SegmentedEncoding(
-        full_rep=Tensor(rng.normal(size=(2 * (m + l), d))),
-        context_segments=[(2 * i, 2) for i in range(m)],
-        knowledge_segments=[(2 * (m + j), 2) for j in range(l)],
-        context_views=views[:m],
-        knowledge_views=views[m:],
-    )
+    return encoding_from_views(views, m)
+
+
+def shifted(enc, start, length, change):
+    """``enc`` with ``change`` applied to memory rows [start, start + length)."""
+    data = enc.memory.data.copy()
+    data[start : start + length] = change(data[start : start + length])
+    return SegmentedEncoding(Tensor(data), enc.lengths, enc.m)
 
 
 class TestAttentionKernel:
@@ -143,15 +146,9 @@ class TestEncode:
         model = CKLModel(tiny_config(), seed=0)
         sample = tiny_sample(m=2, l=2)
         enc = model.encode(sample)
-        total = sum(sample.segment_lengths) + (sample.m + sample.l - 1)
-        assert enc.full_rep.shape == (total, 8)
+        assert enc.memory.shape == (sum(sample.segment_lengths), 8)
+        assert enc.lengths == sample.segment_lengths
         assert enc.m == 2 and enc.l == 2
-        for (off, length), view in zip(
-            enc.context_segments + enc.knowledge_segments,
-            enc.context_views + enc.knowledge_views,
-        ):
-            assert view.shape == (length, 8)
-            assert np.array_equal(view.data, enc.full_rep.data[off : off + length])
 
     def test_minimal_sample_has_two_views(self):
         model = CKLModel(tiny_config(), seed=0)
@@ -174,9 +171,9 @@ class TestEncode:
         )
         enc_a = model.encode(a)
         enc_b = model.encode(b)
-        assert enc_a.knowledge_views[0].shape == (3, 8)
-        assert enc_b.knowledge_views[0].shape == (1, 8)
-        assert enc_b.knowledge_views[1].shape == (3, 8)
+        assert enc_a.memory.shape == enc_b.memory.shape == (6, 8)
+        assert enc_a.lengths == [2, 3, 1]
+        assert enc_b.lengths == [2, 1, 3]
 
     def test_over_length_rejected(self):
         model = CKLModel(tiny_config(max_source_len=4), seed=0)
@@ -207,13 +204,7 @@ class TestClwGenerate:
         rng = np.random.default_rng(7)
         view = Tensor(rng.normal(size=(3, 8)))
         dup = Tensor(view.data.copy())
-        enc = SegmentedEncoding(
-            full_rep=Tensor(np.vstack([view.data, view.data])),
-            context_segments=[(0, 3), (3, 3)],
-            knowledge_segments=[],
-            context_views=[view, dup],
-            knowledge_views=[],
-        )
+        enc = encoding_from_views([view, dup], 2)
         clwr, clwk = model.clw_generate(enc)
         assert clwr.data[0] == clwr.data[1]
         assert clwk.data[0] == clwk.data[1]
@@ -229,9 +220,7 @@ class TestKlwGenerate:
     def test_no_ck_dep_ignores_context(self):
         model = CKLModel(tiny_config(use_ck_dep=False), seed=5)
         enc_a = manual_encoding(m=2, l=3, seed=10)
-        enc_b = manual_encoding(m=2, l=3, seed=10)
-        for i in range(2):
-            enc_b.context_views[i] = Tensor(enc_b.context_views[i].data + 100.0)
+        enc_b = shifted(manual_encoding(m=2, l=3, seed=10), 0, 4, lambda rows: rows + 100.0)
         clwk = Tensor(np.array([0.4, 0.9]))
         a = model.klw_generate(enc_a, clwk)
         b = model.klw_generate(enc_b, clwk)
@@ -249,9 +238,7 @@ class TestKlwGenerate:
     def test_zero_clwk_blocks_context_through_ck_dep(self):
         model = CKLModel(tiny_config(use_ck_dep=True), seed=7)
         enc_a = manual_encoding(m=2, l=2, seed=11)
-        enc_b = manual_encoding(m=2, l=2, seed=11)
-        for i in range(2):
-            enc_b.context_views[i] = Tensor(enc_b.context_views[i].data * -3.0 + 7.0)
+        enc_b = shifted(manual_encoding(m=2, l=2, seed=11), 0, 4, lambda rows: rows * -3.0 + 7.0)
         zeros = Tensor(np.zeros(2))
         assert np.allclose(
             model.klw_generate(enc_a, zeros).data,
@@ -293,8 +280,7 @@ class TestDecoderForward:
     def test_segment_zeroing(self):
         model = CKLModel(tiny_config(), seed=11)
         enc_a = manual_encoding(m=2, l=3, seed=13)
-        enc_b = manual_encoding(m=2, l=3, seed=13)
-        enc_b.knowledge_views[1] = Tensor(enc_b.knowledge_views[1].data + 1000.0)
+        enc_b = shifted(manual_encoding(m=2, l=3, seed=13), 6, 2, lambda rows: rows + 1000.0)
         clwr = Tensor(np.array([0.7, 0.2]))
         klw = Tensor(np.array([0.5, 0.0, 0.9]))
         la = model.decoder_forward([BOS, 5], enc_a, clwr, klw)

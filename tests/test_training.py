@@ -5,7 +5,7 @@ import pytest
 
 from ckl import checkpoint, training
 from ckl.checkpoint import CheckpointError
-from ckl.corpus import build_vocab
+from ckl.corpus import BOS, EOS, EncodedSample, build_vocab
 from ckl.model import CKLModel, ModelConfig
 from ckl.synthetic import overfit_corpus
 from ckl.tensor import Tape, Tensor
@@ -17,9 +17,11 @@ from ckl.training import (
     clip_gradients,
     mean_per_token_nll,
     prepare_training_set,
+    sample_losses,
     train,
     write_trace,
 )
+from ckl.weak_supervision import PseudoGroundTruth
 
 
 def small_model_config(vocab_size, **overrides):
@@ -183,6 +185,31 @@ class TestTrainLoop:
         assert err.value.step == 2
         for name, p in models[0].parameters().items():
             assert np.array_equal(p.data, after_step_1[name].data), name
+
+
+def test_tape_records_do_not_depend_on_the_number_of_segments():
+    """The encoder memory is built once, so one more utterance or sentence
+    adds rows to tensors, not records to the tape."""
+    model = CKLModel(small_model_config(40), seed=0)
+
+    def records(m, l):  # noqa: E741
+        sample = EncodedSample(
+            context_ids=[[5 + i, 6] for i in range(m)],
+            knowledge_ids=[[20 + j] for j in range(l)],
+            response_ids=[BOS, 5, 20, EOS],
+            segment_lengths=[2] * m + [1] * l,
+        )
+        label = PseudoGroundTruth(
+            gt_clwr=[0] * (m - 1) + [1],
+            gt_clwk=[0] * (m - 1) + [1],
+            gt_klw=[1] + [0] * (l - 1),
+            top1_rk_index=0,
+        )
+        with Tape() as tape:
+            sample_losses(model, sample, label)
+        return len(tape.records)
+
+    assert records(1, 1) == records(2, 8)
 
 
 class TestCheckpoint:

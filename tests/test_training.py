@@ -5,7 +5,8 @@ import pytest
 
 from ckl import checkpoint, training
 from ckl.checkpoint import CheckpointError
-from ckl.corpus import BOS, EOS, EncodedSample, build_vocab
+from ckl.corpus import BOS, EOS, DialogueSample, EncodedSample, build_vocab
+from ckl.losses import AwlParams, awl
 from ckl.model import CKLModel, ModelConfig
 from ckl.synthetic import overfit_corpus
 from ckl.tensor import Tape, Tensor
@@ -185,6 +186,70 @@ class TestTrainLoop:
         assert err.value.step == 2
         for name, p in models[0].parameters().items():
             assert np.array_equal(p.data, after_step_1[name].data), name
+
+
+def mixed_shape_samples():
+    """Five samples with different (utterance, sentence) counts; each response
+    copies the first knowledge sentence."""
+    base = overfit_corpus(5, seed=0)
+    samples = []
+    for i, (m, l) in enumerate([(1, 1), (2, 3), (3, 2), (1, 4), (2, 2)]):  # noqa: E741
+        s = base[i]
+        context = ["good morning", "nice to see you", s.context[-1]][-m:]
+        knowledge = [s.response] + [b.response for b in base if b is not s][: l - 1]
+        samples.append(DialogueSample(context=context, knowledge=knowledge, response=s.response))
+    return samples
+
+
+@pytest.mark.parametrize("use_ck_dep", [True, False], ids=["ck-dep", "no-ck-dep"])
+def test_step_gradients_equal_per_sample_backward_mean(monkeypatch, use_ck_dep):
+    """The gradients one training step clips are the mean, over its batch, of
+    each sample's own ``Tape.backward`` of its AWL total."""
+    samples = mixed_shape_samples()
+    vocab = build_vocab(samples)
+    mcfg = small_model_config(len(vocab), use_ck_dep=use_ck_dep)
+    tcfg = TrainingConfig(learning_rate=1e-3, epochs=1, batch_size=3, seed=4)
+    batch, clipped = [], []
+    losses, clip = training.sample_losses, training.clip_gradients
+
+    def recording_losses(model, sample, label):
+        batch.append((sample, label))
+        return losses(model, sample, label)
+
+    def recording_clip(grads, max_norm):
+        clipped.append({name: np.array(g, copy=True) for name, g in grads.items()})
+        return clip(grads, max_norm)
+
+    monkeypatch.setattr(training, "sample_losses", recording_losses)
+    monkeypatch.setattr(training, "clip_gradients", recording_clip)
+    train(samples, vocab, mcfg, tcfg, max_steps=1)
+    assert len(batch) == 3 and len(clipped) == 1
+    assert len({len(s.segment_lengths) for s, _ in batch}) > 1
+
+    model, awl_params = CKLModel(mcfg, seed=tcfg.seed), AwlParams()
+    leaves = {**model.parameters(), **awl_params.named()}
+    expected: dict[str, np.ndarray] = {}
+    for sample, label in batch:
+        with Tape() as tape:
+            total = awl(
+                *losses(model, sample, label),
+                awl_params,
+                use_loss_clwr=mcfg.use_loss_clwr,
+                use_loss_clwk=mcfg.use_loss_clwk,
+                use_loss_klw=mcfg.use_loss_klw,
+            )
+            grads = tape.backward(total)
+        for name, leaf in leaves.items():
+            if leaf.node_id in grads:
+                expected[name] = expected.get(name, 0.0) + grads[leaf.node_id].data
+    expected = {name: g / len(batch) for name, g in expected.items()}
+
+    got = clipped[0]
+    assert set(got) == set(expected)
+    assert any(name.startswith("klw.ck.") for name in got) == use_ck_dep
+    for name, g in expected.items():
+        err = np.max(np.abs(np.asarray(got[name]) - g))
+        assert err <= 1e-12 * np.max(np.abs(g)), name
 
 
 def test_tape_records_do_not_depend_on_the_number_of_segments():

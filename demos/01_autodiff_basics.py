@@ -29,7 +29,7 @@ x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
 with Tape() as tape:
     y = sum_all(sigmoid(x) * sigmoid(x))
     grads = tape.backward(y)
-print("d/dx sum(sigmoid(x)^2) =", grads[x.node_id].data)
+print("d/dx sum(sigmoid(x)^2) =", grads[x.node_id])
 print("tape recorded", len(tape.records), "ops")
 
 print("\n== gradient vs central differences ==")
@@ -43,4 +43,4 @@ for i in range(3):
         val = sum_all(sigmoid(Tensor(probe)) * sigmoid(Tensor(probe))).item()
         fd[i] += sign * val / (2 * h)
 print("finite differences      =", fd)
-print("max abs deviation       =", np.max(np.abs(fd - grads[x.node_id].data)))
+print("max abs deviation       =", np.max(np.abs(fd - grads[x.node_id])))

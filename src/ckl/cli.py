@@ -2,8 +2,9 @@
 
 Configuration is a flat key=value text file validated against a schema
 derived from the config dataclasses; command-line flags override file values,
-and the effective configuration is echoed into every output directory. Exit
-codes: 0 ok, 2 input error, 3 training abort, 4 checkpoint mismatch.
+and the effective configuration is echoed into every output directory, which
+a command creates only once its work has succeeded. Exit codes: 0 ok, 2 input
+error, 3 training abort, 4 checkpoint mismatch.
 """
 
 from __future__ import annotations
@@ -165,15 +166,11 @@ def _ensure_out(cfg: RunConfig) -> Path:
 
 
 def cmd_prep(cfg: RunConfig) -> int:
-    data = cfg.require_path("data")
-    out = _ensure_out(cfg)
-    samples = load_jsonl(data)
+    samples = load_jsonl(cfg.require_path("data"))
     vocab = build_vocab(samples, min_freq=cfg["min_freq"], max_size=cfg["max_size"])
-    vocab.save(out / "vocab.txt")
     enc_cfg = cfg.build(EncodeConfig)
     kept = [kept_segments(s, enc_cfg) for s in samples]
     index, labels = build_labels(kept, cfg["top_n"])
-    save_label_cache(out / "labels.jsonl", labels)
     stats = {
         "samples": len(samples),
         "mean_context_utterances": sum(len(k[0]) for k in kept) / len(kept),
@@ -182,6 +179,9 @@ def cmd_prep(cfg: RunConfig) -> int:
         "tfidf_terms": len(index.df),
         "vocab_size": len(vocab),
     }
+    out = _ensure_out(cfg)
+    vocab.save(out / "vocab.txt")
+    save_label_cache(out / "labels.jsonl", labels)
     (out / "tfidf_stats.json").write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n")
     print(
         f"prep: n={stats['samples']} mean_m={stats['mean_context_utterances']:.2f} "
@@ -193,12 +193,11 @@ def cmd_prep(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     data = cfg.require_path("data")
     vocab = Vocabulary.load(cfg.require_path("vocab"))
-    out = _ensure_out(cfg)
     samples = load_jsonl(data)
     model_cfg = cfg.build(ModelConfig, vocab_size=len(vocab))
     result = train(samples, vocab, model_cfg, cfg.build(TrainingConfig))
-    params = dict(result.model.parameters())
-    params.update(result.awl_params.named())
+    params = {**result.model.parameters(), **result.awl_params.named()}
+    out = _ensure_out(cfg)
     ckpt.save(out / "checkpoint.ckpt", model_cfg, params)
     write_trace(out / "trace.csv", result.trace, result.effective_n, len(samples))
     print(
@@ -222,10 +221,11 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
     cfg.values.update((key, getattr(model.config, key)) for key in MODEL_DEFAULTS)
     samples = load_jsonl(data)
     beam_size = max(1, cfg["beam"])
+    max_len = model.decode_length(cfg["max_len"])
     records = []
     for sample in samples:
         enc, weights = model.condition(encode_sample(sample, vocab, model.config.encode_config()))
-        ids = model.decode(enc, weights, beam_size=beam_size, max_len=cfg["max_len"])
+        ids = model.decode(enc, weights, beam_size=beam_size, max_len=max_len)
         tokens = vocab.decode([i for i in ids if i not in (PAD, BOS, EOS)])
         records.append({"token_ids": ids, "tokens": tokens, "text": detokenize(tokens), **weights.lists()})
     out = _ensure_out(cfg)
@@ -275,7 +275,6 @@ def _load_generations(path, n_samples: int, keys: tuple[str, ...]) -> list[tuple
 def cmd_evaluate(cfg: RunConfig) -> int:
     samples = load_jsonl(cfg.require_path("data"))
     generations = _load_generations(cfg.require_path("generations"), len(samples), ("tokens",))
-    out = _ensure_out(cfg)
     cands = [rec["tokens"] for _lineno, rec in generations]
     refs = [tokenize(s.response) for s in samples]
     n_pairs = len(cands)
@@ -288,7 +287,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         means, excluded = embedding_corpus_scores(cands, refs, table)
         for name in ("average", "extrema", "greedy"):
             rows.append((f"embedding-{name}", means[name], n_pairs - excluded, excluded))
-    write_metric_report(out / "metrics.csv", rows)
+    write_metric_report(_ensure_out(cfg) / "metrics.csv", rows)
     for metric, value, *_ in rows:
         print(f"{metric}: {value:.4f}")
     return 0
@@ -369,6 +368,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(args)
+        cfg.require_path("out")  # every command writes there, but only once its work succeeded
         if args.command == "prep":
             return cmd_prep(cfg)
         if args.command == "train":

@@ -385,21 +385,24 @@ class CKLModel:
 
     # ----- inference ------------------------------------------------------
 
+    def decode_length(self, max_len: int | None) -> int:
+        """``max_len`` checked against [1, max_target_len]; 0 or None means max_target_len."""
+        limit = self.config.max_target_len
+        if not 1 <= (max_len or limit) <= limit:
+            raise ValueError(f"max_len must be in [1, max_target_len={limit}], got {max_len}")
+        return max_len or limit
+
     def decode(self, enc: SegmentedEncoding, weights: LatentWeights, beam_size: int = 1,
                max_len: int | None = None) -> list[int]:
         """Beam search from BOS until EOS or ``max_len`` ids; width 1 is greedy.
 
         Returns ids including the leading BOS and, when reached, the final
         EOS. Hypotheses are ranked by per-token mean log-probability, and a
-        stable sort keeps the lower token id on ties. ``max_len`` 0 or None
-        means ``max_target_len``.
+        stable sort keeps the lower token id on ties. ``decode_length`` reads ``max_len``.
         """
         if beam_size < 1:
             raise ValueError("beam_size must be >= 1")
-        limit = self.config.max_target_len
-        max_len = max_len or limit
-        if not 1 <= max_len <= limit:
-            raise ValueError(f"max_len must be in [1, max_target_len={limit}], got {max_len}")
+        max_len = self.decode_length(max_len)
         beams = [([BOS], 0.0)]
         finished: list[tuple[list[int], float]] = []
         while beams and len(beams[0][0]) < max_len:

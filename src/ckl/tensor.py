@@ -3,9 +3,9 @@
 The graph is rebuilt on every forward pass (define-by-run): while a Tape is
 active, each operation appends one record holding the op kind, the node ids of
 its tracked inputs, the output node id, and one gradient rule per tracked input.
-``Tape.backward`` walks the records once, in reverse. ``_make`` checks each op
-output for NaN/Inf; gradients come back unchecked, and training checks their
-global norm once per optimizer step.
+``Tape.backward`` walks the records once, in reverse, adding leaf gradients to
+a dict that may span tapes. ``_make`` checks each op output for NaN/Inf;
+training checks the gradients' global norm once per optimizer step.
 
 Only the kernels a small transformer needs are provided. Attention keeps heads
 and key segments as array axes: ``matmul`` and ``transpose`` also take 3-D
@@ -134,25 +134,26 @@ class Tape:
         Tape._active = None
         return False
 
-    def backward(self, loss: Tensor) -> dict[int, Tensor]:
-        """Accumulate gradients of a scalar loss w.r.t. every tracked node.
+    def backward(self, loss: Tensor, grads: dict[int, np.ndarray] | None = None) -> dict[int, np.ndarray]:
+        """Add d loss / d leaf into ``grads`` (a new dict when omitted) and return it.
 
-        Visits each record exactly once, in reverse order, applying its rules,
-        and returns a map from node id to (unchecked) gradient tensor.
+        Visits each record exactly once, in reverse order, dropping an op output's
+        gradient once its record is done, so only (unchecked) leaf gradients remain.
         """
         if not isinstance(loss, Tensor) or loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss tensor")
         if loss.node_id is None or loss.tape_id != self.serial:
             raise ValueError("loss was not produced on this tape")
-        grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+        grads = {} if grads is None else grads
+        grads[loss.node_id] = np.ones_like(loss.data)
         for _kind, in_ids, out_id, rules in reversed(self.records):
-            g = grads.get(out_id)
+            g = grads.pop(out_id, None)
             if g is None:
                 continue
             for nid, rule in zip(in_ids, rules):
                 prev = grads.get(nid)
                 grads[nid] = rule(g) if prev is None else prev + rule(g)
-        return {nid: _wrap(arr) for nid, arr in grads.items()}
+        return grads
 
 
 def _tracked(t: Tensor) -> bool:

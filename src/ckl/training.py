@@ -1,12 +1,14 @@
 """Adam training loop over the four supervised losses.
 
-Each optimizer step accumulates gradients sample by sample (equivalent to a
-padded batch, since the per-sample losses are already reduced) and applies a
-bias-corrected Adam update with global-norm gradient clipping. A NaN/Inf op
-output or a non-finite gradient norm (checked once per step, before Adam)
-aborts training. Low-resource runs take the first ceil(fraction * n) samples
-of one seeded shuffle, fixed for the whole run. A per-step loss trace records
-the four raw losses, the aggregated total, and the uncertainty parameters.
+Each sample of an optimizer step runs on its own tape, whose ``backward`` adds
+the leaf gradients into the step's one dict; the sum is scaled by 1/batch once
+(equivalent to a padded batch, since the per-sample losses are already
+reduced), clipped to a global norm and applied as a bias-corrected Adam update.
+A NaN/Inf op output or a non-finite gradient norm (checked once per step,
+before Adam) aborts training. Low-resource runs take the first
+ceil(fraction * n) samples of one seeded shuffle, fixed for the whole run. A
+per-step loss trace records the four raw losses, the aggregated total, and the
+uncertainty parameters.
 """
 
 from __future__ import annotations
@@ -186,8 +188,7 @@ def train(
     encoded, labels = prepare_training_set(samples, vocab, model_cfg, train_cfg)
     model = CKLModel(model_cfg, seed=train_cfg.seed)
     awl_params = AwlParams()
-    trainables = dict(model.parameters())
-    trainables.update(awl_params.named())
+    trainables = {**model.parameters(), **awl_params.named()}
     state = AdamState()
     rng = np.random.default_rng(train_cfg.seed + 1)
     trace: list[TraceRow] = []
@@ -199,7 +200,7 @@ def train(
         for start in range(0, n, train_cfg.batch_size):
             batch = order[start : start + train_cfg.batch_size]
             step += 1
-            grads_acc: dict[str, np.ndarray] = {}
+            leaf_grads: dict[int, np.ndarray] = {}
             sums = np.zeros(5)
             s_before = awl_params.values()
             for idx in batch:
@@ -218,20 +219,15 @@ def train(
                             use_loss_clwk=model_cfg.use_loss_clwk,
                             use_loss_klw=model_cfg.use_loss_klw,
                         )
-                        node_grads = tape.backward(total)
+                        tape.backward(total, leaf_grads)
                 except NumericError as err:
                     raise TrainingAbort(step, str(err)) from err
                 sums += [l_clwr.item(), l_clwk.item(), l_klw.item(), l_nll.item(), total.item()]
-                inv_b = 1.0 / len(batch)
-                for name, p in trainables.items():
-                    g = node_grads.get(p.node_id)
-                    if g is None:
-                        continue
-                    acc = grads_acc.get(name)
-                    grads_acc[name] = g.data * inv_b if acc is None else acc + g.data * inv_b
-            if not math.isfinite(clip_gradients(grads_acc, train_cfg.grad_clip)):
+            grads = {name: leaf_grads[p.node_id] * (1.0 / len(batch))
+                     for name, p in trainables.items() if p.node_id in leaf_grads}
+            if not math.isfinite(clip_gradients(grads, train_cfg.grad_clip)):
                 raise TrainingAbort(step, "gradient norm is NaN/Inf")
-            adam_step(trainables, grads_acc, state, train_cfg.learning_rate)
+            adam_step(trainables, grads, state, train_cfg.learning_rate)
             means = [float(v) for v in sums / len(batch)]
             trace.append(
                 TraceRow(

@@ -42,7 +42,7 @@ def check_gradients(build_loss, arrays, rtol=1e-4, h=1e-5):
 
     fd = finite_difference(scalar_f, [a.copy() for a in arrays], h=h)
     for leaf, expected in zip(leaves, fd):
-        got = grads[leaf.node_id].data
+        got = grads[leaf.node_id]
         denom = np.maximum(1.0, np.maximum(np.abs(expected), np.abs(got)))
         rel = np.max(np.abs(got - expected) / denom)
         assert rel < rtol, f"gradient mismatch: rel err {rel:.3e}"

@@ -207,7 +207,7 @@ def outputs_and_grads(forward, leaves, seed):
             loss = term if loss is None else add(loss, term)
         grads = tape.backward(loss)
     values = [o.data.copy() for o in outs]
-    return values, {name: grads[t.node_id].data for name, t in leaves.items() if t.node_id in grads}
+    return values, {name: grads[t.node_id] for name, t in leaves.items() if t.node_id in grads}
 
 
 def assert_close(new, old):

@@ -66,6 +66,14 @@ class TestPrep:
         code = main(["prep", "--data", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_empty_data_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        out = tmp_path / "o"
+        assert main(["prep", "--data", str(data), "--out", str(out)]) == 2
+        assert "zero samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_key=1\n")
@@ -114,8 +122,7 @@ class TestTrain:
         code, out, _ = self.train(workspace, "--learning-rate", "1e300")
         assert code == 3
         assert "step 2: matmul produced NaN/Inf" in capsys.readouterr().err
-        assert not (out / "checkpoint.ckpt").exists()
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     def test_no_ck_dep_recorded_and_enforced(self, workspace):
         tmp, data, config = workspace
@@ -394,6 +401,17 @@ class TestEvaluate:
         )
         content = (out / "metrics.csv").read_text()
         assert "embedding-average" in content and "embedding-greedy" in content
+
+    def test_bad_embeddings_file_exits_2_and_writes_nothing(self, workspace, capsys):
+        tmp, data, _config = workspace
+        gen = self.make_reference_generations(tmp, data)
+        vec = tmp / "vectors.txt"
+        vec.write_text("alpha 0.5 0.25\nbeta 0.5 oops\n")
+        out = tmp / "eval4"
+        argv = ["evaluate", "--generations", gen, "--data", data, "--embeddings", str(vec)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "vectors.txt: line 2: bad vector" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_misaligned_counts_exit_2(self, workspace):
         tmp, data, _config = workspace

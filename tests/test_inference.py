@@ -55,9 +55,15 @@ def test_generate_encodes_each_sample_once(tmp_path, data, monkeypatch, flags):
     assert len(encoded) == len(RECORDS)
 
 
-@pytest.mark.parametrize("max_len", ["6", "-3"], ids=["above-max-target-len", "negative"])
-def test_generate_rejects_max_len_outside_range(tmp_path, data, capsys, max_len):
-    assert main(generate_argv(tmp_path, data) + ["--max-len", max_len]) == 2
+@pytest.mark.parametrize(
+    "max_len,records",
+    [("6", RECORDS), ("-3", RECORDS), ("50", [])],
+    ids=["above-max-target-len", "negative", "empty-data"],
+)
+def test_generate_rejects_max_len_outside_range(tmp_path, data, capsys, max_len, records):
+    argv = generate_argv(tmp_path, data)
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(argv + ["--max-len", max_len]) == 2
     assert f"max_len must be in [1, max_target_len=5], got {max_len}" in capsys.readouterr().err
     assert not (tmp_path / "gen").exists()
 

@@ -337,7 +337,7 @@ class TestGradientFlow:
             logits, _ = model.forward(sample)
             loss = nll(logits, sample.response_ids[1:])
             grads = tape.backward(loss)
-        g = grads[model.params["clw.latent"].node_id].data
+        g = grads[model.params["clw.latent"].node_id]
         assert np.max(np.abs(g)) > 0.0
 
 

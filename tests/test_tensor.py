@@ -171,7 +171,7 @@ class TestBackward:
         with Tape() as tape:
             loss = sum_all(softmax_lastdim(x))
             grads = tape.backward(loss)
-        assert np.max(np.abs(grads[x.node_id].data)) < 1e-12
+        assert np.max(np.abs(grads[x.node_id])) < 1e-12
 
     def test_two_layer_mlp_matches_finite_differences(self, gradcheck):
         rng = np.random.default_rng(3)
@@ -187,6 +187,22 @@ class TestBackward:
             return sum_all(softmax_lastdim(out))
 
         gradcheck(loss, [x, w1, b1, w2, b2])
+
+    def test_returns_leaf_gradients_and_accumulates_into_a_given_dict(self):
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        w = Tensor([[1.0, 2.0], [0.3, -0.4]], requires_grad=True)
+        s = Tensor(0.7, requires_grad=True)
+        const = Tensor([[0.2, 0.1]])
+        with Tape() as tape:
+            h = sigmoid(add_row(matmul(const, w), x))
+            loss = mul(sum_all(mul(h, h)), s)
+            once = tape.backward(loss)
+            twice = tape.backward(loss, tape.backward(loss))
+        assert set(once) == {x.node_id, w.node_id, s.node_id}
+        assert set(twice) == set(once)
+        for nid, g in once.items():
+            assert not isinstance(g, Tensor) and np.asarray(g).dtype == np.float64
+            assert np.array_equal(twice[nid], 2 * g)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -346,7 +362,7 @@ class TestInvariants:
                 h = softmax_lastdim(matmul(x, x))
                 loss = sum_all(mul(h, h))
                 grads = tape.backward(loss)
-            return loss.item(), grads[x.node_id].data.copy()
+            return loss.item(), grads[x.node_id].copy()
 
         l1, g1 = run()
         l2, g2 = run()

@@ -171,12 +171,12 @@ class TestTrainLoop:
         backward = Tape.backward
         calls = []
 
-        def poisoned_backward(tape, loss):
-            grads = backward(tape, loss)
+        def poisoned_backward(tape, loss, grads=None):
+            grads = backward(tape, loss, grads)
             calls.append(loss)
             if len(calls) == tcfg.batch_size + 2:  # second sample of step 2
-                leaf = grads[models[0].params["out.b"].node_id]
-                leaf.data = np.full_like(leaf.data, np.nan)
+                nid = models[0].params["out.b"].node_id
+                grads[nid] = np.full_like(grads[nid], np.nan)
             return grads
 
         monkeypatch.setattr(training, "CKLModel", recording_model)
@@ -241,7 +241,7 @@ def test_step_gradients_equal_per_sample_backward_mean(monkeypatch, use_ck_dep):
             grads = tape.backward(total)
         for name, leaf in leaves.items():
             if leaf.node_id in grads:
-                expected[name] = expected.get(name, 0.0) + grads[leaf.node_id].data
+                expected[name] = expected.get(name, 0.0) + grads[leaf.node_id]
     expected = {name: g / len(batch) for name, g in expected.items()}
 
     got = clipped[0]
@@ -250,6 +250,26 @@ def test_step_gradients_equal_per_sample_backward_mean(monkeypatch, use_ck_dep):
     for name, g in expected.items():
         err = np.max(np.abs(np.asarray(got[name]) - g))
         assert err <= 1e-12 * np.max(np.abs(g)), name
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="clip_gradients scales in place, which leaves the 0-d AWL s gradients unscaled",
+)
+def test_clipped_gradients_have_at_most_the_clip_norm(monkeypatch):
+    samples = overfit_corpus(8, seed=0)
+    vocab = build_vocab(samples)
+    tcfg = TrainingConfig(learning_rate=1e-3, epochs=1, batch_size=4, seed=1, grad_clip=1e-3)
+    applied = []
+    adam = training.adam_step
+
+    def recording_adam(params, grads, state, lr):
+        applied.append(np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values())))
+        return adam(params, grads, state, lr)
+
+    monkeypatch.setattr(training, "adam_step", recording_adam)
+    train(samples, vocab, small_model_config(len(vocab)), tcfg, max_steps=1)
+    assert applied[0] <= tcfg.grad_clip * (1 + 1e-12)
 
 
 def test_tape_records_do_not_depend_on_the_number_of_segments():

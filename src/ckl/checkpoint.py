@@ -11,8 +11,8 @@ Layout, all little-endian:
 
 Loading parses the whole file before constructing anything, so a truncated
 file raises without leaving partial state behind. Every parse failure
-(truncation, non-UTF-8 text, impossible shapes, a bad config) is reported as
-a ``CheckpointError``.
+(truncation, non-UTF-8 text, impossible shapes, NaN/Inf values, a bad
+config) is reported as a ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ def _parse(blob: bytes, path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         name = r.take(r.u32()).decode()
         shape = r.u64s(r.u32())
         arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: parameter {name} holds NaN or Inf")
         params[name] = arr.astype(np.float64)
     if r.pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - r.pos} trailing bytes")

@@ -4,7 +4,7 @@ Configuration is a flat key=value text file validated against a schema
 derived from the config dataclasses; command-line flags override file values,
 and the effective configuration is echoed into every output directory, which
 a command creates only once its work has succeeded. Exit codes: 0 ok, 2 input
-error, 3 training abort, 4 checkpoint mismatch.
+error, 3 training abort, 4 checkpoint that is damaged, mismatched or cannot run.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import json
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import checkpoint as ckpt
 from .corpus import (
@@ -28,6 +30,7 @@ from .corpus import (
     encode_sample,
     kept_segments,
     load_jsonl,
+    numbered_lines,
     tokenize,
 )
 from .metrics import (
@@ -41,6 +44,7 @@ from .metrics import (
     write_metric_report,
 )
 from .model import ModelConfig
+from .tensor import NumericError
 from .training import TrainingAbort, TrainingConfig, build_labels, train, write_trace
 from .weak_supervision import save_label_cache
 
@@ -105,19 +109,18 @@ def _parse_value(key: str, raw: str, where: str):
 
 def load_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            where = f"{path}: line {lineno}"
-            if "=" not in stripped:
-                raise ConfigError(f"{where}: expected key=value")
-            key, raw = stripped.split("=", 1)
-            key = key.strip()
-            if key not in SCHEMA:
-                raise ConfigError(f"{where}: unknown key {key!r}")
-            values[key] = _parse_value(key, raw, where)
+    for lineno, line in numbered_lines(path):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            continue
+        where = f"{path}: line {lineno}"
+        if "=" not in stripped:
+            raise ConfigError(f"{where}: expected key=value")
+        key, raw = stripped.split("=", 1)
+        key = key.strip()
+        if key not in SCHEMA:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        values[key] = _parse_value(key, raw, where)
     return values
 
 
@@ -223,11 +226,15 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
     beam_size = max(1, cfg["beam"])
     max_len = model.decode_length(cfg["max_len"])
     records = []
-    for sample in samples:
-        enc, weights = model.condition(encode_sample(sample, vocab, model.config.encode_config()))
-        ids = model.decode(enc, weights, beam_size=beam_size, max_len=max_len)
-        tokens = vocab.decode([i for i in ids if i not in (PAD, BOS, EOS)])
-        records.append({"token_ids": ids, "tokens": tokens, "text": detokenize(tokens), **weights.lists()})
+    try:  # _make reports non-finite op outputs, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for sample in samples:
+                enc, weights = model.condition(encode_sample(sample, vocab, model.config.encode_config()))
+                ids = model.decode(enc, weights, beam_size=beam_size, max_len=max_len)
+                tokens = vocab.decode([i for i in ids if i not in (PAD, BOS, EOS)])
+                records.append({"token_ids": ids, "tokens": tokens, "text": detokenize(tokens), **weights.lists()})
+    except NumericError as err:
+        raise ckpt.CheckpointError(f"{cfg['checkpoint']}: the model cannot run: {err}") from err
     out = _ensure_out(cfg)
     with open(out / "generations.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
@@ -250,23 +257,20 @@ def _load_generations(path, n_samples: int, keys: tuple[str, ...]) -> list[tuple
     is a list of the items ``RECORD_LISTS`` gives for it.
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"{where}: {err.msg}") from err
-            if not isinstance(rec, dict):
-                raise DatasetError(f"{where}: generation record is not a JSON object")
-            for key in keys:
-                types, name = RECORD_LISTS[key]
-                value = rec.get(key)
-                if not isinstance(value, list) or any(type(x) not in types for x in value):
-                    raise DatasetError(f"{where}: generation record needs {key} as a list of {name}")
-            records.append((lineno, rec))
+    for lineno, line in numbered_lines(path):
+        where = f"{path}: line {lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DatasetError(f"{where}: {err.msg}") from err
+        if not isinstance(rec, dict):
+            raise DatasetError(f"{where}: generation record is not a JSON object")
+        for key in keys:
+            types, name = RECORD_LISTS[key]
+            value = rec.get(key)
+            if not isinstance(value, list) or any(type(x) not in types for x in value):
+                raise DatasetError(f"{where}: generation record needs {key} as a list of {name}")
+        records.append((lineno, rec))
     if len(records) != n_samples:
         raise DatasetError(f"{path}: {len(records)} generations for {n_samples} samples")
     return records

@@ -19,6 +19,7 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 PAD, BOS, EOS, UNK, SEP = 0, 1, 2, 3, 4
 RESERVED_TOKENS = ["<pad>", "<bos>", "<eos>", "<unk>", "<sep>"]
@@ -59,18 +60,27 @@ class DialogueSample:
     response: str
 
 
+def numbered_lines(path):
+    """(line number, text) for each non-blank line of a UTF-8 file. Lines are
+    decoded one by one, so a non-UTF-8 byte raises a DatasetError naming its line."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise DatasetError(f"{path}: line {lineno}: not UTF-8 text ({err})") from err
+        if line.strip():
+            yield lineno, line
+
+
 def load_jsonl(path) -> list[DialogueSample]:
     """Parse a dataset file, reporting malformed lines by line number."""
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"line {lineno}: invalid JSON ({err.msg})") from err
-            samples.append(_validate_record(obj, lineno))
+    for lineno, line in numbered_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DatasetError(f"line {lineno}: invalid JSON ({err.msg})") from err
+        samples.append(_validate_record(obj, lineno))
     return samples
 
 

@@ -13,6 +13,8 @@ from collections import Counter
 
 import numpy as np
 
+from .corpus import numbered_lines
+
 
 class UndefinedCorrelationError(ValueError):
     """Spearman correlation is undefined (zero rank variance)."""
@@ -106,15 +108,12 @@ class WordVectorTable:
     @classmethod
     def load(cls, path) -> "WordVectorTable":
         vectors = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                try:
-                    vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
-                except ValueError as err:
-                    raise ValueError(f"{path}: line {lineno}: bad vector") from err
+        for lineno, line in numbered_lines(path):
+            parts = line.split()
+            try:
+                vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: bad vector") from err
         return cls(vectors)
 
     def get(self, token: str) -> np.ndarray | None:

@@ -9,16 +9,18 @@ conditioning knowledge weighting) and the knowledge latent vector, optionally
 conditioned on the context via latent-weight-enhanced attention, yields one
 weight per knowledge sentence.
 
-Attention keeps heads and segments as array axes. Heads are a leading axis
-of one batched matmul. The decoder's LWE (latent-weight-enhanced)
-cross-attention computes one score matrix against the whole memory, takes a
-softmax within each segment's columns separately (``segment_softmax``),
-scales each segment's columns by its latent weight and multiplies once by
-the values. Nothing is renormalised across segments, so a zero weight
-removes a segment's contribution exactly. The weight generators give their
-latent query one row per segment and a block-diagonal mask, so each row
-attends only to its own utterance or sentence and one pass yields every
-weight.
+Attention is written once (``attention``) and keeps heads and segments as
+array axes. Heads are a leading axis of one batched matmul. Every
+cross-attention is segment attention: one score matrix against the whole
+memory, a softmax within each segment's columns separately
+(``segment_softmax``), each segment's columns scaled by its weight, and one
+multiplication by the values. Nothing is renormalised across segments, so a
+zero weight removes a segment's contribution exactly. The decoder's LWE
+(latent-weight-enhanced) cross-attention weights the segments by their
+latent weights. The weight generators give their latent query one row per
+segment and identity weights, so row s attends to its own utterance or
+sentence alone and one pass yields every weight. The decoder's causal
+self-attention is the only masked attention.
 """
 
 from __future__ import annotations
@@ -145,29 +147,21 @@ class LatentWeights:
         }
 
 
-def _scores(q: Tensor, k: Tensor) -> Tensor:
-    return scale(matmul(q, transpose(k)), 1.0 / math.sqrt(k.shape[-1]))
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(d) + mask) v.
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, segments=None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + mask) v, the model's one attention function.
 
     Operands are 2-D, or 3-D stacks with one matrix per head; an additive
-    2-D mask applies to every head. ``matmul`` rejects mismatched shapes.
+    2-D mask applies to every head. ``segments=(lengths, w)`` makes it
+    segment attention: the keys form consecutive segments of ``lengths``
+    rows, each normalised on its own and scaled by its weight in ``w`` (see
+    ``segment_softmax``), so one matmul with ``v`` sums the weighted outputs
+    of every segment. ``matmul`` rejects mismatched shapes.
     """
-    scores = _scores(q, k)
+    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(k.shape[-1]))
     if mask is not None:
         scores = add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
-    return matmul(softmax_lastdim(scores), v)
-
-
-def _segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths, w: Tensor) -> Tensor:
-    """Attention whose keys form consecutive segments of ``lengths`` rows.
-
-    The softmax runs within each segment, segment s is scaled by ``w[s]``,
-    and one matmul with ``v`` sums the scaled outputs of every segment.
-    """
-    return matmul(segment_softmax(_scores(q, k), lengths, w), v)
+    probs = softmax_lastdim(scores) if segments is None else segment_softmax(scores, *segments)
+    return matmul(probs, v)
 
 
 def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) -> Tensor:
@@ -176,23 +170,13 @@ def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) ->
     The softmax runs within each segment independently; entries of ``lw`` may
     be floats or scalar tensors (so gradients can flow into learned weights).
     """
-    if not segments:
-        raise ShapeError("lwe_attention needs at least one segment")
-    if len(segments) != len(lw):
-        raise ShapeError(f"{len(segments)} segments but {len(lw)} latent weights")
     if any(k.shape[0] != v.shape[0] for k, v in segments):
         raise ShapeError("every segment needs as many value rows as key rows")
     w = concat_vec([x if isinstance(x, Tensor) else Tensor(float(x)) for x in lw])
     lengths = [k.shape[0] for k, _ in segments]
     k = concat_rows([k for k, _ in segments])
     v = concat_rows([v for _, v in segments])
-    return _segment_attention(q, k, v, lengths, w)
-
-
-def _own_segment_mask(lengths: list[int]) -> np.ndarray:
-    """Row s is 0 over segment s's columns and MASK_VALUE elsewhere."""
-    seg = np.repeat(np.arange(len(lengths)), lengths)
-    return np.where(seg[None, :] == np.arange(len(lengths))[:, None], 0.0, MASK_VALUE)
+    return attention(q, k, v, segments=(lengths, w))
 
 
 def _causal_mask(t: int) -> np.ndarray:
@@ -281,32 +265,24 @@ class CKLModel:
         return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def _mha(self, name, x_q, x_kv, mask=None, n_heads=None, segments=None) -> Tensor:
-        """Multi-head attention with every head in one batched op.
-
-        ``segments=(lengths, w)`` makes it LWE attention: the keys form
-        segments of ``lengths`` rows, each normalised on its own and scaled
-        by its entry of the weight vector ``w``.
-        """
+        """Multi-head ``attention`` with every head in one batched op."""
         n_heads = n_heads or self.config.n_heads
         q = split_heads(self._project(f"{name}.wq", x_q), n_heads)
         k = split_heads(self._project(f"{name}.wk", x_kv), n_heads)
         v = split_heads(self._project(f"{name}.wv", x_kv), n_heads)
-        if segments is None:
-            out = attention(q, k, v, mask)
-        else:
-            out = _segment_attention(q, k, v, *segments)
-        return self._project(f"{name}.wo", merge_heads(out))
+        return self._project(f"{name}.wo", merge_heads(attention(q, k, v, mask, segments)))
 
-    def _cross_block(self, name, q, kv, mask=None, segments=None) -> Tensor:
-        """Single-head cross-attention block with residuals and layer norms."""
-        attn = self._mha(f"{name}.attn", q, kv, mask=mask, n_heads=1, segments=segments)
+    def _cross_block(self, name, q, kv, segments) -> Tensor:
+        """Single-head segment cross-attention block with residuals and layer norms."""
+        attn = self._mha(f"{name}.attn", q, kv, n_heads=1, segments=segments)
         h = self._norm(f"{name}.ln1", add(q, attn))
         return self._norm(f"{name}.ln2", add(h, self._ffn(f"{name}.ffn", h)))
 
     def _per_segment_block(self, name, latent: Tensor, kv: Tensor, lengths: list[int]) -> Tensor:
         """Row s is the block's output for ``latent`` attending to segment s of ``kv`` alone."""
         q = embedding_lookup(latent, [0] * len(lengths))  # the latent row, once per segment
-        return self._cross_block(name, q, kv, mask=_own_segment_mask(lengths))
+        # Identity weights: row s keeps segment s and gives every other segment weight 0.
+        return self._cross_block(name, q, kv, (lengths, Tensor(np.eye(len(lengths)))))
 
     def _weights(self, name, h) -> Tensor:
         """One sigmoid weight per row of h, as a vector."""
@@ -342,7 +318,7 @@ class CKLModel:
         z = self.params["klw.latent"]
         if self.config.use_ck_dep:
             context = rows(enc.memory, 0, enc.context_rows)
-            z = self._cross_block("klw.ck", z, context, segments=(enc.lengths[: enc.m], clwk))
+            z = self._cross_block("klw.ck", z, context, (enc.lengths[: enc.m], clwk))
         knowledge = rows(enc.memory, enc.context_rows, enc.memory.shape[0] - enc.context_rows)
         h = self._per_segment_block("klw.know", z, knowledge, enc.lengths[enc.m :])
         return self._weights("klw.head", h)

@@ -10,9 +10,9 @@ training checks the gradients' global norm once per optimizer step.
 Only the kernels a small transformer needs are provided. Attention keeps heads
 and key segments as array axes: ``matmul`` and ``transpose`` also take 3-D
 stacks of matrices, and ``segment_softmax`` normalises consecutive column
-blocks separately. There is no broadcasting beyond scalar-vs-tensor; every
-other shape mismatch is a hard error so gradient rules stay simple and bugs
-stay loud.
+blocks separately, weighting each block, or each row's block. There is no
+broadcasting beyond scalar-vs-tensor; every other shape mismatch is a hard
+error so gradient rules stay simple and bugs stay loud.
 """
 
 from __future__ import annotations
@@ -466,23 +466,25 @@ def segment_softmax(scores: Tensor, lengths, w: Tensor) -> Tensor:
     The last axis of ``scores`` is split into consecutive segments of
     ``lengths[s]`` columns. Each segment is normalised on its own, after
     subtracting its own max (a huge score in one segment cannot underflow
-    another), and then multiplied by ``w[s]``. Nothing is normalised across
-    segments, so ``w[s] = 0`` zeroes segment s exactly. Gradients flow to
-    both ``scores`` and ``w``.
+    another), and then multiplied by its weight: ``w[s]`` for a weight
+    vector of shape ``(S,)``, or ``w[r, s]`` on query row r for a weight
+    matrix of shape ``(rows, S)``. Nothing is normalised across segments, so
+    a zero weight zeroes its segment exactly. Gradients flow to both
+    ``scores`` and ``w``.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1):
         raise ShapeError(f"segment lengths must be a non-empty list of positive ints, got {lengths}")
     if scores.shape[-1] != lengths.sum():
         raise ShapeError(f"segments of total length {lengths.sum()} for scores {scores.shape}")
-    if w.shape != lengths.shape:
-        raise ShapeError(f"{lengths.size} segments but weights of shape {w.shape}")
+    if w.shape not in (lengths.shape, scores.shape[-2:-1] + lengths.shape):
+        raise ShapeError(f"{lengths.size} segments for scores {scores.shape} but weights of shape {w.shape}")
     starts = np.cumsum(lengths) - lengths
     seg = np.repeat(np.arange(lengths.size), lengths)
     x = scores.data
     e = np.exp(x - np.maximum.reduceat(x, starts, axis=-1)[..., seg])
     y = e / np.add.reduceat(e, starts, axis=-1)[..., seg]
-    wd = w.data[seg]
+    wd = w.data[..., seg]
 
     def grad_scores(g):
         gy = g * wd
@@ -490,7 +492,7 @@ def segment_softmax(scores: Tensor, lengths, w: Tensor) -> Tensor:
 
     def grad_w(g):
         per_seg = np.add.reduceat(g * y, starts, axis=-1)
-        return per_seg.reshape(-1, lengths.size).sum(axis=0)
+        return per_seg.reshape((-1,) + w.shape).sum(axis=0)
 
     return _make("segment_softmax", y * wd, [(scores, grad_scores), (w, grad_w)])
 

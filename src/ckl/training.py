@@ -43,8 +43,10 @@ class TrainingConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if math.isnan(self.grad_clip):
+            raise ValueError("grad_clip must be a number, got nan")
         if not 0.0 < self.data_fraction <= 1.0:
             raise ValueError("data_fraction must be in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1:

@@ -124,6 +124,31 @@ class TestTrain:
         assert "step 2: matmul produced NaN/Inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("learning_rate", "nan"), ("learning_rate", "inf"), ("grad_clip", "nan")],
+        ids=["lr-nan", "lr-inf", "grad-clip-nan"],
+    )
+    def test_non_finite_step_settings_exit_2_and_write_nothing(self, workspace, capsys, key, value):
+        config = write_config(workspace[0] / "override.cfg", epochs=1, batch_size=8, **{key: value})
+        code, out, _ = self.train(workspace, "--config", config)
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_checkpoint_makes_generate_exit_4(self, workspace, capsys):
+        # One Adam step at learning rate 1e300 leaves finite but huge parameters.
+        code, run, prep = self.train(workspace, "--epochs", "1", "--batch-size", "8", "--learning-rate", "1e300")
+        assert code == 0
+        tmp, data, _config = workspace
+        checkpoint, out = run / "checkpoint.ckpt", tmp / "gen"
+        argv = ["generate", "--data", data, "--vocab", str(prep / "vocab.txt"),
+                "--checkpoint", str(checkpoint), "--out", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"{checkpoint}: the model cannot run" in err and "NaN/Inf" in err
+        assert not out.exists()
+
     def test_no_ck_dep_recorded_and_enforced(self, workspace):
         tmp, data, config = workspace
         code, out, prep = self.train(workspace, "--no-ck-dep")
@@ -323,6 +348,27 @@ class TestDamagedCheckpoint:
         assert main(argv) == 4
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_exits_4_and_writes_nothing(self, tmp_path, capsys, value):
+        data = tmp_path / "data.jsonl"
+        write_jsonl(data, overfit_corpus(2, seed=0))
+        vocab = build_vocab(load_jsonl(data))
+        vocab.save(tmp_path / "vocab.txt")
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, d_ff=8, max_source_len=64)
+        params = CKLModel(config, seed=0).parameters()
+        params["out.b"].data[3] = value
+        path = tmp_path / "model.ckpt"
+        ckpt.save(path, config, params)
+        with pytest.raises(ckpt.CheckpointError, match="out.b holds NaN or Inf"):
+            ckpt.load(path)
+        out = tmp_path / "gen"
+        argv = ["generate", "--data", str(data), "--vocab", str(tmp_path / "vocab.txt"),
+                "--checkpoint", str(path), "--out", str(out)]
+        assert main(argv) == 4
+        assert "out.b holds NaN or Inf" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvaluate:
     def make_reference_generations(self, tmp, data):
         gen = tmp / "refs.jsonl"
@@ -411,6 +457,24 @@ class TestEvaluate:
         argv = ["evaluate", "--generations", gen, "--data", data, "--embeddings", str(vec)]
         assert main(argv + ["--out", str(out)]) == 2
         assert "vectors.txt: line 2: bad vector" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["data", "config", "generations", "embeddings"])
+    def test_non_utf8_byte_exits_2_naming_the_line(self, workspace, capsys, reader):
+        tmp, data, config = workspace
+        gen = self.make_reference_generations(tmp, data)
+        vec = tmp / "vectors.txt"
+        vec.write_text("alpha 0.5 0.25\nbeta 0.5 0.75\n")
+        path = {"data": data, "config": config, "generations": gen, "embeddings": str(vec)}[reader]
+        lines = open(path, "rb").read().splitlines(keepends=True)
+        lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
+        out = tmp / "eval"
+        argv = ["evaluate", "--generations", gen, "--data", data, "--embeddings", str(vec),
+                "--config", config, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{path}: line 2: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
 
     def test_misaligned_counts_exit_2(self, workspace):

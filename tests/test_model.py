@@ -247,6 +247,28 @@ class TestKlwGenerate:
         )
 
 
+class TestWeightGeneratorIsolation:
+    """A segment's weight depends on that segment alone, however large another one's scores."""
+
+    @pytest.mark.parametrize("use_ck_dep", [True, False])
+    def test_huge_segment_leaves_other_weights_bitwise_unchanged(self, use_ck_dep):
+        model = CKLModel(tiny_config(use_ck_dep=use_ck_dep), seed=8)
+        rng = np.random.default_rng(12)
+        views = [rng.normal(size=(n, 8)) for n in (2, 3, 2, 1, 3, 2)]  # 3 context, 3 knowledge
+
+        def clwr_and_klw(huge):
+            enc = encoding_from_views(
+                [Tensor(v * 1e12 if i == huge else v) for i, v in enumerate(views)], 3
+            )
+            clwr, clwk = model.clw_generate(enc)
+            return clwr.data, model.klw_generate(enc, clwk).data
+
+        clwr, klw = clwr_and_klw(None)
+        # Context utterance 1 and knowledge sentence 1 (view 4) are scaled.
+        assert np.array_equal(np.delete(clwr_and_klw(1)[0], 1), np.delete(clwr, 1))
+        assert np.array_equal(np.delete(clwr_and_klw(4)[1], 1), np.delete(klw, 1))
+
+
 class TestDecoderForward:
     def test_logits_shape(self):
         model = CKLModel(tiny_config(), seed=8)

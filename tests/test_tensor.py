@@ -326,6 +326,25 @@ class TestAttentionKernels:
         with pytest.raises(ShapeError):
             segment_softmax(x, [4, 0], Tensor(np.ones(2)))
 
+    def test_segment_softmax_takes_one_weight_row_per_query_row(self):
+        rng = np.random.default_rng(24)
+        x = rng.uniform(-3, 3, (2, 3, 6))  # 2 heads, 3 query rows
+        w = rng.uniform(0.0, 2.0, (3, 3))
+        w[1] = [0.0, 1.0, 0.0]
+        out = segment_softmax(Tensor(x), [2, 3, 1], Tensor(w)).data
+        for r in range(3):
+            expected = segment_softmax(Tensor(x[:, r]), [2, 3, 1], Tensor(w[r])).data
+            assert np.array_equal(out[:, r], expected)
+        assert np.all(out[:, 1, [0, 1, 5]] == 0.0)
+
+    def test_segment_softmax_weight_matrix_shape_errors(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        for bad in [(2, 2), (4, 2), (3, 3), (2, 3, 2), (1, 2)]:
+            with pytest.raises(ShapeError):
+                segment_softmax(x, [3, 1], Tensor(np.ones(bad)))
+        with pytest.raises(ShapeError):
+            segment_softmax(Tensor(np.zeros(4)), [3, 1], Tensor(np.ones((1, 2))))
+
     def test_gradients(self, gradcheck):
         rng = np.random.default_rng(23)
         a3 = rng.uniform(-2, 2, (2, 3, 4))
@@ -350,6 +369,10 @@ class TestAttentionKernels:
         gradcheck(
             lambda x, w: sum_all(mul(segment_softmax(x, [4, 2], w), read_out)),
             [rng.uniform(-2, 2, (2, 3, 6)), rng.uniform(0.1, 1.5, 2)],
+        )
+        gradcheck(
+            lambda x, w: sum_all(mul(segment_softmax(x, [4, 2], w), read_out)),
+            [rng.uniform(-2, 2, (2, 3, 6)), rng.uniform(0.1, 1.5, (3, 2))],
         )
 
 

@@ -377,6 +377,32 @@ def argmax_oracle(model, sample, max_len):
     return ids
 
 
+def beam_oracle(model, sample, beam_size, max_len):
+    """Beam search over full-prefix ``decoder_forward`` calls: every step
+    recomputes each hypothesis from BOS. Hypotheses are ranked by per-token
+    mean log-probability; stable sorts keep the lower token id, then the
+    earlier candidate, on ties."""
+    enc = model.encode(sample)
+    clwr, clwk = model.clw_generate(enc)
+    klw = model.klw_generate(enc, clwk)
+    beams, finished = [([BOS], 0.0)], []
+    while beams and len(beams[0][0]) < max_len:
+        candidates = []
+        for ids, logp in beams:
+            logits = model.decoder_forward(ids, enc, clwr, klw).data[-1]
+            lp = logits - logits.max()
+            lp = lp - math.log(np.exp(lp).sum())
+            for token in np.argsort(-lp, kind="stable")[:beam_size]:
+                candidates.append((ids + [int(token)], logp + float(lp[token])))
+        candidates.sort(key=lambda c: -(c[1] / (len(c[0]) - 1)))
+        kept = candidates[:beam_size]
+        finished += [c for c in kept if c[0][-1] == EOS]
+        beams = [c for c in kept if c[0][-1] != EOS]
+    finished += beams
+    finished.sort(key=lambda c: -(c[1] / max(1, len(c[0]) - 1)))
+    return finished[0][0]
+
+
 class TestGenerate:
     @pytest.mark.parametrize("seed,eos_bias", [(18, 0.0), (19, 0.0), (20, 0.0), (21, 1.0)])
     def test_width_one_equals_argmax_oracle(self, seed, eos_bias):
@@ -387,6 +413,18 @@ class TestGenerate:
         if eos_bias:
             assert expected[-1] == EOS and 2 < len(expected) < model.config.max_target_len
         assert model.generate(sample) == expected
+
+    @pytest.mark.parametrize("beam_size", [3, 4])
+    @pytest.mark.parametrize("seed,eos_bias", [(18, 0.0), (19, 0.0), (20, 0.0), (21, 1.0)])
+    def test_beam_equals_full_prefix_oracle(self, seed, eos_bias, beam_size):
+        """Beams that share a parent must not see each other's tokens."""
+        model = CKLModel(tiny_config(), seed=seed)
+        model.params["out.b"].data[EOS] += eos_bias
+        sample = tiny_sample()
+        expected = beam_oracle(model, sample, beam_size, model.config.max_target_len)
+        if eos_bias:
+            assert expected[-1] == EOS and len(expected) < model.config.max_target_len
+        assert model.generate(sample, beam_size=beam_size) == expected
 
     def test_terminates_with_eos_or_budget(self):
         for seed in (19, 20, 21):

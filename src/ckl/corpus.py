@@ -60,15 +60,15 @@ class DialogueSample:
     response: str
 
 
-def numbered_lines(path):
-    """(line number, text) for each non-blank line of a UTF-8 file. Lines are
-    decoded one by one, so a non-UTF-8 byte raises a DatasetError naming its line."""
+def numbered_lines(path, keep_blank: bool = False):
+    """(line number, text) for each non-blank line of a UTF-8 file, or every line with ``keep_blank``.
+    Lines are decoded one by one, so a non-UTF-8 byte raises a DatasetError naming its line."""
     for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as err:
             raise DatasetError(f"{path}: line {lineno}: not UTF-8 text ({err})") from err
-        if line.strip():
+        if keep_blank or line.strip():
             yield lineno, line
 
 
@@ -134,12 +134,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
+        """One token per line; line n holds id n - 1, so blank lines count."""
+        lines = [line for _, line in numbered_lines(path, keep_blank=True)]
         while lines and lines[-1] == "":
             lines.pop()
         if lines[:5] != RESERVED_TOKENS:
             raise ValueError(f"{path}: missing 5-line reserved header")
+        first: dict[str, int] = {}
+        for lineno, token in enumerate(lines, start=1):
+            if first.setdefault(token, lineno) != lineno:
+                raise DatasetError(f"{path}: line {lineno}: token {token!r} duplicates line {first[token]}")
         return cls(lines[5:])
 
 

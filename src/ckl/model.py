@@ -21,6 +21,10 @@ latent weights. The weight generators give their latent query one row per
 segment and identity weights, so row s attends to its own utterance or
 sentence alone and one pass yields every weight. The decoder's causal
 self-attention is the only masked attention.
+
+A decode step computes one new row against cached K/V: each hypothesis keeps
+its layers' self-attention keys and values, and the memory's cross-attention
+keys and values are projected once per sample and shared by every hypothesis.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    add_row,
     concat_rows,
     concat_vec,
     embedding_lookup,
     layer_norm,
+    linear,
     matmul,
     merge_heads,
     relu,
@@ -256,7 +260,7 @@ class CKLModel:
     # ----- shared sublayers --------------------------------------------
 
     def _project(self, name: str, x: Tensor) -> Tensor:
-        return add_row(matmul(x, self.params[f"{name}.w"]), self.params[f"{name}.b"])
+        return linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _ffn(self, name: str, x: Tensor) -> Tensor:
         return self._project(f"{name}.out", relu(self._project(f"{name}.in", x)))
@@ -264,13 +268,19 @@ class CKLModel:
     def _norm(self, name: str, x: Tensor) -> Tensor:
         return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _mha(self, name, x_q, x_kv, mask=None, n_heads=None, segments=None) -> Tensor:
-        """Multi-head ``attention`` with every head in one batched op."""
+    def _heads(self, name, x, *projections, n_heads=None) -> list[Tensor]:
+        """``x`` through each named projection of attention ``name``, split into heads."""
         n_heads = n_heads or self.config.n_heads
-        q = split_heads(self._project(f"{name}.wq", x_q), n_heads)
-        k = split_heads(self._project(f"{name}.wk", x_kv), n_heads)
-        v = split_heads(self._project(f"{name}.wv", x_kv), n_heads)
+        return [split_heads(self._project(f"{name}.{p}", x), n_heads) for p in projections]
+
+    def _attend(self, name, q, k, v, mask=None, segments=None) -> Tensor:
+        """``attention`` over head-split operands, every head in one batched op."""
         return self._project(f"{name}.wo", merge_heads(attention(q, k, v, mask, segments)))
+
+    def _mha(self, name, x_q, x_kv, mask=None, n_heads=None, segments=None) -> Tensor:
+        """Multi-head attention of the rows of ``x_q`` to the rows of ``x_kv``."""
+        q, = self._heads(name, x_q, "wq", n_heads=n_heads)
+        return self._attend(name, q, *self._heads(name, x_kv, "wk", "wv", n_heads=n_heads), mask, segments)
 
     def _cross_block(self, name, q, kv, segments) -> Tensor:
         """Single-head segment cross-attention block with residuals and layer norms."""
@@ -323,26 +333,42 @@ class CKLModel:
         h = self._per_segment_block("klw.know", z, knowledge, enc.lengths[enc.m :])
         return self._weights("klw.head", h)
 
-    def decoder_forward(self, prefix_ids: list[int], enc: SegmentedEncoding, clwr: Tensor, klw: Tensor) -> Tensor:
-        """Teacher-forced decoder logits, one row per prefix position."""
-        if not prefix_ids:
-            raise ShapeError("decoder prefix must be non-empty")
-        t = len(prefix_ids)
+    def decoder_forward(self, prefix_ids: list[int], enc: SegmentedEncoding, clwr: Tensor, klw: Tensor,
+                        cache: list | None = None) -> Tensor:
+        """Decoder logits, one row per prefix position that ``cache`` does not hold yet.
+
+        Without a cache this is the teacher-forced pass over the whole prefix.
+        A ``cache`` list, empty at first, holds one head-split ``(self_k,
+        self_v, cross_k, cross_v)`` per layer: ``enc.memory`` is projected on
+        the first call, and each call appends the keys and values of its new
+        rows. Tuples are replaced, never changed, so a shallow copy of the
+        list is a cache of its own.
+        """
+        n, t = (cache[0][0].shape[1] if cache else 0), len(prefix_ids)
+        if t <= n:
+            raise ShapeError(f"decoder prefix of {t} tokens must be longer than its {n} cached rows")
         if t > self.config.max_target_len:
-            raise ShapeError(
-                f"prefix of {t} tokens exceeds max_target_len={self.config.max_target_len}"
-            )
+            raise ShapeError(f"prefix of {t} tokens exceeds max_target_len={self.config.max_target_len}")
         y = add(
-            embedding_lookup(self.params["emb.token"], prefix_ids),
-            rows(self.params["emb.pos_tgt"], 0, t),
+            embedding_lookup(self.params["emb.token"], prefix_ids[n:]),
+            rows(self.params["emb.pos_tgt"], n, t - n),
         )
-        mask = _causal_mask(t)
+        mask = _causal_mask(t)[n:] if t - n > 1 else None  # one new row sees every key
         segments = (enc.lengths, concat_vec([clwr, klw]))
-        for i in range(self.config.n_decoder_layers):
-            y = self._norm(f"dec{i}.ln1", add(y, self._mha(f"dec{i}.self", y, y, mask)))
-            cross = self._mha(f"dec{i}.cross", y, enc.memory, segments=segments)
+        layers = cache[:] if cache else [(None, None, *self._heads(f"dec{i}.cross", enc.memory, "wk", "wv"))
+                                         for i in range(self.config.n_decoder_layers)]
+        for i, (past_k, past_v, cross_k, cross_v) in enumerate(layers):
+            q, k, v = self._heads(f"dec{i}.self", y, "wq", "wk", "wv")
+            if past_k is not None:
+                k, v = concat_rows([past_k, k]), concat_rows([past_v, v])
+            y = self._norm(f"dec{i}.ln1", add(y, self._attend(f"dec{i}.self", q, k, v, mask)))
+            q, = self._heads(f"dec{i}.cross", y, "wq")
+            cross = self._attend(f"dec{i}.cross", q, cross_k, cross_v, segments=segments)
             y = self._norm(f"dec{i}.ln2", add(y, cross))
             y = self._norm(f"dec{i}.ln3", add(y, self._ffn(f"dec{i}.ffn", y)))
+            layers[i] = (k, v, cross_k, cross_v)
+        if cache is not None:
+            cache[:] = layers
         return self._project("out", y)
 
     def condition(self, sample: EncodedSample) -> tuple[SegmentedEncoding, LatentWeights]:
@@ -379,24 +405,24 @@ class CKLModel:
         if beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         max_len = self.decode_length(max_len)
-        beams = [([BOS], 0.0)]
+        beams = [([BOS], 0.0, [])]
         finished: list[tuple[list[int], float]] = []
         while beams and len(beams[0][0]) < max_len:
             candidates = []
-            for ids, logp in beams:
-                logits = self.decoder_forward(ids, enc, weights.clwr, weights.klw).data[-1]
+            for ids, logp, cache in beams:
+                logits = self.decoder_forward(ids, enc, weights.clwr, weights.klw, cache).data[-1]
                 shifted = logits - logits.max()
                 lp = shifted - math.log(np.exp(shifted).sum())
                 top = np.argsort(-lp, kind="stable")[:beam_size]
                 for token in top:
-                    candidates.append((ids + [int(token)], logp + float(lp[token])))
+                    candidates.append((ids + [int(token)], logp + float(lp[token]), cache))
             candidates.sort(key=lambda c: -(c[1] / (len(c[0]) - 1)))
             beams = []
-            for ids, logp in candidates[:beam_size]:
+            for ids, logp, cache in candidates[:beam_size]:
                 if ids[-1] == EOS:
                     finished.append((ids, logp))
                 else:
-                    beams.append((ids, logp))
+                    beams.append((ids, logp, list(cache)))  # siblings share the parent's tensors
         finished.extend(beams)
         finished.sort(key=lambda c: -(c[1] / max(1, len(c[0]) - 1)))
         return finished[0][0]

@@ -7,8 +7,9 @@ its tracked inputs, the output node id, and one gradient rule per tracked input.
 a dict that may span tapes. ``_make`` checks each op output for NaN/Inf;
 training checks the gradients' global norm once per optimizer step.
 
-Only the kernels a small transformer needs are provided. Attention keeps heads
-and key segments as array axes: ``matmul`` and ``transpose`` also take 3-D
+Only the kernels a small transformer needs are provided; ``linear`` is a
+projection plus its bias in one record. Attention keeps heads and key segments
+as array axes: ``matmul``, ``transpose`` and ``concat_rows`` also take 3-D
 stacks of matrices, and ``segment_softmax`` normalises consecutive column
 blocks separately, weighting each block, or each row's block. There is no
 broadcasting beyond scalar-vs-tensor; every other shape mismatch is a hard
@@ -387,6 +388,15 @@ def add_row(x: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w`` plus the bias row ``b`` on every row, as one record."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+    grads = [(x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g), (b, lambda g: g.sum(axis=0))]
+    return _make("linear", xd @ wd + b.data, grads)
+
+
 def rows(x: Tensor, start: int, length: int) -> Tensor:
     """Contiguous row slice of a matrix; gradients scatter back into place."""
     if x.data.ndim != 2:
@@ -431,18 +441,18 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 2-D tensors with equal column counts on top of each other."""
+    """Stack 2-D tensors, or 3-D stacks of matrices, that differ only in rows along the row axis."""
     if not parts:
         raise ShapeError("concat_rows of an empty list")
-    d = parts[0].shape[-1]
-    if any(p.data.ndim != 2 or p.shape[1] != d for p in parts):
-        raise ShapeError("concat_rows needs 2-D tensors with equal column counts")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    nd, fixed = parts[0].data.ndim, parts[0].shape[:-2] + parts[0].shape[-1:]
+    if nd not in (2, 3) or any(p.data.ndim != nd or p.shape[:-2] + p.shape[-1:] != fixed for p in parts):
+        raise ShapeError("concat_rows needs 2-D or 3-D tensors that differ only in rows")
+    offsets = np.cumsum([0] + [p.shape[-2] for p in parts])
     inputs = [
-        (p, lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e])
+        (p, lambda g, s=offsets[i], e=offsets[i + 1]: g[..., s:e, :])
         for i, p in enumerate(parts)
     ]
-    return _make("concat_rows", np.vstack([p.data for p in parts]), inputs)
+    return _make("concat_rows", np.concatenate([p.data for p in parts], axis=-2), inputs)
 
 
 def concat_vec(parts: list[Tensor]) -> Tensor:

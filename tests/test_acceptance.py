@@ -66,6 +66,7 @@ def test_criterion_1_gradient_suite(gradcheck):
         embedding_lookup,
         exp,
         layer_norm,
+        linear,
         log_softmax_lastdim,
         matmul,
         mul,
@@ -101,6 +102,7 @@ def test_criterion_1_gradient_suite(gradcheck):
     )
     gradcheck(lambda t: sum_all(mul(embedding_lookup(t, [0, 2, 2]), embedding_lookup(t, [0, 2, 2]))), [rng.uniform(-2, 2, (4, 3))])
     gradcheck(lambda x, y: sum_all(add_row(x, y)), [a, v])
+    gradcheck(lambda x, y, z: sum_all(mul(linear(x, y, z), linear(x, y, z))), [a, b, v[:2]])
     gradcheck(lambda x: sum_all(mul(rows(x, 0, 2), rows(x, 0, 2))), [a])
     gradcheck(lambda x: sum_all(mul(cols(x, 1, 2), cols(x, 1, 2))), [a])
     gradcheck(lambda x, y: sum_all(mul(concat_cols([x, y]), concat_cols([x, y]))), [a, a * 2])

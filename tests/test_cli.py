@@ -121,7 +121,7 @@ class TestTrain:
         # forward pass overflows inside an op and raises NumericError.
         code, out, _ = self.train(workspace, "--learning-rate", "1e300")
         assert code == 3
-        assert "step 2: matmul produced NaN/Inf" in capsys.readouterr().err
+        assert "step 2: linear produced NaN/Inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -135,6 +135,31 @@ class TestTrain:
         assert code == 2
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def train_with_vocab_lines(self, workspace, change):
+        """``ckl train`` on the prep vocabulary after ``change`` edits its lines (bytes)."""
+        tmp, data, config = workspace
+        vocab = run_prep(workspace) / "vocab.txt"
+        vocab.write_bytes(b"\n".join(change(vocab.read_bytes().splitlines())) + b"\n")
+        out = tmp / "train"
+        code = main(["train", "--data", data, "--vocab", str(vocab), "--out", str(out), "--config", config])
+        assert not out.exists()
+        return code, vocab
+
+    def test_non_utf8_vocabulary_byte_names_the_line(self, workspace, capsys):
+        damage = lambda lines: lines[:7] + [b"\xff" + lines[7]] + lines[8:]  # noqa: E731
+        code, vocab = self.train_with_vocab_lines(workspace, damage)
+        assert code == 2
+        assert f"{vocab}: line 8: not UTF-8 text" in capsys.readouterr().err
+
+    def test_duplicate_vocabulary_token_names_the_line(self, workspace, capsys):
+        # The blank line keeps its position: it holds an id of its own.
+        damage = lambda lines: lines[:7] + [b""] + lines[7:] + [lines[6]]  # noqa: E731
+        code, vocab = self.train_with_vocab_lines(workspace, damage)
+        assert code == 2
+        lines = vocab.read_bytes().splitlines()
+        expected = f"{vocab}: line {len(lines)}: token {lines[6].decode()!r} duplicates line 7"
+        assert expected in capsys.readouterr().err
 
     def test_overflowing_checkpoint_makes_generate_exit_4(self, workspace, capsys):
         # One Adam step at learning rate 1e300 leaves finite but huge parameters.

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ckl import tensor
 from ckl.corpus import BOS, EOS, EncodedSample
 from ckl.losses import nll
 from ckl.model import (
@@ -315,6 +316,73 @@ class TestDecoderForward:
         w = Tensor(np.array([0.5, 0.5]))
         with pytest.raises(ShapeError):
             model.decoder_forward([], enc, w, w)
+
+
+def relative_gap(got, expected):
+    return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+
+
+class TestDecoderCache:
+    IDS = [BOS, 5, 9, 7, 12, 3, 11, 14]  # max_target_len ids
+
+    def conditioned(self, m=2, l=2, **config):  # noqa: E741
+        model = CKLModel(tiny_config(n_decoder_layers=2, **config), seed=22)
+        enc, weights = model.condition(tiny_sample(m=m, l=l))
+        return model, enc, weights.clwr, weights.klw
+
+    @pytest.mark.parametrize("use_ck_dep", [True, False])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("m,l", [(1, 1), (1, 3), (3, 1)])
+    def test_one_row_per_step_equals_full_prefix(self, n_heads, use_ck_dep, m, l):  # noqa: E741
+        model, enc, clwr, klw = self.conditioned(m, l, n_heads=n_heads, use_ck_dep=use_ck_dep)
+        cache = []
+        for t in range(1, len(self.IDS) + 1):
+            step = model.decoder_forward(self.IDS[:t], enc, clwr, klw, cache).data
+            full = model.decoder_forward(self.IDS[:t], enc, clwr, klw).data
+            assert step.shape == (1, 16)
+            assert relative_gap(step[0], full[-1]) <= 1e-12, t
+
+    def test_several_new_rows_at_once(self):
+        model, enc, clwr, klw = self.conditioned()
+        full = model.decoder_forward(self.IDS, enc, clwr, klw).data
+        cache = []
+        first = model.decoder_forward(self.IDS[:3], enc, clwr, klw, cache).data
+        model.decoder_forward(self.IDS[:4], enc, clwr, klw, cache)
+        rest = model.decoder_forward(self.IDS, enc, clwr, klw, cache).data
+        assert relative_gap(first, full[:3]) <= 1e-12
+        assert relative_gap(rest, full[4:]) <= 1e-12
+
+    def test_copies_of_one_cache_extend_independently(self):
+        model, enc, clwr, klw = self.conditioned()
+        parent = []
+        model.decoder_forward(self.IDS[:2], enc, clwr, klw, parent)
+        a, b = list(parent), list(parent)
+        la = model.decoder_forward(self.IDS[:2] + [5], enc, clwr, klw, a).data
+        model.decoder_forward(self.IDS[:2] + [6], enc, clwr, klw, b)
+        assert parent[0][0].shape[1] == 2
+        again = model.decoder_forward(self.IDS[:2] + [5], enc, clwr, klw, list(parent)).data
+        assert np.array_equal(la, again)
+
+    @pytest.mark.parametrize("t", [0, 2, 3])
+    def test_prefix_must_extend_its_cache(self, t):
+        model, enc, clwr, klw = self.conditioned()
+        cache = []
+        model.decoder_forward(self.IDS[:3], enc, clwr, klw, cache)
+        with pytest.raises(ShapeError, match=f"prefix of {t} tokens must be longer than its 3 cached rows"):
+            model.decoder_forward(self.IDS[:t], enc, clwr, klw, cache)
+
+    def test_step_op_count_does_not_grow_with_prefix(self, monkeypatch):
+        model, enc, clwr, klw = self.conditioned()
+        cache = []
+        model.decoder_forward(self.IDS[:1], enc, clwr, klw, cache)
+        kinds, make = [], tensor._make
+        monkeypatch.setattr(tensor, "_make", lambda kind, *args: kinds.append(kind) or make(kind, *args))
+        per_step = {}
+        for t in range(2, len(self.IDS) + 1):
+            kinds.clear()
+            model.decoder_forward(self.IDS[:t], enc, clwr, klw, cache)
+            per_step[t] = sorted(kinds)
+        assert per_step[2] and per_step[2] == per_step[model.config.max_target_len]
 
 
 class TestForward:

@@ -18,6 +18,7 @@ from ckl.tensor import (
     embedding_lookup,
     exp,
     layer_norm,
+    linear,
     log_softmax_lastdim,
     matmul,
     merge_heads,
@@ -296,6 +297,27 @@ class TestAttentionKernels:
         with pytest.raises(ShapeError):
             concat_rows([])
 
+    def test_concat_rows_stacks_each_head(self):
+        a, b = np.arange(12.0).reshape(2, 3, 2), -np.arange(4.0).reshape(2, 1, 2)
+        out = concat_rows([Tensor(a), Tensor(b)]).data
+        assert out.shape == (2, 4, 2)
+        for h in range(2):
+            assert np.array_equal(out[h], np.vstack([a[h], b[h]]))
+        for bad in [(3, 1, 2), (2, 1, 3), (1, 2)]:
+            with pytest.raises(ShapeError):
+                concat_rows([Tensor(a), Tensor(np.ones(bad))])
+        with pytest.raises(ShapeError):
+            concat_rows([Tensor(np.ones(3)), Tensor(np.ones(3))])
+
+    def test_linear_is_matmul_plus_bias_row(self):
+        rng = np.random.default_rng(25)
+        x, w, b = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (4, 5)), rng.uniform(-2, 2, 5)
+        out = linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert np.array_equal(out, add_row(matmul(Tensor(x), Tensor(w)), Tensor(b)).data)
+        for bad in [(np.ones((3, 5)), w, b), (x, w, np.ones(4)), (x, w, np.ones((1, 5))), (np.ones(4), w, b)]:
+            with pytest.raises(ShapeError):
+                linear(*(Tensor(t) for t in bad))
+
     def test_segment_softmax_is_weighted_per_segment_softmax(self):
         rng = np.random.default_rng(21)
         x = rng.uniform(-3, 3, (2, 3, 6))
@@ -359,6 +381,14 @@ class TestAttentionKernels:
         gradcheck(
             lambda x, y: sum_all(mul(concat_rows([x, y, x]), concat_rows([x, y, x]))),
             [m, rng.uniform(-2, 2, (1, 6))],
+        )
+        gradcheck(
+            lambda x, y: sum_all(mul(concat_rows([x, y, x]), concat_rows([x, y, x]))),
+            [coef, rng.uniform(-2, 2, (3, 1, 2))],
+        )
+        gradcheck(
+            lambda x, w, b: sum_all(mul(linear(x, w, b), linear(x, w, b))),
+            [m, rng.uniform(-2, 2, (6, 4)), rng.uniform(-2, 2, 4)],
         )
         lengths = [1, 3, 2]
         gradcheck(

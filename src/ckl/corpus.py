@@ -136,10 +136,12 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """One token per line; line n holds id n - 1, so blank lines count."""
         lines = [line for _, line in numbered_lines(path, keep_blank=True)]
-        while lines and lines[-1] == "":
+        for lineno, expected in enumerate(RESERVED_TOKENS, start=1):
+            if lines[lineno - 1 : lineno] != [expected]:
+                got = repr(lines[lineno - 1]) if lineno <= len(lines) else "end of file"
+                raise DatasetError(f"{path}: line {lineno}: expected reserved token {expected!r}, got {got}")
+        while lines[-1] == "":
             lines.pop()
-        if lines[:5] != RESERVED_TOKENS:
-            raise ValueError(f"{path}: missing 5-line reserved header")
         first: dict[str, int] = {}
         for lineno, token in enumerate(lines, start=1):
             if first.setdefault(token, lineno) != lineno:

@@ -9,18 +9,17 @@ conditioning knowledge weighting) and the knowledge latent vector, optionally
 conditioned on the context via latent-weight-enhanced attention, yields one
 weight per knowledge sentence.
 
-Attention is written once (``attention``) and keeps heads and segments as
-array axes. Heads are a leading axis of one batched matmul. Every
-cross-attention is segment attention: one score matrix against the whole
-memory, a softmax within each segment's columns separately
-(``segment_softmax``), each segment's columns scaled by its weight, and one
+Attention is written once, as the one-record ``tensor.attention`` kernel,
+with heads and segments as array axes inside it. Every cross-attention is
+segment attention: one score matrix against the whole memory, a softmax within
+each segment's keys separately, each segment scaled by its weight, and one
 multiplication by the values. Nothing is renormalised across segments, so a
 zero weight removes a segment's contribution exactly. The decoder's LWE
 (latent-weight-enhanced) cross-attention weights the segments by their
 latent weights. The weight generators give their latent query one row per
 segment and identity weights, so row s attends to its own utterance or
 sentence alone and one pass yields every weight. The decoder's causal
-self-attention is the only masked attention.
+self-attention is the only one that hides keys.
 
 A decode step computes one new row against cached K/V: each hypothesis keeps
 its layers' self-attention keys and values, and the memory's cross-attention
@@ -39,24 +38,16 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    attention,
     concat_rows,
     concat_vec,
     embedding_lookup,
     layer_norm,
     linear,
-    matmul,
-    merge_heads,
     relu,
     rows,
-    scale,
-    segment_softmax,
     sigmoid,
-    softmax_lastdim,
-    split_heads,
-    transpose,
 )
-
-MASK_VALUE = -1e9
 
 
 @dataclass
@@ -151,23 +142,6 @@ class LatentWeights:
         }
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None, segments=None) -> Tensor:
-    """softmax(q k^T / sqrt(d) + mask) v, the model's one attention function.
-
-    Operands are 2-D, or 3-D stacks with one matrix per head; an additive
-    2-D mask applies to every head. ``segments=(lengths, w)`` makes it
-    segment attention: the keys form consecutive segments of ``lengths``
-    rows, each normalised on its own and scaled by its weight in ``w`` (see
-    ``segment_softmax``), so one matmul with ``v`` sums the weighted outputs
-    of every segment. ``matmul`` rejects mismatched shapes.
-    """
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(k.shape[-1]))
-    if mask is not None:
-        scores = add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
-    probs = softmax_lastdim(scores) if segments is None else segment_softmax(scores, *segments)
-    return matmul(probs, v)
-
-
 def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) -> Tensor:
     """Per-segment attention outputs scaled by latent weights, then summed.
 
@@ -181,10 +155,6 @@ def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) ->
     k = concat_rows([k for k, _ in segments])
     v = concat_rows([v for _, v in segments])
     return attention(q, k, v, segments=(lengths, w))
-
-
-def _causal_mask(t: int) -> np.ndarray:
-    return np.triu(np.full((t, t), MASK_VALUE), k=1)
 
 
 class CKLModel:
@@ -268,19 +238,19 @@ class CKLModel:
     def _norm(self, name: str, x: Tensor) -> Tensor:
         return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _heads(self, name, x, *projections, n_heads=None) -> list[Tensor]:
-        """``x`` through each named projection of attention ``name``, split into heads."""
-        n_heads = n_heads or self.config.n_heads
-        return [split_heads(self._project(f"{name}.{p}", x), n_heads) for p in projections]
+    def _kv(self, name, x) -> tuple[Tensor, Tensor]:
+        """The keys and values of attention ``name`` for the rows of ``x``."""
+        return self._project(f"{name}.wk", x), self._project(f"{name}.wv", x)
 
-    def _attend(self, name, q, k, v, mask=None, segments=None) -> Tensor:
-        """``attention`` over head-split operands, every head in one batched op."""
-        return self._project(f"{name}.wo", merge_heads(attention(q, k, v, mask, segments)))
+    def _attend(self, name, x_q, k, v, n_heads=None, causal=False, segments=None) -> Tensor:
+        """Attention ``name`` of the rows of ``x_q`` to projected keys and values."""
+        q = self._project(f"{name}.wq", x_q)
+        out = attention(q, k, v, n_heads or self.config.n_heads, causal, segments)
+        return self._project(f"{name}.wo", out)
 
-    def _mha(self, name, x_q, x_kv, mask=None, n_heads=None, segments=None) -> Tensor:
+    def _mha(self, name, x_q, x_kv, n_heads=None, segments=None) -> Tensor:
         """Multi-head attention of the rows of ``x_q`` to the rows of ``x_kv``."""
-        q, = self._heads(name, x_q, "wq", n_heads=n_heads)
-        return self._attend(name, q, *self._heads(name, x_kv, "wk", "wv", n_heads=n_heads), mask, segments)
+        return self._attend(name, x_q, *self._kv(name, x_kv), n_heads, segments=segments)
 
     def _cross_block(self, name, q, kv, segments) -> Tensor:
         """Single-head segment cross-attention block with residuals and layer norms."""
@@ -338,13 +308,13 @@ class CKLModel:
         """Decoder logits, one row per prefix position that ``cache`` does not hold yet.
 
         Without a cache this is the teacher-forced pass over the whole prefix.
-        A ``cache`` list, empty at first, holds one head-split ``(self_k,
-        self_v, cross_k, cross_v)`` per layer: ``enc.memory`` is projected on
-        the first call, and each call appends the keys and values of its new
-        rows. Tuples are replaced, never changed, so a shallow copy of the
-        list is a cache of its own.
+        A ``cache`` list, empty at first, holds one ``(self_k, self_v,
+        cross_k, cross_v)`` of projected rows per layer: ``enc.memory`` is
+        projected on the first call, and each call appends the keys and values
+        of its new rows. Tuples are replaced, never changed, so a shallow copy
+        of the list is a cache of its own.
         """
-        n, t = (cache[0][0].shape[1] if cache else 0), len(prefix_ids)
+        n, t = (cache[0][0].shape[0] if cache else 0), len(prefix_ids)
         if t <= n:
             raise ShapeError(f"decoder prefix of {t} tokens must be longer than its {n} cached rows")
         if t > self.config.max_target_len:
@@ -353,17 +323,15 @@ class CKLModel:
             embedding_lookup(self.params["emb.token"], prefix_ids[n:]),
             rows(self.params["emb.pos_tgt"], n, t - n),
         )
-        mask = _causal_mask(t)[n:] if t - n > 1 else None  # one new row sees every key
         segments = (enc.lengths, concat_vec([clwr, klw]))
-        layers = cache[:] if cache else [(None, None, *self._heads(f"dec{i}.cross", enc.memory, "wk", "wv"))
+        layers = cache[:] if cache else [(None, None, *self._kv(f"dec{i}.cross", enc.memory))
                                          for i in range(self.config.n_decoder_layers)]
         for i, (past_k, past_v, cross_k, cross_v) in enumerate(layers):
-            q, k, v = self._heads(f"dec{i}.self", y, "wq", "wk", "wv")
+            k, v = self._kv(f"dec{i}.self", y)
             if past_k is not None:
                 k, v = concat_rows([past_k, k]), concat_rows([past_v, v])
-            y = self._norm(f"dec{i}.ln1", add(y, self._attend(f"dec{i}.self", q, k, v, mask)))
-            q, = self._heads(f"dec{i}.cross", y, "wq")
-            cross = self._attend(f"dec{i}.cross", q, cross_k, cross_v, segments=segments)
+            y = self._norm(f"dec{i}.ln1", add(y, self._attend(f"dec{i}.self", y, k, v, causal=True)))
+            cross = self._attend(f"dec{i}.cross", y, cross_k, cross_v, segments=segments)
             y = self._norm(f"dec{i}.ln2", add(y, cross))
             y = self._norm(f"dec{i}.ln3", add(y, self._ffn(f"dec{i}.ffn", y)))
             layers[i] = (k, v, cross_k, cross_v)

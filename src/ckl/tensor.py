@@ -7,18 +7,19 @@ its tracked inputs, the output node id, and one gradient rule per tracked input.
 a dict that may span tapes. ``_make`` checks each op output for NaN/Inf;
 training checks the gradients' global norm once per optimizer step.
 
-Only the kernels a small transformer needs are provided; ``linear`` is a
-projection plus its bias in one record. Attention keeps heads and key segments
-as array axes: ``matmul``, ``transpose`` and ``concat_rows`` also take 3-D
-stacks of matrices, and ``segment_softmax`` normalises consecutive column
-blocks separately, weighting each block, or each row's block. There is no
-broadcasting beyond scalar-vs-tensor; every other shape mismatch is a hard
-error so gradient rules stay simple and bugs stay loud.
+Only the kernels a small transformer needs are provided, on 2-D operands;
+``linear`` is a projection plus its bias in one record, and ``attention`` is
+all of multi-head attention in one record: it splits and merges the heads by
+reshape inside, and can hide future keys or normalise consecutive key
+segments separately, weighting each segment. There is no broadcasting beyond
+scalar-vs-tensor; every other shape mismatch is a hard error so gradient
+rules stay simple and bugs stay loud.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if any(d == 0 for d in arr.shape):
             raise ShapeError(f"zero-sized dimension in shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor data contains NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -181,7 +182,7 @@ def _make(kind: str, out_data: np.ndarray, inputs) -> Tensor:
     mapping the output gradient to that input's gradient.
     """
     out = _wrap(out_data)
-    if not np.all(np.isfinite(out.data)):
+    if not np.isfinite(out.data).all():
         raise NumericError(f"{kind} produced NaN/Inf (overflow is an error)")
     tape = Tape._active
     if tape is not None:
@@ -199,57 +200,18 @@ def _make(kind: str, out_data: np.ndarray, inputs) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _swap_last(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D operands, or of two 3-D stacks of matrices
-    that share their leading (batch) axis."""
-    nd = a.data.ndim
-    if nd not in (2, 3) or b.data.ndim != nd:
-        raise ShapeError(f"matmul needs two 2-D or two 3-D operands, got {a.shape} and {b.shape}")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+    """Matrix product of two 2-D operands."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return _make(
-        "matmul",
-        ad @ bd,
-        [(a, lambda g: g @ _swap_last(bd)), (b, lambda g: _swap_last(ad) @ g)],
-    )
+    return _make("matmul", ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a 2-D or 3-D tensor."""
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose needs a 2-D or 3-D tensor, got {a.shape}")
-    return _make(
-        "transpose",
-        np.ascontiguousarray(_swap_last(a.data)),
-        [(a, lambda g: np.ascontiguousarray(_swap_last(g)))],
-    )
-
-
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(n, d) -> (n_heads, n, d / n_heads): head h holds columns [h*dh, (h+1)*dh)."""
-    if x.data.ndim != 2 or n_heads < 1 or x.shape[1] % n_heads:
-        raise ShapeError(f"cannot split {x.shape} into {n_heads} heads")
-    n, d = x.shape
-    out = np.ascontiguousarray(x.data.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2))
-    return _make("split_heads", out, [(x, lambda g: g.transpose(1, 0, 2).reshape(n, d))])
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(h, n, dh) -> (n, h * dh), the inverse of ``split_heads``."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"merge_heads needs a 3-D tensor, got {x.shape}")
-    h, n, dh = x.shape
-    out = x.data.transpose(1, 0, 2).reshape(n, h * dh)
-    return _make(
-        "merge_heads",
-        out,
-        [(x, lambda g: np.ascontiguousarray(g.reshape(n, h, dh).transpose(1, 0, 2)))],
-    )
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
+    return _make("transpose", np.ascontiguousarray(a.data.T), [(a, lambda g: np.ascontiguousarray(g.T))])
 
 
 def _binary(kind: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
@@ -441,18 +403,18 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 2-D tensors, or 3-D stacks of matrices, that differ only in rows along the row axis."""
+    """Stack 2-D tensors with equal column counts."""
     if not parts:
         raise ShapeError("concat_rows of an empty list")
-    nd, fixed = parts[0].data.ndim, parts[0].shape[:-2] + parts[0].shape[-1:]
-    if nd not in (2, 3) or any(p.data.ndim != nd or p.shape[:-2] + p.shape[-1:] != fixed for p in parts):
-        raise ShapeError("concat_rows needs 2-D or 3-D tensors that differ only in rows")
-    offsets = np.cumsum([0] + [p.shape[-2] for p in parts])
+    d = parts[0].shape[-1]
+    if any(p.data.ndim != 2 or p.shape[1] != d for p in parts):
+        raise ShapeError("concat_rows needs 2-D tensors with equal column counts")
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
     inputs = [
-        (p, lambda g, s=offsets[i], e=offsets[i + 1]: g[..., s:e, :])
+        (p, lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e])
         for i, p in enumerate(parts)
     ]
-    return _make("concat_rows", np.concatenate([p.data for p in parts], axis=-2), inputs)
+    return _make("concat_rows", np.vstack([p.data for p in parts]), inputs)
 
 
 def concat_vec(parts: list[Tensor]) -> Tensor:
@@ -470,41 +432,78 @@ def concat_vec(parts: list[Tensor]) -> Tensor:
     return _make("concat_vec", np.concatenate([p.data.ravel() for p in parts]), inputs)
 
 
-def segment_softmax(scores: Tensor, lengths, w: Tensor) -> Tensor:
-    """Softmax within each contiguous segment of the last axis, times its weight.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = False, segments=None) -> Tensor:
+    """Multi-head scaled dot-product attention of the rows of ``q`` to the rows of ``k``/``v``.
 
-    The last axis of ``scores`` is split into consecutive segments of
-    ``lengths[s]`` columns. Each segment is normalised on its own, after
-    subtracting its own max (a huge score in one segment cannot underflow
-    another), and then multiplied by its weight: ``w[s]`` for a weight
-    vector of shape ``(S,)``, or ``w[r, s]`` on query row r for a weight
-    matrix of shape ``(rows, S)``. Nothing is normalised across segments, so
-    a zero weight zeroes its segment exactly. Gradients flow to both
-    ``scores`` and ``w``.
+    Head h reads columns ``[h * dh, (h + 1) * dh)`` of each operand and writes
+    the same columns of the output; its scores are ``q_h k_h^T / sqrt(dh)``.
+    ``causal`` hides from query row i every key after row ``len(k) - len(q) + i``,
+    so new query rows may follow cached keys. ``segments=(lengths, w)`` splits
+    the keys into consecutive segments of ``lengths`` rows. Each segment is
+    normalised on its own, after subtracting its own max (a huge score in one
+    segment cannot underflow another), and then multiplied by its weight:
+    ``w[s]`` for a weight vector of shape ``(S,)``, or ``w[i, s]`` on query
+    row i for a weight matrix of shape ``(len(q), S)``. Nothing is normalised
+    across segments, so a zero weight removes its segment exactly. One record;
+    gradients flow to ``q``, ``k``, ``v`` and ``w``.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1):
-        raise ShapeError(f"segment lengths must be a non-empty list of positive ints, got {lengths}")
-    if scores.shape[-1] != lengths.sum():
-        raise ShapeError(f"segments of total length {lengths.sum()} for scores {scores.shape}")
-    if w.shape not in (lengths.shape, scores.shape[-2:-1] + lengths.shape):
-        raise ShapeError(f"{lengths.size} segments for scores {scores.shape} but weights of shape {w.shape}")
-    starts = np.cumsum(lengths) - lengths
-    seg = np.repeat(np.arange(lengths.size), lengths)
-    x = scores.data
-    e = np.exp(x - np.maximum.reduceat(x, starts, axis=-1)[..., seg])
-    y = e / np.add.reduceat(e, starts, axis=-1)[..., seg]
-    wd = w.data[..., seg]
+    if any(t.data.ndim != 2 for t in (q, k, v)) or q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0]:
+        raise ShapeError(f"attention of q {q.shape} to k {k.shape} and v {v.shape}")
+    if n_heads < 1 or q.shape[1] % n_heads or v.shape[1] % n_heads:
+        raise ShapeError(f"cannot split q {q.shape} and v {v.shape} into {n_heads} heads")
+    n, r = q.shape[0], k.shape[0]
+    if causal and r < n:
+        raise ShapeError(f"causal attention of {n} query rows to only {r} keys")
 
-    def grad_scores(g):
-        gy = g * wd
-        return y * (gy - np.add.reduceat(gy * y, starts, axis=-1)[..., seg])
+    def split(x):  # (rows, h * dh) -> (h, rows, dh)
+        return np.ascontiguousarray(x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2))
+
+    def merge(x):  # (h, rows, dh) -> (rows, h * dh)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    c = 1.0 / math.sqrt(qh.shape[-1])
+    s = (qh @ np.ascontiguousarray(kh.transpose(0, 2, 1))) * c
+    if causal and n > 1:  # a single query row sees every key
+        s[:, np.triu(np.ones((n, r), dtype=bool), k=r - n + 1)] = -np.inf
+    if segments is None:
+        seg_max = lambda x: x.max(axis=-1, keepdims=True)  # noqa: E731
+        seg_sum = lambda x: x.sum(axis=-1, keepdims=True)  # noqa: E731
+        w, wd = None, 1.0
+    else:
+        lengths, w = np.asarray(segments[0], dtype=np.int64), segments[1]
+        if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1) or lengths.sum() != r:
+            raise ShapeError(f"segment lengths {lengths} must be positive ints summing to the {r} keys")
+        if w.shape not in (lengths.shape, (n,) + lengths.shape):
+            raise ShapeError(f"{lengths.size} segments for {n} query rows but weights of shape {w.shape}")
+        starts = np.cumsum(lengths) - lengths
+        seg = np.repeat(np.arange(lengths.size), lengths)
+        seg_max = lambda x: np.maximum.reduceat(x, starts, axis=-1)[..., seg]  # noqa: E731
+        seg_sum = lambda x: np.add.reduceat(x, starts, axis=-1)[..., seg]  # noqa: E731
+        wd = w.data[..., seg]
+    p = np.exp(s - seg_max(s))
+    p /= seg_sum(p)
+    a = p * wd
+
+    last = [None, None]  # the output gradient last seen, and its (d a, d scores)
+
+    def backward(g):
+        if last[0] is not g:
+            da = split(g) @ vh.transpose(0, 2, 1)
+            dp = da * wd
+            last[:] = [g, (da, p * (dp - seg_sum(dp * p)) * c)]
+        return last[1]
 
     def grad_w(g):
-        per_seg = np.add.reduceat(g * y, starts, axis=-1)
+        per_seg = np.add.reduceat(backward(g)[0] * p, starts, axis=-1)
         return per_seg.reshape((-1,) + w.shape).sum(axis=0)
 
-    return _make("segment_softmax", y * wd, [(scores, grad_scores), (w, grad_w)])
+    grads = [
+        (q, lambda g: merge(backward(g)[1] @ kh)),
+        (k, lambda g: merge(backward(g)[1].transpose(0, 2, 1) @ qh)),
+        (v, lambda g: merge(a.transpose(0, 2, 1) @ split(g))),
+    ]
+    return _make("attention", merge(a @ vh), grads if w is None else grads + [(w, grad_w)])
 
 
 def take_per_row(x: Tensor, ids) -> Tensor:

@@ -59,6 +59,7 @@ def test_criterion_1_gradient_suite(gradcheck):
     from ckl.tensor import (
         add,
         add_row,
+        attention,
         cols,
         concat_cols,
         concat_vec,
@@ -109,6 +110,18 @@ def test_criterion_1_gradient_suite(gradcheck):
     gradcheck(lambda x, y: sum_all(mul(concat_vec([x, y]), concat_vec([x, y]))), [a, v])
     gradcheck(lambda x: sum_all(mul(take_per_row(x, [1, 0, 3]), take_per_row(x, [1, 0, 3]))), [a])
     gradcheck(lambda x: mul(element(x, 1), element(x, 1)), [v])
+    keys, values = rng.uniform(-2, 2, (5, 4)), rng.uniform(-2, 2, (5, 2))
+    read_out = Tensor(rng.uniform(-2, 2, (3, 2)))
+    for n_heads in (1, 2):
+        gradcheck(
+            lambda q, k, x: sum_all(mul(attention(q, k, x, n_heads, causal=True), read_out)),
+            [a, keys, values],
+        )
+        for w in (rng.uniform(0.1, 1.5, 2), rng.uniform(0.1, 1.5, (3, 2))):
+            gradcheck(
+                lambda q, k, x, y: sum_all(mul(attention(q, k, x, n_heads, segments=([2, 3], y)), read_out)),
+                [a, keys, values, w],
+            )
 
     # full model, d_model=8, one layer each, m = l = 2
     from ckl.corpus import BOS, EOS, EncodedSample

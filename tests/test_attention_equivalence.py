@@ -1,20 +1,23 @@
 """The model's attention against a loop-formulated oracle.
 
 ``LoopOracle`` computes the network the way it is written in the paper's
-terms: one ``attention`` call per head and, for LWE attention, per segment;
-heads are sliced with ``cols`` and rejoined with ``concat_cols``, and each
-segment's output is scaled by an ``element`` view of its latent weight and
-summed. Each context utterance and knowledge sentence gets its own
-cross-attention call in the weight generators. It reads the model's
-parameters and uses only the public ``attention`` and tensor ops, so it is a
+terms: one attention per head and, for LWE attention, per segment; heads are
+sliced with ``cols`` and rejoined with ``concat_cols``, and each segment's
+output is scaled by an ``element`` view of its latent weight and summed. Each
+context utterance and knowledge sentence gets its own cross-attention call in
+the weight generators. It reads the model's parameters and builds each
+attention from ``matmul``, ``transpose``, ``scale``, an additive mask and
+``softmax_lastdim``, sharing no code with the ``attention`` kernel, so it is a
 fixed reference for however the model batches heads and segments.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from ckl.corpus import BOS, EOS, EncodedSample
-from ckl.model import MASK_VALUE, CKLModel, ModelConfig, attention
+from ckl.model import CKLModel, ModelConfig
 from ckl.tensor import (
     Tape,
     Tensor,
@@ -30,14 +33,26 @@ from ckl.tensor import (
     mul,
     relu,
     rows,
+    scale,
     sigmoid,
+    softmax_lastdim,
     sum_all,
+    transpose,
 )
 
 from conftest import encoding_from_views
 
 FORWARD_ATOL = 1e-12
 GRAD_RTOL = 1e-10
+MASK_VALUE = -1e9
+
+
+def attention(q, k, v, mask=None):
+    """softmax(q k^T / sqrt(d) + mask) v for one head."""
+    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(k.shape[1]))
+    if mask is not None:
+        scores = add(scores, Tensor(mask))
+    return matmul(softmax_lastdim(scores), v)
 
 
 class LoopOracle:

@@ -161,6 +161,16 @@ class TestTrain:
         expected = f"{vocab}: line {len(lines)}: token {lines[6].decode()!r} duplicates line 7"
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, got",
+        [(lambda lines: lines[:2] + [b"<oops>"] + lines[3:], "'<oops>'"), (lambda lines: lines[:2], "end of file")],
+        ids=["wrong-token", "short-file"],
+    )
+    def test_damaged_reserved_header_names_the_line(self, workspace, capsys, damage, got):
+        code, vocab = self.train_with_vocab_lines(workspace, damage)
+        assert code == 2
+        assert f"{vocab}: line 3: expected reserved token '<eos>', got {got}" in capsys.readouterr().err
+
     def test_overflowing_checkpoint_makes_generate_exit_4(self, workspace, capsys):
         # One Adam step at learning rate 1e300 leaves finite but huge parameters.
         code, run, prep = self.train(workspace, "--epochs", "1", "--batch-size", "8", "--learning-rate", "1e300")

@@ -359,7 +359,7 @@ class TestDecoderCache:
         a, b = list(parent), list(parent)
         la = model.decoder_forward(self.IDS[:2] + [5], enc, clwr, klw, a).data
         model.decoder_forward(self.IDS[:2] + [6], enc, clwr, klw, b)
-        assert parent[0][0].shape[1] == 2
+        assert parent[0][0].shape[0] == 2
         again = model.decoder_forward(self.IDS[:2] + [5], enc, clwr, klw, list(parent)).data
         assert np.array_equal(la, again)
 

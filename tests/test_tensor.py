@@ -10,6 +10,7 @@ from ckl.tensor import (
     Tensor,
     add,
     add_row,
+    attention,
     cols,
     concat_cols,
     concat_rows,
@@ -21,15 +22,12 @@ from ckl.tensor import (
     linear,
     log_softmax_lastdim,
     matmul,
-    merge_heads,
     mul,
     relu,
     rows,
     scale,
-    segment_softmax,
     sigmoid,
     softmax_lastdim,
-    split_heads,
     sub,
     sum_all,
     take_per_row,
@@ -263,31 +261,68 @@ class TestGradientSuite:
         gradcheck(lambda x, y: sum_all(add(x, y)), [a, s])
 
 
+def attention_weights(x, **kwargs):
+    """The attention kernel's weights for the scores ``x`` (at most 16 keys), one head.
+
+    The queries hold ``x`` and the keys are 4 times the identity, so
+    ``q k^T / sqrt(16)`` equals ``x`` exactly; identity values read the
+    weights out as the output rows.
+    """
+    n, r = x.shape
+    q = np.zeros((n, 16))
+    q[:, :r] = x
+    return attention(Tensor(q), Tensor(4.0 * np.eye(16)[:r]), Tensor(np.eye(r)), **kwargs).data
+
+
 class TestAttentionKernels:
-    """Kernels that keep attention heads and key segments as array axes."""
+    """Kernels that attention is built from: ``linear``, ``concat_rows`` and ``attention``."""
 
-    def test_batched_matmul_matches_per_matrix_products(self):
+    def test_heads_are_column_blocks(self):
         rng = np.random.default_rng(20)
-        a = rng.uniform(-2, 2, (3, 2, 4))
-        b = rng.uniform(-2, 2, (3, 4, 5))
-        out = matmul(Tensor(a), Tensor(b)).data
-        for i in range(3):
-            assert np.allclose(out[i], a[i] @ b[i], atol=1e-14)
+        q, k, v = rng.uniform(-2, 2, (3, 6)), rng.uniform(-2, 2, (5, 6)), rng.uniform(-2, 2, (5, 9))
+        out = attention(Tensor(q), Tensor(k), Tensor(v), n_heads=3).data
+        assert out.shape == (3, 9)
+        for h in range(3):
+            scores = q[:, 2 * h : 2 * h + 2] @ k[:, 2 * h : 2 * h + 2].T / math.sqrt(2)
+            expected = softmax_lastdim(Tensor(scores)).data @ v[:, 3 * h : 3 * h + 3]
+            assert np.allclose(out[:, 3 * h : 3 * h + 3], expected, atol=1e-14)
 
-    def test_batched_matmul_rejects_mismatched_batches(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 2))))
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2))))
+    def test_attention_rejects_bad_head_counts_and_operands(self):
+        rng = np.random.default_rng(20)
+        q, k, v = rng.uniform(-2, 2, (3, 6)), rng.uniform(-2, 2, (5, 6)), rng.uniform(-2, 2, (5, 9))
+        # 6 columns do not split into 4 heads, nor 9 value columns into 2.
+        for n_heads in [4, 2, 0]:
+            with pytest.raises(ShapeError):
+                attention(Tensor(q), Tensor(k), Tensor(v), n_heads=n_heads)
+        for bad in [(q, k[:, :4], v), (q, k, v[:4]), (q[None], k, v)]:
+            with pytest.raises(ShapeError):
+                attention(*(Tensor(t) for t in bad))
 
-    def test_split_heads_layout_and_round_trip(self):
-        x = np.arange(12.0).reshape(2, 6)
-        heads = split_heads(Tensor(x), 3)
-        assert heads.shape == (3, 2, 2)
-        assert np.array_equal(heads.data[1], x[:, 2:4])
-        assert np.array_equal(merge_heads(heads).data, x)
+    def test_matmul_and_transpose_are_2d_only(self):
+        a, b = np.ones((2, 2, 3)), np.ones((2, 3, 2))
         with pytest.raises(ShapeError):
-            split_heads(Tensor(x), 4)
+            matmul(Tensor(a), Tensor(b))
+        with pytest.raises(ShapeError):
+            transpose(Tensor(a))
+
+    def test_concat_rows_is_2d_only(self):
+        a = np.ones((2, 2, 3))
+        with pytest.raises(ShapeError):
+            concat_rows([Tensor(a), Tensor(a)])
+        with pytest.raises(ShapeError):
+            concat_rows([Tensor(np.ones(3)), Tensor(np.ones(3))])
+
+    def test_causal_hides_the_keys_after_each_rows_position(self):
+        rng = np.random.default_rng(26)
+        q, k, v = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (5, 4)), rng.uniform(-2, 2, (5, 4))
+        out = attention(Tensor(q), Tensor(k), Tensor(v), n_heads=2, causal=True).data
+        for i in range(3):  # 5 keys, 3 queries: query row i sits at key position 2 + i
+            seen = attention(Tensor(q[i : i + 1]), Tensor(k[: 3 + i]), Tensor(v[: 3 + i]), n_heads=2).data
+            assert np.allclose(out[i], seen[0], atol=1e-14)
+        square = attention_weights(rng.uniform(-2, 2, (4, 4)), causal=True)
+        assert np.array_equal(square, np.tril(square)) and np.all(np.diag(square) > 0)
+        with pytest.raises(ShapeError):
+            attention(Tensor(k), Tensor(q), Tensor(v[:3]), causal=True)
 
     def test_concat_rows_stacks(self):
         out = concat_rows([Tensor(np.ones((1, 2))), Tensor(np.zeros((2, 2)))])
@@ -296,18 +331,6 @@ class TestAttentionKernels:
             concat_rows([Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3)))])
         with pytest.raises(ShapeError):
             concat_rows([])
-
-    def test_concat_rows_stacks_each_head(self):
-        a, b = np.arange(12.0).reshape(2, 3, 2), -np.arange(4.0).reshape(2, 1, 2)
-        out = concat_rows([Tensor(a), Tensor(b)]).data
-        assert out.shape == (2, 4, 2)
-        for h in range(2):
-            assert np.array_equal(out[h], np.vstack([a[h], b[h]]))
-        for bad in [(3, 1, 2), (2, 1, 3), (1, 2)]:
-            with pytest.raises(ShapeError):
-                concat_rows([Tensor(a), Tensor(np.ones(bad))])
-        with pytest.raises(ShapeError):
-            concat_rows([Tensor(np.ones(3)), Tensor(np.ones(3))])
 
     def test_linear_is_matmul_plus_bias_row(self):
         rng = np.random.default_rng(25)
@@ -320,19 +343,18 @@ class TestAttentionKernels:
 
     def test_segment_softmax_is_weighted_per_segment_softmax(self):
         rng = np.random.default_rng(21)
-        x = rng.uniform(-3, 3, (2, 3, 6))
+        x = rng.uniform(-3, 3, (3, 6))
         w = np.array([0.5, 2.0, 0.0])
-        out = segment_softmax(Tensor(x), [2, 3, 1], Tensor(w)).data
+        out = attention_weights(x, segments=([2, 3, 1], Tensor(w)))
         for s, (a, b) in enumerate([(0, 2), (2, 5), (5, 6)]):
-            expected = softmax_lastdim(Tensor(x[..., a:b])).data * w[s]
-            assert np.allclose(out[..., a:b], expected, atol=1e-15)
+            expected = softmax_lastdim(Tensor(x[:, a:b])).data * w[s]
+            assert np.allclose(out[:, a:b], expected, atol=1e-15)
 
     def test_huge_score_leaves_other_segments_standalone(self):
         rng = np.random.default_rng(22)
         x = rng.uniform(-3, 3, (3, 7))
         x[1, 3] = 1e4
-        lengths = [2, 3, 2]
-        out = segment_softmax(Tensor(x), lengths, Tensor(np.ones(3))).data
+        out = attention_weights(x, segments=([2, 3, 2], Tensor(np.ones(3))))
         assert np.isfinite(out).all()
         for a, b in [(0, 2), (5, 7)]:
             standalone = softmax_lastdim(Tensor(x[:, a:b])).data
@@ -340,70 +362,52 @@ class TestAttentionKernels:
         assert out[1, 3] == 1.0
 
     def test_segment_softmax_shape_errors(self):
-        x = Tensor(np.zeros((2, 4)))
-        with pytest.raises(ShapeError):
-            segment_softmax(x, [2, 1], Tensor(np.ones(2)))
-        with pytest.raises(ShapeError):
-            segment_softmax(x, [2, 2], Tensor(np.ones(3)))
-        with pytest.raises(ShapeError):
-            segment_softmax(x, [4, 0], Tensor(np.ones(2)))
+        x = np.zeros((2, 4))
+        for lengths, n_weights in [([2, 1], 2), ([2, 2], 3), ([4, 0], 2), ([], 1), ([[2, 2]], 2)]:
+            with pytest.raises(ShapeError):
+                attention_weights(x, segments=(lengths, Tensor(np.ones(n_weights))))
 
     def test_segment_softmax_takes_one_weight_row_per_query_row(self):
         rng = np.random.default_rng(24)
-        x = rng.uniform(-3, 3, (2, 3, 6))  # 2 heads, 3 query rows
+        q, k, v = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (6, 4)), rng.uniform(-2, 2, (6, 4))
         w = rng.uniform(0.0, 2.0, (3, 3))
         w[1] = [0.0, 1.0, 0.0]
-        out = segment_softmax(Tensor(x), [2, 3, 1], Tensor(w)).data
+        def attend(rows, weights):
+            return attention(Tensor(rows), Tensor(k), Tensor(v), n_heads=2, segments=([2, 3, 1], Tensor(weights))).data
+
+        out = attend(q, w)
         for r in range(3):
-            expected = segment_softmax(Tensor(x[:, r]), [2, 3, 1], Tensor(w[r])).data
-            assert np.array_equal(out[:, r], expected)
-        assert np.all(out[:, 1, [0, 1, 5]] == 0.0)
+            assert np.allclose(out[r], attend(q[r : r + 1], w[r])[0], atol=1e-15)
+        weights = attention_weights(rng.uniform(-3, 3, (3, 6)), segments=([2, 3, 1], Tensor(w)))
+        assert np.all(weights[1, [0, 1, 5]] == 0.0)
 
     def test_segment_softmax_weight_matrix_shape_errors(self):
-        x = Tensor(np.zeros((2, 3, 4)))
-        for bad in [(2, 2), (4, 2), (3, 3), (2, 3, 2), (1, 2)]:
+        x = np.zeros((3, 4))
+        for bad in [(2, 2), (4, 2), (3, 3), (3, 2, 1), (1, 2)]:
             with pytest.raises(ShapeError):
-                segment_softmax(x, [3, 1], Tensor(np.ones(bad)))
-        with pytest.raises(ShapeError):
-            segment_softmax(Tensor(np.zeros(4)), [3, 1], Tensor(np.ones((1, 2))))
+                attention_weights(x, segments=([3, 1], Tensor(np.ones(bad))))
 
     def test_gradients(self, gradcheck):
         rng = np.random.default_rng(23)
-        a3 = rng.uniform(-2, 2, (2, 3, 4))
-        b3 = rng.uniform(-2, 2, (2, 4, 2))
-        gradcheck(lambda x, y: sum_all(mul(matmul(x, y), matmul(x, y))), [a3, b3])
-        gradcheck(lambda x: sum_all(mul(transpose(x), transpose(x))), [a3])
-        gradcheck(lambda x, y: sum_all(mul(matmul(x, transpose(x)), y)), [a3, rng.uniform(-2, 2, (2, 3, 3))])
         m = rng.uniform(-2, 2, (3, 6))
-        coef = rng.uniform(-2, 2, (3, 3, 2))
-        gradcheck(lambda x: sum_all(mul(split_heads(x, 3), Tensor(coef))), [m])
-        gradcheck(lambda x: sum_all(mul(merge_heads(x), merge_heads(x))), [coef])
         gradcheck(
             lambda x, y: sum_all(mul(concat_rows([x, y, x]), concat_rows([x, y, x]))),
             [m, rng.uniform(-2, 2, (1, 6))],
         )
         gradcheck(
-            lambda x, y: sum_all(mul(concat_rows([x, y, x]), concat_rows([x, y, x]))),
-            [coef, rng.uniform(-2, 2, (3, 1, 2))],
-        )
-        gradcheck(
             lambda x, w, b: sum_all(mul(linear(x, w, b), linear(x, w, b))),
             [m, rng.uniform(-2, 2, (6, 4)), rng.uniform(-2, 2, 4)],
         )
-        lengths = [1, 3, 2]
-        gradcheck(
-            lambda x, w: sum_all(mul(segment_softmax(x, lengths, w), Tensor(m[:2]))),
-            [rng.uniform(-2, 2, (2, 6)), rng.uniform(0.1, 1.5, 3)],
-        )
-        read_out = Tensor(rng.uniform(-2, 2, (2, 3, 6)))
-        gradcheck(
-            lambda x, w: sum_all(mul(segment_softmax(x, [4, 2], w), read_out)),
-            [rng.uniform(-2, 2, (2, 3, 6)), rng.uniform(0.1, 1.5, 2)],
-        )
-        gradcheck(
-            lambda x, w: sum_all(mul(segment_softmax(x, [4, 2], w), read_out)),
-            [rng.uniform(-2, 2, (2, 3, 6)), rng.uniform(0.1, 1.5, (3, 2))],
-        )
+        read_out = Tensor(rng.uniform(-2, 2, (3, 4)))
+        qkv = [rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (6, 4)), rng.uniform(-2, 2, (6, 4))]
+        for n_heads in [1, 2]:
+            gradcheck(
+                lambda q, k, v: sum_all(mul(attention(q, k, v, n_heads, causal=True), read_out)),
+                qkv,
+            )
+            for w in [rng.uniform(0.1, 1.5, 3), rng.uniform(0.1, 1.5, (3, 3))]:
+                segmented = lambda q, k, v, w: attention(q, k, v, n_heads, segments=([1, 3, 2], w))  # noqa: E731
+                gradcheck(lambda *leaves: sum_all(mul(segmented(*leaves), read_out)), qkv + [w])
 
 
 class TestInvariants:

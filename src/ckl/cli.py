@@ -197,6 +197,8 @@ def cmd_train(cfg: RunConfig) -> int:
     data = cfg.require_path("data")
     vocab = Vocabulary.load(cfg.require_path("vocab"))
     samples = load_jsonl(data)
+    if not samples:
+        raise DatasetError(f"{data}: no samples to train on")
     model_cfg = cfg.build(ModelConfig, vocab_size=len(vocab))
     result = train(samples, vocab, model_cfg, cfg.build(TrainingConfig))
     params = {**result.model.parameters(), **result.awl_params.named()}

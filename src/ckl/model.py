@@ -19,7 +19,10 @@ zero weight removes a segment's contribution exactly. The decoder's LWE
 latent weights. The weight generators give their latent query one row per
 segment and identity weights, so row s attends to its own utterance or
 sentence alone and one pass yields every weight. The decoder's causal
-self-attention is the only one that hides keys.
+self-attention is the only one that hides keys. Every sublayer ends in the
+post-norm residual step ``LayerNorm(x + Sublayer(x))``, one ``add_norm``
+record, and one block (attention, then the feed-forward) serves the encoder
+layers and the three latent-weight blocks.
 
 A decode step computes one new row against cached K/V: each hypothesis keeps
 its layers' self-attention keys and values, and the memory's cross-attention
@@ -38,11 +41,11 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    add_norm,
     attention,
     concat_rows,
     concat_vec,
     embedding_lookup,
-    layer_norm,
     linear,
     relu,
     rows,
@@ -235,8 +238,9 @@ class CKLModel:
     def _ffn(self, name: str, x: Tensor) -> Tensor:
         return self._project(f"{name}.out", relu(self._project(f"{name}.in", x)))
 
-    def _norm(self, name: str, x: Tensor) -> Tensor:
-        return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
+    def _norm(self, name: str, x: Tensor, y: Tensor) -> Tensor:
+        """The residual step: layer norm ``name`` of ``x + y``."""
+        return add_norm(x, y, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def _kv(self, name, x) -> tuple[Tensor, Tensor]:
         """The keys and values of attention ``name`` for the rows of ``x``."""
@@ -248,21 +252,17 @@ class CKLModel:
         out = attention(q, k, v, n_heads or self.config.n_heads, causal, segments)
         return self._project(f"{name}.wo", out)
 
-    def _mha(self, name, x_q, x_kv, n_heads=None, segments=None) -> Tensor:
-        """Multi-head attention of the rows of ``x_q`` to the rows of ``x_kv``."""
-        return self._attend(name, x_q, *self._kv(name, x_kv), n_heads, segments=segments)
-
-    def _cross_block(self, name, q, kv, segments) -> Tensor:
-        """Single-head segment cross-attention block with residuals and layer norms."""
-        attn = self._mha(f"{name}.attn", q, kv, n_heads=1, segments=segments)
-        h = self._norm(f"{name}.ln1", add(q, attn))
-        return self._norm(f"{name}.ln2", add(h, self._ffn(f"{name}.ffn", h)))
+    def _block(self, name, q, kv, n_heads=1, segments=None) -> Tensor:
+        """Attention of the rows of ``q`` to the rows of ``kv``, then the feed-forward, each a residual step."""
+        attn = self._attend(f"{name}.attn", q, *self._kv(f"{name}.attn", kv), n_heads, segments=segments)
+        h = self._norm(f"{name}.ln1", q, attn)
+        return self._norm(f"{name}.ln2", h, self._ffn(f"{name}.ffn", h))
 
     def _per_segment_block(self, name, latent: Tensor, kv: Tensor, lengths: list[int]) -> Tensor:
         """Row s is the block's output for ``latent`` attending to segment s of ``kv`` alone."""
         q = embedding_lookup(latent, [0] * len(lengths))  # the latent row, once per segment
         # Identity weights: row s keeps segment s and gives every other segment weight 0.
-        return self._cross_block(name, q, kv, (lengths, Tensor(np.eye(len(lengths)))))
+        return self._block(name, q, kv, segments=(lengths, Tensor(np.eye(len(lengths)))))
 
     def _weights(self, name, h) -> Tensor:
         """One sigmoid weight per row of h, as a vector."""
@@ -282,8 +282,7 @@ class CKLModel:
             rows(self.params["emb.pos_src"], 0, len(src)),
         )
         for i in range(self.config.n_encoder_layers):
-            x = self._norm(f"enc{i}.ln1", add(x, self._mha(f"enc{i}.attn", x, x)))
-            x = self._norm(f"enc{i}.ln2", add(x, self._ffn(f"enc{i}.ffn", x)))
+            x = self._block(f"enc{i}", x, x, self.config.n_heads)
         keep = [off + i for off, length in sample.segment_offsets() for i in range(length)]
         return SegmentedEncoding(embedding_lookup(x, keep), list(sample.segment_lengths), sample.m)
 
@@ -298,7 +297,7 @@ class CKLModel:
         z = self.params["klw.latent"]
         if self.config.use_ck_dep:
             context = rows(enc.memory, 0, enc.context_rows)
-            z = self._cross_block("klw.ck", z, context, (enc.lengths[: enc.m], clwk))
+            z = self._block("klw.ck", z, context, segments=(enc.lengths[: enc.m], clwk))
         knowledge = rows(enc.memory, enc.context_rows, enc.memory.shape[0] - enc.context_rows)
         h = self._per_segment_block("klw.know", z, knowledge, enc.lengths[enc.m :])
         return self._weights("klw.head", h)
@@ -330,10 +329,9 @@ class CKLModel:
             k, v = self._kv(f"dec{i}.self", y)
             if past_k is not None:
                 k, v = concat_rows([past_k, k]), concat_rows([past_v, v])
-            y = self._norm(f"dec{i}.ln1", add(y, self._attend(f"dec{i}.self", y, k, v, causal=True)))
-            cross = self._attend(f"dec{i}.cross", y, cross_k, cross_v, segments=segments)
-            y = self._norm(f"dec{i}.ln2", add(y, cross))
-            y = self._norm(f"dec{i}.ln3", add(y, self._ffn(f"dec{i}.ffn", y)))
+            y = self._norm(f"dec{i}.ln1", y, self._attend(f"dec{i}.self", y, k, v, causal=True))
+            y = self._norm(f"dec{i}.ln2", y, self._attend(f"dec{i}.cross", y, cross_k, cross_v, segments=segments))
+            y = self._norm(f"dec{i}.ln3", y, self._ffn(f"dec{i}.ffn", y))
             layers[i] = (k, v, cross_k, cross_v)
         if cache is not None:
             cache[:] = layers

@@ -8,7 +8,9 @@ a dict that may span tapes. ``_make`` checks each op output for NaN/Inf;
 training checks the gradients' global norm once per optimizer step.
 
 Only the kernels a small transformer needs are provided, on 2-D operands;
-``linear`` is a projection plus its bias in one record, and ``attention`` is
+``linear`` is a projection plus its bias in one record, ``add_norm`` is a
+post-norm residual step, the layer norm of a sum, in one record (``layer_norm``
+is ``add_norm`` with a zero residual), and ``attention`` is
 all of multi-head attention in one record: it splits and merges the heads by
 reshape inside, and can hide future keys or normalise consecutive key
 segments separately, weighting each segment. There is no broadcasting beyond
@@ -291,36 +293,36 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
     return _make("log_softmax", y, [(x, grad)])
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    if x.data.ndim < 1 or x.shape[-1] < 1:
-        raise ShapeError("layer_norm needs a non-empty last dimension")
+def add_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """The layer norm of ``x + y`` over the last axis: a residual step as one record."""
+    if x.shape != y.shape or x.data.ndim < 1:
+        raise ShapeError(f"add_norm of {x.shape} and {y.shape}")
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match d={d}"
-        )
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
+        raise ShapeError(f"add_norm affine shapes {gamma.shape}/{beta.shape} do not match d={d}")
+    z = x.data + y.data
+    mu = np.mean(z, axis=-1, keepdims=True)
+    var = np.mean((z - mu) ** 2, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    y = xhat * gamma.data + beta.data
-    lead = tuple(range(x.data.ndim - 1))
+    zhat = (z - mu) * inv
+    lead = tuple(range(z.ndim - 1))
+    last = [None, None]  # the output gradient last seen, and d (x + y)
 
-    def grad_x(g):
-        gg = g * gamma.data
-        t1 = np.mean(gg, axis=-1, keepdims=True)
-        t2 = np.mean(gg * xhat, axis=-1, keepdims=True)
-        return inv * (gg - t1 - xhat * t2)
+    def grad_z(g):
+        if last[0] is not g:
+            gg = g * gamma.data
+            t1 = np.mean(gg, axis=-1, keepdims=True)
+            t2 = np.mean(gg * zhat, axis=-1, keepdims=True)
+            last[:] = [g, inv * (gg - t1 - zhat * t2)]
+        return last[1]
 
-    return _make(
-        "layer_norm",
-        y,
-        [
-            (x, grad_x),
-            (gamma, lambda g: np.sum(g * xhat, axis=lead) if lead else g * xhat),
-            (beta, lambda g: np.sum(g, axis=lead) if lead else g),
-        ],
-    )
+    grads = [(x, grad_z), (y, grad_z), (gamma, lambda g: np.sum(g * zhat, axis=lead) if lead else g * zhat),
+             (beta, lambda g: np.sum(g, axis=lead) if lead else g)]
+    return _make("add_norm", zhat * gamma.data + beta.data, grads)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    return add_norm(x, _wrap(np.zeros_like(x.data)), gamma, beta, eps)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

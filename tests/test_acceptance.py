@@ -58,6 +58,7 @@ def small_config(vocab_size, **overrides):
 def test_criterion_1_gradient_suite(gradcheck):
     from ckl.tensor import (
         add,
+        add_norm,
         add_row,
         attention,
         cols,
@@ -122,6 +123,9 @@ def test_criterion_1_gradient_suite(gradcheck):
                 lambda q, k, x, y: sum_all(mul(attention(q, k, x, n_heads, segments=([2, 3], y)), read_out)),
                 [a, keys, values, w],
             )
+    affine = [rng.uniform(0.5, 2, 4), rng.uniform(-1, 1, 4)]
+    gradcheck(lambda x, y, g, be: sum_all(mul(add_norm(x, y, g, be), x)), [a, rng.uniform(-2, 2, (3, 4)), *affine])
+    gradcheck(lambda x, g, be: sum_all(mul(add_norm(x, x, g, be), x)), [a, *affine])
 
     # full model, d_model=8, one layer each, m = l = 2
     from ckl.corpus import BOS, EOS, EncodedSample

@@ -9,6 +9,7 @@ from ckl.cli import main
 from ckl.corpus import Vocabulary, build_vocab, load_jsonl, tokenize
 from ckl.metrics import bleu_n, rouge_l_corpus
 from ckl.model import CKLModel, ModelConfig
+from ckl.tensor import Tensor
 from ckl.synthetic import overfit_corpus, retrieval_corpus, write_jsonl
 
 TINY = {
@@ -79,6 +80,21 @@ class TestPrep:
         cfg.write_text("no_such_key=1\n")
         code = main(["prep", "--data", "x", "--out", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("epochs 3", "line 2: expected key=value"),
+         ("use_ck_dep=maybe", "line 2: config key use_ck_dep: expected a boolean, got 'maybe'")],
+        ids=["no-equals", "bad-boolean"],
+    )
+    def test_bad_config_line_exits_2_naming_it(self, workspace, capsys, line, message):
+        tmp, data, _config = workspace
+        cfg = tmp / "bad.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        out = tmp / "o"
+        assert main(["prep", "--data", data, "--out", str(out), "--config", str(cfg)]) == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -170,6 +186,17 @@ class TestTrain:
         code, vocab = self.train_with_vocab_lines(workspace, damage)
         assert code == 2
         assert f"{vocab}: line 3: expected reserved token '<eos>', got {got}" in capsys.readouterr().err
+
+    def test_empty_training_set_exits_2_and_writes_nothing(self, workspace, capsys):
+        tmp, _data, config = workspace
+        prep = run_prep(workspace)
+        empty = tmp / "blank.jsonl"
+        empty.write_text("\n  \n\n")
+        out = tmp / "train"
+        argv = ["train", "--data", str(empty), "--vocab", str(prep / "vocab.txt"), "--out", str(out), "--config", config]
+        assert main(argv) == 2
+        assert f"{empty}: no samples to train on" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_checkpoint_makes_generate_exit_4(self, workspace, capsys):
         # One Adam step at learning rate 1e300 leaves finite but huge parameters.
@@ -401,6 +428,33 @@ class TestDamagedCheckpoint:
                 "--checkpoint", str(path), "--out", str(out)]
         assert main(argv) == 4
         assert "out.b holds NaN or Inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra_ids, damage, message",
+        [
+            (0, lambda params: params.pop("out.b"), "parameter names do not match the model"),
+            (0, lambda params: params.update({"out.b": Tensor(np.zeros(3))}), "parameter out.b has shape (3,)"),
+            (1, lambda params: None, "but vocabulary has"),
+        ],
+        ids=["names", "shapes", "vocab-size"],
+    )
+    def test_checkpoint_not_matching_its_config_or_vocabulary_exits_4(self, tmp_path, capsys, extra_ids, damage,
+                                                                       message):
+        data = tmp_path / "data.jsonl"
+        write_jsonl(data, overfit_corpus(2, seed=0))
+        vocab = build_vocab(load_jsonl(data))
+        vocab.save(tmp_path / "vocab.txt")
+        config = ModelConfig(vocab_size=len(vocab) + extra_ids, d_model=8, n_heads=2, d_ff=8, max_source_len=64)
+        params = dict(CKLModel(config, seed=0).parameters())
+        damage(params)
+        path = tmp_path / "model.ckpt"
+        ckpt.save(path, config, params)
+        out = tmp_path / "gen"
+        argv = ["generate", "--data", str(data), "--vocab", str(tmp_path / "vocab.txt"),
+                "--checkpoint", str(path), "--out", str(out)]
+        assert main(argv) == 4
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

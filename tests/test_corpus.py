@@ -77,6 +77,27 @@ class TestLoadJsonl:
         with pytest.raises(DatasetError):
             load_jsonl(p)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"context": ["hi"', "invalid JSON"),
+            (json.dumps([GOOD]), "record is not an object"),
+            (json.dumps(dict(GOOD, knowledge=[])), "knowledge must contain at least one sentence"),
+            (json.dumps(dict(GOOD, context=["hi", 3])), "context[1] is not a string"),
+            (json.dumps(dict(GOOD, context=["hi", " \t "])), "context[1] tokenizes to nothing"),
+            (json.dumps(dict(GOOD, knowledge=["  "])), "knowledge[0] tokenizes to nothing"),
+            (json.dumps(dict(GOOD, response="   ")), "response tokenizes to nothing"),
+        ],
+        ids=["invalid-json", "not-an-object", "empty-knowledge", "non-string-utterance",
+             "blank-utterance", "blank-sentence", "blank-response"],
+    )
+    def test_bad_record_names_its_line(self, tmp_path, line, message):
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps(GOOD) + "\n\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as err:
+            load_jsonl(p)
+        assert str(err.value).startswith("line 3: ") and message in str(err.value)
+
 
 class TestBuildVocab:
     def test_frequency_order(self):

@@ -383,6 +383,9 @@ class TestDecoderCache:
             model.decoder_forward(self.IDS[:t], enc, clwr, klw, cache)
             per_step[t] = sorted(kinds)
         assert per_step[2] and per_step[2] == per_step[model.config.max_target_len]
+        # Every residual step is one add_norm; the only add is token plus position embedding.
+        assert "layer_norm" not in per_step[2] and per_step[2].count("add") == 1
+        assert per_step[2].count("add_norm") == 3 * model.config.n_decoder_layers
 
 
 class TestForward:

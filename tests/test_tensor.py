@@ -9,6 +9,7 @@ from ckl.tensor import (
     Tape,
     Tensor,
     add,
+    add_norm,
     add_row,
     attention,
     cols,
@@ -116,6 +117,49 @@ class TestLayerNorm:
         g, b = Tensor(np.ones(2)), Tensor([5.0, 5.0])
         out = layer_norm(Tensor([[1.0, 3.0], [2.0, 8.0]]), g, b)
         assert np.allclose(out.data.mean(axis=-1), 5.0, atol=1e-9)
+
+
+class TestAddNorm:
+    """``add_norm`` is ``layer_norm`` of ``add`` in one record."""
+
+    def value_and_grads(self, step, arrays, shared):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        x, y, g, b = leaves
+        read_out = Tensor(np.linspace(-1.5, 2.0, arrays[0].size).reshape(arrays[0].shape))
+        with Tape() as tape:
+            out = step(x, x if shared else y, g, b)
+            grads = tape.backward(sum_all(mul(out, read_out)))
+        return out.data, [grads.get(leaf.node_id) for leaf in leaves]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "same-tensor"])
+    @pytest.mark.parametrize("shape", [(3, 5), (5,)])
+    def test_equals_layer_norm_of_add_bitwise(self, shape, shared):
+        rng = np.random.default_rng(30)
+        d = shape[-1]
+        arrays = [rng.uniform(-2, 2, shape), rng.uniform(-2, 2, shape),
+                  rng.uniform(0.5, 2, d), rng.uniform(-1, 1, d)]
+        fused, fused_grads = self.value_and_grads(add_norm, arrays, shared)
+        split, split_grads = self.value_and_grads(
+            lambda x, y, g, b: layer_norm(add(x, y), g, b), arrays, shared
+        )
+        assert np.array_equal(fused, split)
+        for got, expected in zip(fused_grads, split_grads):
+            assert (got is None and expected is None) or np.array_equal(got, expected)
+
+    def test_one_record(self):
+        x, y = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.eye(2, 3), requires_grad=True)
+        with Tape() as tape:
+            add_norm(x, y, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        assert [r[0] for r in tape.records] == ["add_norm"]
+
+    @pytest.mark.parametrize(
+        "x, y, d",
+        [((2, 3), (2, 4), 3), ((2, 3), (3, 2), 3), ((2, 3), (3,), 3), ((2, 3), (2, 3), 4), ((), (), 1)],
+        ids=["columns", "transposed", "rank", "affine", "scalar"],
+    )
+    def test_bad_shapes_raise(self, x, y, d):
+        with pytest.raises(ShapeError):
+            add_norm(Tensor(np.ones(x)), Tensor(np.ones(y)), Tensor(np.ones(d)), Tensor(np.zeros(d)))
 
 
 class TestElementwise:

@@ -252,12 +252,16 @@ RECORD_LISTS = {
 }
 
 
-def _load_generations(path, n_samples: int, keys: tuple[str, ...]) -> list[tuple[int, dict]]:
-    """(line number, record) for every non-blank line, one per sample.
+def _load_generations(cfg: RunConfig, keys: tuple[str, ...]) -> tuple[list, list[tuple[int, dict]]]:
+    """The data samples, and (line number, record) for each non-blank generations line, one per sample.
 
     Each record must be a JSON object in which every field named in ``keys``
     is a list of the items ``RECORD_LISTS`` gives for it.
     """
+    path, data = cfg.require_path("generations"), cfg.require_path("data")
+    samples = load_jsonl(data)
+    if not samples:
+        raise DatasetError(f"{data}: no samples to score the generations against")
     records = []
     for lineno, line in numbered_lines(path):
         where = f"{path}: line {lineno}"
@@ -273,14 +277,13 @@ def _load_generations(path, n_samples: int, keys: tuple[str, ...]) -> list[tuple
             if not isinstance(value, list) or any(type(x) not in types for x in value):
                 raise DatasetError(f"{where}: generation record needs {key} as a list of {name}")
         records.append((lineno, rec))
-    if len(records) != n_samples:
-        raise DatasetError(f"{path}: {len(records)} generations for {n_samples} samples")
-    return records
+    if len(records) != len(samples):
+        raise DatasetError(f"{path}: {len(records)} generations for {len(samples)} samples")
+    return samples, records
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    samples = load_jsonl(cfg.require_path("data"))
-    generations = _load_generations(cfg.require_path("generations"), len(samples), ("tokens",))
+    samples, generations = _load_generations(cfg, ("tokens",))
     cands = [rec["tokens"] for _lineno, rec in generations]
     refs = [tokenize(s.response) for s in samples]
     n_pairs = len(cands)
@@ -307,9 +310,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     generating = load_config_file(echoed) if echoed.exists() else {}
     cfg.values.update((f.name, generating[f.name]) for f in fields(EncodeConfig)
                       if f.name in generating and f.name not in cfg.explicit)
-    samples = load_jsonl(cfg.require_path("data"))
     keys = ("klw", "clwr", "clwk")
-    generations = _load_generations(gen_path, len(samples), keys)
+    samples, generations = _load_generations(cfg, keys)
     enc_cfg = cfg.build(EncodeConfig)
     _index, labels = build_labels([kept_segments(s, enc_cfg) for s in samples], cfg["top_n"])
     reranked, original, targets = [], [], []

@@ -24,9 +24,9 @@ post-norm residual step ``LayerNorm(x + Sublayer(x))``, one ``add_norm``
 record, and one block (attention, then the feed-forward) serves the encoder
 layers and the three latent-weight blocks.
 
-A decode step computes one new row against cached K/V: each hypothesis keeps
-its layers' self-attention keys and values, and the memory's cross-attention
-keys and values are projected once per sample and shared by every hypothesis.
+A decode step advances every live hypothesis by one row in one call. Each
+layer caches all hypotheses' self-attention K/V in one array, gathered by parent
+when beams are pruned; the cross-attention K/V and segment weights are shared.
 """
 
 from __future__ import annotations
@@ -302,39 +302,49 @@ class CKLModel:
         h = self._per_segment_block("klw.know", z, knowledge, enc.lengths[enc.m :])
         return self._weights("klw.head", h)
 
-    def decoder_forward(self, prefix_ids: list[int], enc: SegmentedEncoding, clwr: Tensor, klw: Tensor,
+    def decoder_forward(self, prefix_ids: list, enc: SegmentedEncoding, clwr: Tensor, klw: Tensor,
                         cache: list | None = None) -> Tensor:
         """Decoder logits, one row per prefix position that ``cache`` does not hold yet.
 
-        Without a cache this is the teacher-forced pass over the whole prefix.
-        A ``cache`` list, empty at first, holds one ``(self_k, self_v,
-        cross_k, cross_v)`` of projected rows per layer: ``enc.memory`` is
-        projected on the first call, and each call appends the keys and values
-        of its new rows. Tuples are replaced, never changed, so a shallow copy
-        of the list is a cache of its own.
+        ``prefix_ids`` is ``t`` ids, or ``t`` rows of ``B`` ids, one column per
+        hypothesis; the logits are hypothesis-major. Without a cache this is the
+        teacher-forced pass. A ``cache`` list, empty at first, holds
+        ``(segments, cross)``, the segment weights and cross-attention keys and
+        values that the first call makes and every hypothesis shares, then each
+        layer's self-attention keys and values as ``(B, rows, d)`` arrays.
+        Several hypotheses add one row each, and ``k[parents]`` reorders them.
+        Cached rows are constants, so a cached call is for tape-free decoding.
         """
-        n, t = (cache[0][0].shape[0] if cache else 0), len(prefix_ids)
+        hyps, n = cache[1].shape[:2] if cache else (None, 0)
+        t = len(prefix_ids)
         if t <= n:
             raise ShapeError(f"decoder prefix of {t} tokens must be longer than its {n} cached rows")
         if t > self.config.max_target_len:
             raise ShapeError(f"prefix of {t} tokens exceeds max_target_len={self.config.max_target_len}")
-        y = add(
-            embedding_lookup(self.params["emb.token"], prefix_ids[n:]),
-            rows(self.params["emb.pos_tgt"], n, t - n),
-        )
-        segments = (enc.lengths, concat_vec([clwr, klw]))
-        layers = cache[:] if cache else [(None, None, *self._kv(f"dec{i}.cross", enc.memory))
-                                         for i in range(self.config.n_decoder_layers)]
-        for i, (past_k, past_v, cross_k, cross_v) in enumerate(layers):
+        ids = np.asarray(prefix_ids[n:], dtype=np.int64).reshape(t - n, -1).T  # (B, new rows)
+        b, new = ids.shape
+        if b > 1 and (cache is None or new > 1) or hyps not in (None, b):
+            raise ShapeError(f"{b} hypotheses adding {new} rows each to a cache of {hyps or 'no'} hypotheses; "
+                             "several need a cache of as many hypotheses and add one row each")
+        y = add(embedding_lookup(self.params["emb.token"], ids.ravel()),
+                embedding_lookup(self.params["emb.pos_tgt"], np.tile(np.arange(n, t), b)))
+        segments, cross = cache[0] if cache else (
+            (enc.lengths, concat_vec([clwr, klw])),
+            [self._kv(f"dec{i}.cross", enc.memory) for i in range(self.config.n_decoder_layers)])
+        # One hypothesis is causal; several see only their own rows, through identity segment weights.
+        causal, own = (True, None) if b == 1 else (False, ([t] * b, Tensor(np.eye(b))))
+        kv = []
+        for i, (cross_k, cross_v) in enumerate(cross):
             k, v = self._kv(f"dec{i}.self", y)
-            if past_k is not None:
-                k, v = concat_rows([past_k, k]), concat_rows([past_v, v])
-            y = self._norm(f"dec{i}.ln1", y, self._attend(f"dec{i}.self", y, k, v, causal=True))
+            if n:
+                k, v = (Tensor(np.concatenate([past, x.data.reshape(b, new, -1)], axis=1).reshape(b * t, -1))
+                        for past, x in zip(cache[1 + 2 * i : 3 + 2 * i], (k, v)))
+            kv += [k.data.reshape(b, t, -1), v.data.reshape(b, t, -1)]
+            y = self._norm(f"dec{i}.ln1", y, self._attend(f"dec{i}.self", y, k, v, causal=causal, segments=own))
             y = self._norm(f"dec{i}.ln2", y, self._attend(f"dec{i}.cross", y, cross_k, cross_v, segments=segments))
             y = self._norm(f"dec{i}.ln3", y, self._ffn(f"dec{i}.ffn", y))
-            layers[i] = (k, v, cross_k, cross_v)
         if cache is not None:
-            cache[:] = layers
+            cache[:] = [(segments, cross), *kv]
         return self._project("out", y)
 
     def condition(self, sample: EncodedSample) -> tuple[SegmentedEncoding, LatentWeights]:
@@ -371,24 +381,22 @@ class CKLModel:
         if beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         max_len = self.decode_length(max_len)
-        beams = [([BOS], 0.0, [])]
-        finished: list[tuple[list[int], float]] = []
+        # A hypothesis is (ids, log-probability, its parent's row in the last step).
+        beams, finished, cache = [([BOS], 0.0, 0)], [], []
         while beams and len(beams[0][0]) < max_len:
+            prefix = list(zip(*(ids for ids, _, _ in beams)))  # position-major: one row of ids per step
+            logits = self.decoder_forward(prefix, enc, weights.clwr, weights.klw, cache).data
             candidates = []
-            for ids, logp, cache in beams:
-                logits = self.decoder_forward(ids, enc, weights.clwr, weights.klw, cache).data[-1]
-                shifted = logits - logits.max()
+            for parent, ((ids, logp, _), row) in enumerate(zip(beams, logits)):
+                shifted = row - row.max()
                 lp = shifted - math.log(np.exp(shifted).sum())
-                top = np.argsort(-lp, kind="stable")[:beam_size]
-                for token in top:
-                    candidates.append((ids + [int(token)], logp + float(lp[token]), cache))
+                for token in np.argsort(-lp, kind="stable")[:beam_size]:
+                    candidates.append((ids + [int(token)], logp + float(lp[token]), parent))
             candidates.sort(key=lambda c: -(c[1] / (len(c[0]) - 1)))
-            beams = []
-            for ids, logp, cache in candidates[:beam_size]:
-                if ids[-1] == EOS:
-                    finished.append((ids, logp))
-                else:
-                    beams.append((ids, logp, list(cache)))  # siblings share the parent's tensors
+            finished += [c for c in candidates[:beam_size] if c[0][-1] == EOS]
+            beams = [c for c in candidates[:beam_size] if c[0][-1] != EOS]
+            parents = [parent for *_, parent in beams]
+            cache[1:] = [x[parents] for x in cache[1:]]  # one gather per array reorders the hypotheses
         finished.extend(beams)
         finished.sort(key=lambda c: -(c[1] / max(1, len(c[0]) - 1)))
         return finished[0][0]

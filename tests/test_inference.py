@@ -1,7 +1,8 @@
 """`ckl generate` conditions each sample once and rejects a ``--max-len``
 outside [1, max_target_len] before writing; evaluate and analyze reject
 malformed generation records, and analyze rejects latent-weight counts that
-disagree with the data, with exit 2 and a line-numbered message."""
+disagree with the data, with exit 2 and a line-numbered message. Both reject
+a data file with no samples, naming it."""
 
 import json
 
@@ -91,6 +92,18 @@ def test_malformed_record_exits_2_naming_the_line(tmp_path, data, capsys, comman
     out = tmp_path / "out"
     assert main([command, "--generations", gen, "--data", str(data), "--out", str(out)]) == 2
     assert "generations.jsonl: line 2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "analyze"])
+def test_data_without_samples_exits_2_naming_the_file(tmp_path, capsys, command):
+    data = tmp_path / "blank.jsonl"
+    data.write_text("\n  \n\n")
+    gen = tmp_path / "generations.jsonl"
+    gen.write_text("")  # what generate writes for such a file
+    out = tmp_path / "out"
+    assert main([command, "--generations", str(gen), "--data", str(data), "--out", str(out)]) == 2
+    assert f"{data}: no samples to score the generations against" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -352,16 +352,40 @@ class TestDecoderCache:
         assert relative_gap(first, full[:3]) <= 1e-12
         assert relative_gap(rest, full[4:]) <= 1e-12
 
-    def test_copies_of_one_cache_extend_independently(self):
+    @pytest.mark.parametrize("use_ck_dep", [True, False])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("b", [1, 3, 4])
+    def test_batched_step_rows_equal_full_prefix(self, b, n_heads, use_ck_dep):
+        """``b`` hypotheses branch from one parent and each adds its own ids;
+        between steps a gather by parent index shuffles them."""
+        model, enc, clwr, klw = self.conditioned(n_heads=n_heads, use_ck_dep=use_ck_dep)
+        cache = []
+        model.decoder_forward(self.IDS[:3], enc, clwr, klw, cache)
+        order, prefixes = [0] * b, [self.IDS[:3]]
+        rng = np.random.default_rng(b)
+        for t in range(4, len(self.IDS) + 1):
+            cache[1:] = [x[order] for x in cache[1:]]
+            prefixes = [prefixes[j] + [3 + (i + t) % 13] for i, j in enumerate(order)]  # distinct last ids
+            step = model.decoder_forward(list(zip(*prefixes)), enc, clwr, klw, cache).data
+            assert step.shape == (b, 16)
+            for row, ids in zip(step, prefixes):
+                assert relative_gap(row, model.decoder_forward(ids, enc, clwr, klw).data[-1]) <= 1e-12, ids
+            order = rng.permutation(b)
+
+    def test_rows_gathered_by_a_repeated_parent_extend_independently(self):
         model, enc, clwr, klw = self.conditioned()
         parent = []
         model.decoder_forward(self.IDS[:2], enc, clwr, klw, parent)
-        a, b = list(parent), list(parent)
-        la = model.decoder_forward(self.IDS[:2] + [5], enc, clwr, klw, a).data
-        model.decoder_forward(self.IDS[:2] + [6], enc, clwr, klw, b)
-        assert parent[0][0].shape[0] == 2
-        again = model.decoder_forward(self.IDS[:2] + [5], enc, clwr, klw, list(parent)).data
-        assert np.array_equal(la, again)
+        before = [x.copy() for x in parent[1:]]
+
+        def two_children(tokens):
+            cache = parent[:1] + [x[[0, 0]] for x in parent[1:]]
+            rows = list(zip(*(self.IDS[:2] + [token] for token in tokens)))
+            return model.decoder_forward(rows, enc, clwr, klw, cache).data
+
+        a, b = two_children([5, 6]), two_children([5, 7])
+        assert np.array_equal(a[0], b[0]) and not np.allclose(a[1], b[1])
+        assert all(np.array_equal(x, y) for x, y in zip(parent[1:], before))
 
     @pytest.mark.parametrize("t", [0, 2, 3])
     def test_prefix_must_extend_its_cache(self, t):
@@ -371,21 +395,42 @@ class TestDecoderCache:
         with pytest.raises(ShapeError, match=f"prefix of {t} tokens must be longer than its 3 cached rows"):
             model.decoder_forward(self.IDS[:t], enc, clwr, klw, cache)
 
-    def test_step_op_count_does_not_grow_with_prefix(self, monkeypatch):
+    def test_several_hypotheses_need_a_cache_and_one_new_row_each(self):
         model, enc, clwr, klw = self.conditioned()
+        with pytest.raises(ShapeError, match="to a cache of no hypotheses; several need a cache"):
+            model.decoder_forward([(BOS, BOS)], enc, clwr, klw)
+        with pytest.raises(ShapeError, match="2 hypotheses adding 2 rows each"):
+            model.decoder_forward([(BOS, BOS), (5, 6)], enc, clwr, klw, [])
         cache = []
-        model.decoder_forward(self.IDS[:1], enc, clwr, klw, cache)
+        model.decoder_forward([BOS], enc, clwr, klw, cache)
+        cache[1:] = [x[[0, 0]] for x in cache[1:]]
+        with pytest.raises(ShapeError, match="2 hypotheses adding 2 rows each"):
+            model.decoder_forward([(BOS, BOS), (5, 6), (7, 8)], enc, clwr, klw, cache)
+        with pytest.raises(ShapeError, match="3 hypotheses adding 1 rows each to a cache of 2 hypotheses"):
+            model.decoder_forward([(BOS, BOS, BOS), (5, 6, 7)], enc, clwr, klw, cache)
+        with pytest.raises(ShapeError, match="prefix of 0 tokens"):
+            model.decoder_forward([], enc, clwr, klw, [])
+
+    def test_step_op_kinds_do_not_depend_on_prefix_or_hypotheses(self, monkeypatch):
+        model, enc, clwr, klw = self.conditioned()
         kinds, make = [], tensor._make
-        monkeypatch.setattr(tensor, "_make", lambda kind, *args: kinds.append(kind) or make(kind, *args))
         per_step = {}
-        for t in range(2, len(self.IDS) + 1):
-            kinds.clear()
-            model.decoder_forward(self.IDS[:t], enc, clwr, klw, cache)
-            per_step[t] = sorted(kinds)
-        assert per_step[2] and per_step[2] == per_step[model.config.max_target_len]
+        for b in (1, 4):
+            cache = []
+            model.decoder_forward(self.IDS[:1], enc, clwr, klw, cache)
+            cache[1:] = [x[[0] * b] for x in cache[1:]]
+            monkeypatch.setattr(tensor, "_make", lambda kind, *args: kinds.append(kind) or make(kind, *args))
+            for t in range(2, len(self.IDS) + 1):
+                kinds.clear()
+                model.decoder_forward([[i] * b for i in self.IDS[:t]], enc, clwr, klw, cache)
+                per_step[b, t] = sorted(kinds)
+            monkeypatch.undo()
+        first = per_step[1, 2]
+        assert first and all(step == first for step in per_step.values())
         # Every residual step is one add_norm; the only add is token plus position embedding.
-        assert "layer_norm" not in per_step[2] and per_step[2].count("add") == 1
-        assert per_step[2].count("add_norm") == 3 * model.config.n_decoder_layers
+        assert "layer_norm" not in first and first.count("add") == 1
+        assert first.count("add_norm") == 3 * model.config.n_decoder_layers
+        assert "concat_vec" not in first  # the segment weights are cached with the cross K/V
 
 
 class TestForward:
@@ -485,7 +530,7 @@ class TestGenerate:
             assert expected[-1] == EOS and 2 < len(expected) < model.config.max_target_len
         assert model.generate(sample) == expected
 
-    @pytest.mark.parametrize("beam_size", [3, 4])
+    @pytest.mark.parametrize("beam_size", [2, 3, 4, 5])
     @pytest.mark.parametrize("seed,eos_bias", [(18, 0.0), (19, 0.0), (20, 0.0), (21, 1.0)])
     def test_beam_equals_full_prefix_oracle(self, seed, eos_bias, beam_size):
         """Beams that share a parent must not see each other's tokens."""

@@ -100,7 +100,7 @@ def _parse(blob: bytes, path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         name = r.take(r.u32()).decode()
         shape = r.u64s(r.u32())
         arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: parameter {name} holds NaN or Inf")
         params[name] = arr.astype(np.float64)
     if r.pos != len(blob):
@@ -130,12 +130,11 @@ def restore_model(
                 for k, (want, got) in mismatched.items()
             )
             raise CheckpointError(f"config mismatch ({detail}); use --force to override")
-    model = CKLModel(config, seed=0)
+    inits = CKLModel.initialisers(config)
     model_arrays = {k: v for k, v in arrays.items() if not k.startswith("awl.")}
-    if set(model_arrays) != set(model.params):
+    if set(model_arrays) != set(inits):
         raise CheckpointError("checkpoint parameter names do not match the model")
     for name, arr in model_arrays.items():
-        if model.params[name].data.shape != arr.shape:
+        if inits[name][0] != arr.shape:
             raise CheckpointError(f"parameter {name} has shape {arr.shape}")
-        model.params[name].data[...] = arr
-    return model
+    return CKLModel(config, arrays=model_arrays)

@@ -21,12 +21,14 @@ segment and identity weights, so row s attends to its own utterance or
 sentence alone and one pass yields every weight. The decoder's causal
 self-attention is the only one that hides keys. Every sublayer ends in the
 post-norm residual step ``LayerNorm(x + Sublayer(x))``, one ``add_norm``
-record, and one block (attention, then the feed-forward) serves the encoder
-layers and the three latent-weight blocks.
+record; the feed-forward is one ``ffn`` record. One block (attention, then
+the feed-forward) serves the encoder layers and the three latent-weight blocks.
 
 A decode step advances every live hypothesis by one row in one call. Each
 layer caches all hypotheses' self-attention K/V in one array, gathered by parent
 when beams are pruned; the cross-attention K/V and segment weights are shared.
+Cached calls are tape-free. A checkpoint's arrays become the parameters as
+they are, with nothing drawn at random.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from .corpus import BOS, EOS, EncodeConfig, EncodedSample
 from .tensor import (
     ShapeError,
+    Tape,
     Tensor,
     add,
     add_norm,
@@ -46,8 +49,8 @@ from .tensor import (
     concat_rows,
     concat_vec,
     embedding_lookup,
+    ffn,
     linear,
-    relu,
     rows,
     sigmoid,
 )
@@ -163,69 +166,60 @@ def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) ->
 class CKLModel:
     """Parameter container plus the forward passes of every component."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, arrays: dict[str, np.ndarray] | None = None):
+        """Parameters drawn from ``seed``, or ``arrays`` as they are (``checkpoint.restore_model`` checks them)."""
         self.config = config
-        self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(seed)
-        self._build(rng)
+        self.params: dict[str, Tensor] = {
+            name: Tensor(init(rng) if arrays is None else arrays[name], requires_grad=True)
+            for name, (_, init) in self.initialisers(config).items()
+        }
 
-    # ----- parameter construction -------------------------------------
+    @staticmethod
+    def initialisers(cfg: ModelConfig) -> dict[str, tuple]:
+        """Each parameter's shape and initialiser, a function of the rng, in the order of the draws."""
+        d, out = cfg.d_model, {}
 
-    def _emb(self, name: str, shape, rng) -> None:
-        self.params[name] = Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
+        def emb(name, n):
+            out[name] = ((n, d), lambda rng: rng.normal(0.0, 0.02, (n, d)))
 
-    def _linear(self, name: str, fan_in: int, fan_out: int, rng) -> None:
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        self.params[f"{name}.w"] = Tensor(
-            rng.uniform(-limit, limit, (fan_in, fan_out)), requires_grad=True
-        )
-        self.params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+        def linear(name, fan_in=d, fan_out=d):
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            out[f"{name}.w"] = ((fan_in, fan_out), lambda rng: rng.uniform(-limit, limit, (fan_in, fan_out)))
+            out[f"{name}.b"] = ((fan_out,), lambda rng: np.zeros(fan_out))
 
-    def _ln(self, name: str, rng) -> None:
-        d = self.config.d_model
-        self.params[f"{name}.g"] = Tensor(np.ones(d), requires_grad=True)
-        self.params[f"{name}.b"] = Tensor(np.zeros(d), requires_grad=True)
+        def sublayers(name, *parts):  # in order: layer norms "ln*", the "ffn", or attentions
+            for part in parts:
+                if part.startswith("ln"):
+                    out[f"{name}.{part}.g"] = ((d,), lambda rng: np.ones(d))
+                    out[f"{name}.{part}.b"] = ((d,), lambda rng: np.zeros(d))
+                elif part == "ffn":
+                    linear(f"{name}.ffn.in", d, cfg.d_ff)
+                    linear(f"{name}.ffn.out", cfg.d_ff, d)
+                else:
+                    for proj in ("wq", "wk", "wv", "wo"):
+                        linear(f"{name}.{part}.{proj}")
 
-    def _attn_params(self, name: str, rng) -> None:
-        d = self.config.d_model
-        for proj in ("wq", "wk", "wv", "wo"):
-            self._linear(f"{name}.{proj}", d, d, rng)
-
-    def _ffn_params(self, name: str, rng) -> None:
-        self._linear(f"{name}.in", self.config.d_model, self.config.d_ff, rng)
-        self._linear(f"{name}.out", self.config.d_ff, self.config.d_model, rng)
-
-    def _block_params(self, name: str, rng) -> None:
-        self._attn_params(f"{name}.attn", rng)
-        self._ln(f"{name}.ln1", rng)
-        self._ffn_params(f"{name}.ffn", rng)
-        self._ln(f"{name}.ln2", rng)
-
-    def _build(self, rng) -> None:
-        cfg = self.config
-        self._emb("emb.token", (cfg.vocab_size, cfg.d_model), rng)
-        self._emb("emb.pos_src", (cfg.max_source_len, cfg.d_model), rng)
-        self._emb("emb.pos_tgt", (cfg.max_target_len, cfg.d_model), rng)
+        block = ("attn", "ln1", "ffn", "ln2")
+        emb("emb.token", cfg.vocab_size)
+        emb("emb.pos_src", cfg.max_source_len)
+        emb("emb.pos_tgt", cfg.max_target_len)
         for i in range(cfg.n_encoder_layers):
-            self._block_params(f"enc{i}", rng)
+            sublayers(f"enc{i}", *block)
         # Distinct latent vectors: the knowledge one is not the context one.
-        self._emb("clw.latent", (1, cfg.d_model), rng)
-        self._emb("klw.latent", (1, cfg.d_model), rng)
-        self._block_params("clw.block", rng)
+        emb("clw.latent", 1)
+        emb("klw.latent", 1)
+        sublayers("clw.block", *block)
         # The two context heads share the block but not their parameters.
-        self._linear("clw.head_r", cfg.d_model, 1, rng)
-        self._linear("clw.head_k", cfg.d_model, 1, rng)
-        self._block_params("klw.ck", rng)
-        self._block_params("klw.know", rng)
-        self._linear("klw.head", cfg.d_model, 1, rng)
+        linear("clw.head_r", d, 1)
+        linear("clw.head_k", d, 1)
+        sublayers("klw.ck", *block)
+        sublayers("klw.know", *block)
+        linear("klw.head", d, 1)
         for i in range(cfg.n_decoder_layers):
-            self._attn_params(f"dec{i}.self", rng)
-            self._ln(f"dec{i}.ln1", rng)
-            self._attn_params(f"dec{i}.cross", rng)
-            self._ln(f"dec{i}.ln2", rng)
-            self._ffn_params(f"dec{i}.ffn", rng)
-            self._ln(f"dec{i}.ln3", rng)
-        self._linear("out", cfg.d_model, cfg.vocab_size, rng)
+            sublayers(f"dec{i}", "self", "ln1", "cross", "ln2", "ffn", "ln3")
+        linear("out", d, cfg.vocab_size)
+        return out
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -236,7 +230,8 @@ class CKLModel:
         return linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _ffn(self, name: str, x: Tensor) -> Tensor:
-        return self._project(f"{name}.out", relu(self._project(f"{name}.in", x)))
+        p = self.params
+        return ffn(x, p[f"{name}.in.w"], p[f"{name}.in.b"], p[f"{name}.out.w"], p[f"{name}.out.b"])
 
     def _norm(self, name: str, x: Tensor, y: Tensor) -> Tensor:
         """The residual step: layer norm ``name`` of ``x + y``."""
@@ -313,8 +308,10 @@ class CKLModel:
         values that the first call makes and every hypothesis shares, then each
         layer's self-attention keys and values as ``(B, rows, d)`` arrays.
         Several hypotheses add one row each, and ``k[parents]`` reorders them.
-        Cached rows are constants, so a cached call is for tape-free decoding.
+        Cached rows are constants and carry no gradient, so a cached call under a tape raises.
         """
+        if cache and Tape._active is not None:
+            raise RuntimeError("a cached decoder_forward call is tape-free: its cached keys and values carry no gradient")
         hyps, n = cache[1].shape[:2] if cache else (None, 0)
         t = len(prefix_ids)
         if t <= n:

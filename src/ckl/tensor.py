@@ -8,18 +8,19 @@ a dict that may span tapes. ``_make`` checks each op output for NaN/Inf;
 training checks the gradients' global norm once per optimizer step.
 
 Only the kernels a small transformer needs are provided, on 2-D operands;
-``linear`` is a projection plus its bias in one record, ``add_norm`` is a
-post-norm residual step, the layer norm of a sum, in one record (``layer_norm``
-is ``add_norm`` with a zero residual), and ``attention`` is
-all of multi-head attention in one record: it splits and merges the heads by
-reshape inside, and can hide future keys or normalise consecutive key
-segments separately, weighting each segment. There is no broadcasting beyond
-scalar-vs-tensor; every other shape mismatch is a hard error so gradient
-rules stay simple and bugs stay loud.
+``linear`` is a projection plus its bias in one record, ``ffn`` the ReLU
+feed-forward of two of them in one record, ``add_norm`` a post-norm residual
+step, the layer norm of a sum, in one record (``layer_norm`` is ``add_norm``
+with a zero residual), and ``attention`` is all of multi-head attention in
+one record: it splits and merges the heads by reshape inside, and can hide
+future keys or normalise consecutive key segments separately, weighting each
+segment. There is no broadcasting beyond scalar-vs-tensor; every other shape
+mismatch is a hard error so gradient rules stay simple and bugs stay loud.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -300,19 +301,19 @@ def add_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"add_norm affine shapes {gamma.shape}/{beta.shape} do not match d={d}")
+    # Means as sums over d: the bits of np.mean (add.reduce, then divide), at a fraction of its call cost.
     z = x.data + y.data
-    mu = np.mean(z, axis=-1, keepdims=True)
-    var = np.mean((z - mu) ** 2, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    zhat = (z - mu) * inv
+    zc = z - z.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((zc**2).sum(axis=-1, keepdims=True) / d + eps)
+    zhat = zc * inv
     lead = tuple(range(z.ndim - 1))
     last = [None, None]  # the output gradient last seen, and d (x + y)
 
     def grad_z(g):
         if last[0] is not g:
             gg = g * gamma.data
-            t1 = np.mean(gg, axis=-1, keepdims=True)
-            t2 = np.mean(gg * zhat, axis=-1, keepdims=True)
+            t1 = gg.sum(axis=-1, keepdims=True) / d
+            t2 = (gg * zhat).sum(axis=-1, keepdims=True) / d
             last[:] = [g, inv * (gg - t1 - zhat * t2)]
         return last[1]
 
@@ -359,6 +360,27 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
     grads = [(x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g), (b, lambda g: g.sum(axis=0))]
     return _make("linear", xd @ wd + b.data, grads)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The feed-forward ``relu(x @ w1 + b1) @ w2 + b2`` as one record."""
+    if (any(t.data.ndim != 2 for t in (x, w1, w2)) or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
+            or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"ffn: {x.shape} x {w1.shape} + {b1.shape}, then x {w2.shape} + {b2.shape}")
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    pre = xd @ w1d + b1.data
+    mask = (pre > 0).astype(np.float64)
+    h = pre * mask
+    last = [None, None]  # the output gradient last seen, and d pre
+
+    def d_pre(g):
+        if last[0] is not g:
+            last[:] = [g, (g @ w2d.T) * mask]
+        return last[1]
+
+    grads = [(x, lambda g: d_pre(g) @ w1d.T), (w1, lambda g: xd.T @ d_pre(g)), (b1, lambda g: d_pre(g).sum(axis=0)),
+             (w2, lambda g: h.T @ g), (b2, lambda g: g.sum(axis=0))]
+    return _make("ffn", h @ w2d + b2.data, grads)
 
 
 def rows(x: Tensor, start: int, length: int) -> Tensor:
@@ -434,6 +456,17 @@ def concat_vec(parts: list[Tensor]) -> Tensor:
     return _make("concat_vec", np.concatenate([p.data.ravel() for p in parts]), inputs)
 
 
+@functools.lru_cache(maxsize=256)
+def _segment_index(lengths, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's first key and each key's segment, read-only: a decode reuses its layouts every step."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1) or lengths.sum() != r:
+        raise ShapeError(f"segment lengths {lengths} must be positive ints summing to the {r} keys")
+    starts, seg = np.cumsum(lengths) - lengths, np.repeat(np.arange(lengths.size), lengths)
+    starts.flags.writeable = seg.flags.writeable = False
+    return starts, seg
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = False, segments=None) -> Tensor:
     """Multi-head scaled dot-product attention of the rows of ``q`` to the rows of ``k``/``v``.
 
@@ -473,13 +506,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
         seg_sum = lambda x: x.sum(axis=-1, keepdims=True)  # noqa: E731
         w, wd = None, 1.0
     else:
-        lengths, w = np.asarray(segments[0], dtype=np.int64), segments[1]
-        if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1) or lengths.sum() != r:
-            raise ShapeError(f"segment lengths {lengths} must be positive ints summing to the {r} keys")
-        if w.shape not in (lengths.shape, (n,) + lengths.shape):
-            raise ShapeError(f"{lengths.size} segments for {n} query rows but weights of shape {w.shape}")
-        starts = np.cumsum(lengths) - lengths
-        seg = np.repeat(np.arange(lengths.size), lengths)
+        w = segments[1]
+        try:
+            starts, seg = _segment_index(tuple(segments[0]), r)
+        except TypeError:  # unhashable, e.g. nested: checked uncached, which raises
+            starts, seg = _segment_index.__wrapped__(segments[0], r)
+        if w.shape not in (starts.shape, (n,) + starts.shape):
+            raise ShapeError(f"{starts.size} segments for {n} query rows but weights of shape {w.shape}")
         seg_max = lambda x: np.maximum.reduceat(x, starts, axis=-1)[..., seg]  # noqa: E731
         seg_sum = lambda x: np.add.reduceat(x, starts, axis=-1)[..., seg]  # noqa: E731
         wd = w.data[..., seg]

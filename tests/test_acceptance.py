@@ -67,6 +67,7 @@ def test_criterion_1_gradient_suite(gradcheck):
         element,
         embedding_lookup,
         exp,
+        ffn,
         layer_norm,
         linear,
         log_softmax_lastdim,
@@ -126,6 +127,8 @@ def test_criterion_1_gradient_suite(gradcheck):
     affine = [rng.uniform(0.5, 2, 4), rng.uniform(-1, 1, 4)]
     gradcheck(lambda x, y, g, be: sum_all(mul(add_norm(x, y, g, be), x)), [a, rng.uniform(-2, 2, (3, 4)), *affine])
     gradcheck(lambda x, g, be: sum_all(mul(add_norm(x, x, g, be), x)), [a, *affine])
+    ffn_weights = [rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, 5), rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, 2)]
+    gradcheck(lambda x, *w: sum_all(mul(ffn(x, *w), ffn(x, *w))), [a, *ffn_weights])
 
     # full model, d_model=8, one layer each, m = l = 2
     from ckl.corpus import BOS, EOS, EncodedSample

@@ -431,6 +431,23 @@ class TestDecoderCache:
         assert "layer_norm" not in first and first.count("add") == 1
         assert first.count("add_norm") == 3 * model.config.n_decoder_layers
         assert "concat_vec" not in first  # the segment weights are cached with the cross K/V
+        assert first.count("ffn") == model.config.n_decoder_layers and "relu" not in first
+
+    def test_a_cached_call_under_a_tape_raises(self):
+        model, enc, clwr, klw = self.conditioned()
+        cache = []
+        model.decoder_forward(self.IDS[:2], enc, clwr, klw, cache)
+        untraced = model.decoder_forward(self.IDS[:3], enc, clwr, klw, list(cache)).data
+        with Tape():
+            with pytest.raises(RuntimeError, match="cached decoder_forward call is tape-free"):
+                model.decoder_forward(self.IDS[:3], enc, clwr, klw, cache)
+        assert np.array_equal(model.decoder_forward(self.IDS[:3], enc, clwr, klw, cache).data, untraced)
+        with Tape() as tape:
+            full = model.decoder_forward(self.IDS[:3], enc, clwr, klw)
+            grads = tape.backward(tensor.sum_all(full))
+        assert np.array_equal(full.data, model.decoder_forward(self.IDS[:3], enc, clwr, klw).data)
+        assert relative_gap(full.data[-1], untraced[0]) <= 1e-12
+        assert np.abs(grads[model.params["dec0.self.wk.w"].node_id]).sum() > 0
 
 
 class TestForward:

@@ -19,6 +19,7 @@ from ckl.tensor import (
     element,
     embedding_lookup,
     exp,
+    ffn,
     layer_norm,
     linear,
     log_softmax_lastdim,
@@ -146,6 +147,23 @@ class TestAddNorm:
         for got, expected in zip(fused_grads, split_grads):
             assert (got is None and expected is None) or np.array_equal(got, expected)
 
+    def test_equals_the_mean_formula_bitwise(self):
+        rng = np.random.default_rng(31)
+        arrays = [rng.uniform(-2, 2, (4, 7)), rng.uniform(-2, 2, (4, 7)), rng.uniform(0.5, 2, 7), rng.uniform(-1, 1, 7)]
+        out, (gx, gy, g_gamma, g_beta) = self.value_and_grads(add_norm, arrays, shared=False)
+        x, y, gamma, beta = arrays
+        read_out = np.linspace(-1.5, 2.0, x.size).reshape(x.shape)  # d loss / d out, as value_and_grads reads out
+        z = x + y
+        mu = np.mean(z, axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.mean((z - mu) ** 2, axis=-1, keepdims=True) + 1e-5)
+        zhat = (z - mu) * inv
+        gg = read_out * gamma
+        dz = inv * (gg - np.mean(gg, axis=-1, keepdims=True) - zhat * np.mean(gg * zhat, axis=-1, keepdims=True))
+        assert np.array_equal(out, zhat * gamma + beta)
+        assert np.array_equal(gx, dz) and np.array_equal(gy, dz)
+        assert np.array_equal(g_gamma, np.sum(read_out * zhat, axis=0))
+        assert np.array_equal(g_beta, np.sum(read_out, axis=0))
+
     def test_one_record(self):
         x, y = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.eye(2, 3), requires_grad=True)
         with Tape() as tape:
@@ -160,6 +178,51 @@ class TestAddNorm:
     def test_bad_shapes_raise(self, x, y, d):
         with pytest.raises(ShapeError):
             add_norm(Tensor(np.ones(x)), Tensor(np.ones(y)), Tensor(np.ones(d)), Tensor(np.zeros(d)))
+
+
+class TestFfn:
+    """``ffn`` is ``linear``, ``relu``, ``linear`` in one record."""
+
+    def value_and_grads(self, step, arrays):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        n, d_out = arrays[0].shape[0], arrays[3].shape[1]
+        read_out = Tensor(np.linspace(-1.5, 2.0, n * d_out).reshape(n, d_out))
+        with Tape() as tape:
+            out = step(*leaves)
+            grads = tape.backward(sum_all(mul(out, read_out)))
+        return out.data, [grads[leaf.node_id] for leaf in leaves]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_equals_linear_relu_linear_bitwise(self, n):
+        rng = np.random.default_rng(32)
+        arrays = [rng.uniform(-2, 2, (n, 4)), rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, 6),
+                  rng.uniform(-1, 1, (6, 3)), rng.uniform(-1, 1, 3)]
+        pre = arrays[0] @ arrays[1] + arrays[2]
+        assert (pre > 0).any() and (pre < 0).any()  # the relu cuts somewhere
+        fused, fused_grads = self.value_and_grads(ffn, arrays)
+        split, split_grads = self.value_and_grads(
+            lambda x, w1, b1, w2, b2: linear(relu(linear(x, w1, b1)), w2, b2), arrays
+        )
+        assert fused.shape == (n, 3) and np.array_equal(fused, split)
+        assert len(fused_grads) == 5
+        for got, expected in zip(fused_grads, split_grads):
+            assert np.array_equal(got, expected)
+
+    def test_one_record(self):
+        leaves = [Tensor(np.ones(shape), requires_grad=True) for shape in [(2, 3), (3, 4), (4,), (4, 3), (3,)]]
+        with Tape() as tape:
+            ffn(*leaves)
+        assert [r[0] for r in tape.records] == ["ffn"]
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(3,), (3, 4), (4,), (4, 3), (3,)], [(2, 5), (3, 4), (4,), (4, 3), (3,)], [(2, 3), (3, 4), (4,), (5, 3), (3,)],
+         [(2, 3), (3, 4), (3,), (4, 3), (3,)], [(2, 3), (3, 4), (4,), (4, 3), (4,)], [(2, 3), (3, 4, 1), (4,), (4, 3), (3,)]],
+        ids=["rank", "input-width", "hidden-width", "bias-in", "bias-out", "weight-rank"],
+    )
+    def test_bad_shapes_raise(self, shapes):
+        with pytest.raises(ShapeError):
+            ffn(*(Tensor(np.ones(shape)) for shape in shapes))
 
 
 class TestElementwise:
@@ -410,6 +473,9 @@ class TestAttentionKernels:
         for lengths, n_weights in [([2, 1], 2), ([2, 2], 3), ([4, 0], 2), ([], 1), ([[2, 2]], 2)]:
             with pytest.raises(ShapeError):
                 attention_weights(x, segments=(lengths, Tensor(np.ones(n_weights))))
+        attention_weights(x, segments=([2, 2], Tensor(np.ones(2))))  # a layout valid for 4 keys
+        with pytest.raises(ShapeError):
+            attention_weights(x[:, :3], segments=([2, 2], Tensor(np.ones(2))))
 
     def test_segment_softmax_takes_one_weight_row_per_query_row(self):
         rng = np.random.default_rng(24)

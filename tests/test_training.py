@@ -326,6 +326,22 @@ class TestCheckpoint:
         after = restored.forward(result.encoded[0])[0].data
         assert np.array_equal(before, after)
 
+    def test_restore_draws_nothing_and_holds_the_saved_arrays(self, tmp_path, monkeypatch):
+        cfg, model = self.make_model()
+        p = tmp_path / "model.ckpt"
+        checkpoint.save(p, cfg, model.parameters())
+        inits = CKLModel.initialisers
+
+        def undrawable(config):
+            return {name: (shape, lambda rng: pytest.fail("restore drew a parameter")) for name, (shape, _) in inits(config).items()}
+
+        monkeypatch.setattr(CKLModel, "initialisers", staticmethod(undrawable))
+        restored = checkpoint.restore_model(p)
+        assert list(restored.params) == list(model.params)
+        for name, tensor in restored.params.items():
+            assert tensor.requires_grad and tensor.data.flags.writeable
+            assert np.array_equal(tensor.data, model.params[name].data)
+
     def test_truncated_file_rejected(self, tmp_path):
         cfg, model = self.make_model()
         p = tmp_path / "model.ckpt"

@@ -26,15 +26,18 @@ from .tensor import (
 )
 
 
-def mse(pred: Tensor, target) -> Tensor:
-    """Mean over elements of the squared difference."""
+def mse(pred: Tensor, target, lengths=None) -> Tensor:
+    """Mean over elements of the squared difference; with ``lengths``, the sum
+    of the means of that many consecutive elements each, one per sample of a pack."""
     t = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=np.float64))
     if pred.shape != t.shape:
         raise ShapeError(f"mse: shapes {pred.shape} and {t.shape} differ")
-    if pred.size < 1:
-        raise ShapeError("mse needs at least one element")
+    lengths = [pred.size] if lengths is None else list(lengths)
+    if pred.size < 1 or min(lengths) < 1 or sum(lengths) != pred.size:
+        raise ShapeError(f"mse of {pred.size} elements in samples of {lengths} elements")
     diff = sub(pred, t)
-    return scale(sum_all(mul(diff, diff)), 1.0 / pred.size)
+    per_element = np.repeat([1.0 / n for n in lengths], lengths).reshape(pred.shape)
+    return sum_all(mul(mul(diff, diff), Tensor(per_element)))
 
 
 def nll(logits: Tensor, targets: list[int]) -> Tensor:

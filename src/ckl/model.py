@@ -23,6 +23,8 @@ self-attention is the only one that hides keys. Every sublayer ends in the
 post-norm residual step ``LayerNorm(x + Sublayer(x))``, one ``add_norm``
 record; the feed-forward is one ``ffn`` record. One block (attention, then
 the feed-forward) serves the encoder layers and the three latent-weight blocks.
+Training passes take a pack of samples, stacking their rows with positions
+restarting per sample; block-diagonal attention keeps each sample to itself.
 
 A decode step advances every live hypothesis by one row in one call. Each
 layer caches all hypotheses' self-attention K/V in one array, gathered by parent
@@ -43,6 +45,7 @@ from .tensor import (
     ShapeError,
     Tape,
     Tensor,
+    _wrap,
     add,
     add_norm,
     attention,
@@ -118,20 +121,30 @@ class SegmentedEncoding:
     """Encoder memory: the rows of every segment, stacked in segment order.
 
     Segment s is ``lengths[s]`` rows long; the first ``m`` segments are the
-    context utterances, the rest the knowledge sentences.
+    context utterances, the rest the knowledge sentences. A pack stacks its
+    samples' memories; ``samples`` holds each one's ``(m, l)``, and ``m`` sums theirs.
     """
 
     memory: Tensor
     lengths: list[int]
     m: int
+    samples: tuple = ()
+
+    def pack(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per segment: whether it is a context utterance, and its sample (0 outside a pack)."""
+        counts = self.samples or ((self.m, self.l),)
+        return (np.concatenate([[True] * m + [False] * l for m, l in counts]),
+                np.repeat(np.arange(len(counts)), [m + l for m, l in counts]))
+
+    def part(self, context: bool) -> tuple[np.ndarray, list[int], np.ndarray]:
+        """The context's (or the knowledge's) memory rows, segment lengths, and each segment's sample."""
+        is_context, sample = self.pack()
+        mask, lengths = is_context == context, np.asarray(self.lengths)
+        return np.flatnonzero(np.repeat(mask, lengths)), lengths[mask].tolist(), sample[mask]
 
     @property
     def l(self) -> int:  # noqa: E741
         return len(self.lengths) - self.m
-
-    @property
-    def context_rows(self) -> int:
-        return sum(self.lengths[: self.m])
 
 
 @dataclass
@@ -146,6 +159,14 @@ class LatentWeights:
             "clwk": self.clwk.tolist(),
             "klw": self.klw.tolist(),
         }
+
+
+def _take(x: Tensor, idx) -> Tensor:
+    """The rows ``idx`` of ``x``: one slice when they are consecutive, as a lone sample's are."""
+    idx = np.asarray(idx)
+    if np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return rows(x, int(idx[0]), idx.size)
+    return embedding_lookup(x, idx)
 
 
 def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) -> Tensor:
@@ -241,23 +262,24 @@ class CKLModel:
         """The keys and values of attention ``name`` for the rows of ``x``."""
         return self._project(f"{name}.wk", x), self._project(f"{name}.wv", x)
 
-    def _attend(self, name, x_q, k, v, n_heads=None, causal=False, segments=None) -> Tensor:
+    def _attend(self, name, x_q, k, v, n_heads=None, causal=False, segments=None, blocks=None) -> Tensor:
         """Attention ``name`` of the rows of ``x_q`` to projected keys and values."""
         q = self._project(f"{name}.wq", x_q)
-        out = attention(q, k, v, n_heads or self.config.n_heads, causal, segments)
+        out = attention(q, k, v, n_heads or self.config.n_heads, causal, segments, blocks)
         return self._project(f"{name}.wo", out)
 
-    def _block(self, name, q, kv, n_heads=1, segments=None) -> Tensor:
+    def _block(self, name, q, kv, n_heads=1, segments=None, blocks=None) -> Tensor:
         """Attention of the rows of ``q`` to the rows of ``kv``, then the feed-forward, each a residual step."""
-        attn = self._attend(f"{name}.attn", q, *self._kv(f"{name}.attn", kv), n_heads, segments=segments)
+        attn = self._attend(f"{name}.attn", q, *self._kv(f"{name}.attn", kv), n_heads, False, segments, blocks)
         h = self._norm(f"{name}.ln1", q, attn)
         return self._norm(f"{name}.ln2", h, self._ffn(f"{name}.ffn", h))
 
-    def _per_segment_block(self, name, latent: Tensor, kv: Tensor, lengths: list[int]) -> Tensor:
-        """Row s is the block's output for ``latent`` attending to segment s of ``kv`` alone."""
-        q = embedding_lookup(latent, [0] * len(lengths))  # the latent row, once per segment
-        # Identity weights: row s keeps segment s and gives every other segment weight 0.
-        return self._block(name, q, kv, segments=(lengths, Tensor(np.eye(len(lengths)))))
+    def _per_segment_block(self, name, latent: Tensor, kv: Tensor, lengths: list[int], sample) -> Tensor:
+        """Row s is the block's output for its sample's latent row (or the one row) attending to segment s alone."""
+        q = embedding_lookup(latent, sample if latent.data.shape[0] > 1 else [0] * len(lengths))
+        # Identity weights keep row s to segment s; in a pack, blocks skip the scores between samples.
+        blocks = (np.bincount(sample), np.bincount(sample, lengths).astype(int)) if sample[-1] else None
+        return self._block(name, q, kv, segments=(lengths, Tensor(np.eye(len(lengths)))), blocks=blocks)
 
     def _weights(self, name, h) -> Tensor:
         """One sigmoid weight per row of h, as a vector."""
@@ -265,36 +287,40 @@ class CKLModel:
 
     # ----- components ---------------------------------------------------
 
-    def encode(self, sample: EncodedSample) -> SegmentedEncoding:
-        src = sample.source_ids()
-        if len(src) > self.config.max_source_len:
-            raise ShapeError(
-                f"source of {len(src)} tokens exceeds max_source_len="
-                f"{self.config.max_source_len}"
-            )
-        x = add(
-            embedding_lookup(self.params["emb.token"], src),
-            rows(self.params["emb.pos_src"], 0, len(src)),
-        )
+    def encode(self, *samples: EncodedSample) -> SegmentedEncoding:
+        """The memory of one sample, or of a pack of samples, each attending within itself."""
+        srcs = [sample.source_ids() for sample in samples]
+        lens = [len(src) for src in srcs]
+        if max(lens) > self.config.max_source_len:
+            raise ShapeError(f"source of {max(lens)} tokens exceeds max_source_len={self.config.max_source_len}")
+        x = add(embedding_lookup(self.params["emb.token"], np.concatenate(srcs)),
+                _take(self.params["emb.pos_src"], np.concatenate([np.arange(n) for n in lens])))
+        blocks = None if len(samples) == 1 else (lens, lens)
         for i in range(self.config.n_encoder_layers):
-            x = self._block(f"enc{i}", x, x, self.config.n_heads)
-        keep = [off + i for off, length in sample.segment_offsets() for i in range(length)]
-        return SegmentedEncoding(embedding_lookup(x, keep), list(sample.segment_lengths), sample.m)
+            x = self._block(f"enc{i}", x, x, self.config.n_heads, blocks=blocks)
+        keep = [start + off + i for start, sample in zip(np.cumsum([0] + lens), samples)
+                for off, length in sample.segment_offsets() for i in range(length)]
+        lengths = [n for sample in samples for n in sample.segment_lengths]
+        pack = tuple((sample.m, sample.l) for sample in samples) if len(samples) > 1 else ()
+        return SegmentedEncoding(embedding_lookup(x, keep), lengths, sum(sample.m for sample in samples), pack)
 
     def clw_generate(self, enc: SegmentedEncoding) -> tuple[Tensor, Tensor]:
         """One response weight and one knowledge weight per context utterance."""
-        context = rows(enc.memory, 0, enc.context_rows)
-        h = self._per_segment_block("clw.block", self.params["clw.latent"], context, enc.lengths[: enc.m])
+        idx, lengths, sample = enc.part(context=True)
+        h = self._per_segment_block("clw.block", self.params["clw.latent"], _take(enc.memory, idx), lengths, sample)
         return self._weights("clw.head_r", h), self._weights("clw.head_k", h)
 
     def klw_generate(self, enc: SegmentedEncoding, clwk: Tensor) -> Tensor:
         """One weight per knowledge sentence, context-conditioned if ``use_ck_dep``."""
-        z = self.params["klw.latent"]
+        z, b = self.params["klw.latent"], len(enc.samples) or 1
         if self.config.use_ck_dep:
-            context = rows(enc.memory, 0, enc.context_rows)
-            z = self._block("klw.ck", z, context, segments=(enc.lengths[: enc.m], clwk))
-        knowledge = rows(enc.memory, enc.context_rows, enc.memory.shape[0] - enc.context_rows)
-        h = self._per_segment_block("klw.know", z, knowledge, enc.lengths[enc.m :])
+            idx, lengths, sample = enc.part(context=True)
+            # In a pack, the latent row, once per sample, attends to that sample's context alone.
+            q, blocks = (z, None) if b == 1 else (
+                embedding_lookup(z, [0] * b), ([1] * b, np.bincount(sample, lengths).astype(int)))
+            z = self._block("klw.ck", q, _take(enc.memory, idx), segments=(lengths, clwk), blocks=blocks)
+        idx, lengths, sample = enc.part(context=False)
+        h = self._per_segment_block("klw.know", z, _take(enc.memory, idx), lengths, sample)
         return self._weights("klw.head", h)
 
     def decoder_forward(self, prefix_ids: list, enc: SegmentedEncoding, clwr: Tensor, klw: Tensor,
@@ -309,51 +335,66 @@ class CKLModel:
         layer's self-attention keys and values as ``(B, rows, d)`` arrays.
         Several hypotheses add one row each, and ``k[parents]`` reorders them.
         Cached rows are constants and carry no gradient, so a cached call under a tape raises.
+        For a pack ``enc``, ``prefix_ids`` is one prefix per sample, decoded
+        teacher-forced with no cache; each sample's rows attend within it alone.
         """
         if cache and Tape._active is not None:
             raise RuntimeError("a cached decoder_forward call is tape-free: its cached keys and values carry no gradient")
-        hyps, n = cache[1].shape[:2] if cache else (None, 0)
-        t = len(prefix_ids)
-        if t <= n:
-            raise ShapeError(f"decoder prefix of {t} tokens must be longer than its {n} cached rows")
-        if t > self.config.max_target_len:
-            raise ShapeError(f"prefix of {t} tokens exceeds max_target_len={self.config.max_target_len}")
-        ids = np.asarray(prefix_ids[n:], dtype=np.int64).reshape(t - n, -1).T  # (B, new rows)
-        b, new = ids.shape
-        if b > 1 and (cache is None or new > 1) or hyps not in (None, b):
-            raise ShapeError(f"{b} hypotheses adding {new} rows each to a cache of {hyps or 'no'} hypotheses; "
-                             "several need a cache of as many hypotheses and add one row each")
-        y = add(embedding_lookup(self.params["emb.token"], ids.ravel()),
-                embedding_lookup(self.params["emb.pos_tgt"], np.tile(np.arange(n, t), b)))
+        self_blocks = blocks = None
+        if enc.samples:  # the blocks check the prefix count and lengths
+            lens, limit = [len(ids) for ids in prefix_ids], self.config.max_target_len
+            if cache is not None or max(lens) > limit:
+                raise ShapeError(f"a pack takes prefixes of at most max_target_len={limit} ids, and no cache")
+            is_context, sample = enc.pack()
+            self_blocks, blocks = (lens, lens), (lens, np.bincount(sample, enc.lengths).astype(int))
+            b, n, ids, pos = 1, 0, np.concatenate(prefix_ids), np.concatenate([np.arange(t) for t in lens])
+        else:
+            hyps, n = cache[1].shape[:2] if cache else (None, 0)
+            t = len(prefix_ids)
+            if t <= n:
+                raise ShapeError(f"decoder prefix of {t} tokens must be longer than its {n} cached rows")
+            if t > self.config.max_target_len:
+                raise ShapeError(f"prefix of {t} tokens exceeds max_target_len={self.config.max_target_len}")
+            ids = np.asarray(prefix_ids[n:], dtype=np.int64).reshape(t - n, -1).T  # (B, new rows)
+            b, new = ids.shape
+            if b > 1 and (cache is None or new > 1) or hyps not in (None, b):
+                raise ShapeError(f"{b} hypotheses adding {new} rows each to a cache of {hyps or 'no'} hypotheses; "
+                                 "several need a cache of as many hypotheses and add one row each")
+            ids, pos = ids.ravel(), np.tile(np.arange(n, t), b)
+        y = add(embedding_lookup(self.params["emb.token"], ids), embedding_lookup(self.params["emb.pos_tgt"], pos))
         segments, cross = cache[0] if cache else (
             (enc.lengths, concat_vec([clwr, klw])),
             [self._kv(f"dec{i}.cross", enc.memory) for i in range(self.config.n_decoder_layers)])
+        if enc.samples:  # the weights in memory order: each sample's clwr, then its klw
+            segments = (enc.lengths, embedding_lookup(segments[1], np.argsort(np.argsort(~is_context, kind="stable"))))
         # One hypothesis is causal; several see only their own rows, through identity segment weights.
         causal, own = (True, None) if b == 1 else (False, ([t] * b, Tensor(np.eye(b))))
         kv = []
-        for i, (cross_k, cross_v) in enumerate(cross):
+        for i, (ck, cv) in enumerate(cross):
             k, v = self._kv(f"dec{i}.self", y)
-            if n:
-                k, v = (Tensor(np.concatenate([past, x.data.reshape(b, new, -1)], axis=1).reshape(b * t, -1))
+            if n:  # each cached row was checked for NaN/Inf when it was made
+                k, v = (_wrap(np.concatenate([past, x.data.reshape(b, new, -1)], axis=1).reshape(b * t, -1))
                         for past, x in zip(cache[1 + 2 * i : 3 + 2 * i], (k, v)))
-            kv += [k.data.reshape(b, t, -1), v.data.reshape(b, t, -1)]
-            y = self._norm(f"dec{i}.ln1", y, self._attend(f"dec{i}.self", y, k, v, causal=causal, segments=own))
-            y = self._norm(f"dec{i}.ln2", y, self._attend(f"dec{i}.cross", y, cross_k, cross_v, segments=segments))
+            if cache is not None:
+                kv += [k.data.reshape(b, t, -1), v.data.reshape(b, t, -1)]
+            y = self._norm(f"dec{i}.ln1", y, self._attend(f"dec{i}.self", y, k, v, None, causal, own, self_blocks))
+            y = self._norm(f"dec{i}.ln2", y, self._attend(f"dec{i}.cross", y, ck, cv, None, False, segments, blocks))
             y = self._norm(f"dec{i}.ln3", y, self._ffn(f"dec{i}.ffn", y))
         if cache is not None:
             cache[:] = [(segments, cross), *kv]
         return self._project("out", y)
 
-    def condition(self, sample: EncodedSample) -> tuple[SegmentedEncoding, LatentWeights]:
-        """Encode ``sample`` once and derive every latent weight from that encoding."""
-        enc = self.encode(sample)
+    def condition(self, *samples: EncodedSample) -> tuple[SegmentedEncoding, LatentWeights]:
+        """Encode one sample, or a pack, once and derive every latent weight from that encoding."""
+        enc = self.encode(*samples)
         clwr, clwk = self.clw_generate(enc)
         return enc, LatentWeights(clwr=clwr, clwk=clwk, klw=self.klw_generate(enc, clwk))
 
-    def forward(self, sample: EncodedSample) -> tuple[Tensor, LatentWeights]:
-        """Teacher-forced pass over the response; logits predict the next id."""
-        enc, weights = self.condition(sample)
-        return self.decoder_forward(sample.response_ids[:-1], enc, weights.clwr, weights.klw), weights
+    def forward(self, *samples: EncodedSample) -> tuple[Tensor, LatentWeights]:
+        """Teacher-forced pass over the response of one sample, or of each of a pack; logits predict the next id."""
+        enc, weights = self.condition(*samples)
+        prefixes = [sample.response_ids[:-1] for sample in samples]
+        return self.decoder_forward(prefixes if enc.samples else prefixes[0], enc, weights.clwr, weights.klw), weights
 
     def latent_weights(self, sample: EncodedSample) -> LatentWeights:
         return self.condition(sample)[1]

@@ -14,8 +14,10 @@ step, the layer norm of a sum, in one record (``layer_norm`` is ``add_norm``
 with a zero residual), and ``attention`` is all of multi-head attention in
 one record: it splits and merges the heads by reshape inside, and can hide
 future keys or normalise consecutive key segments separately, weighting each
-segment. There is no broadcasting beyond scalar-vs-tensor; every other shape
-mismatch is a hard error so gradient rules stay simple and bugs stay loud.
+segment; with ``blocks`` it is block-diagonal, so a pack of several samples'
+rows attends within each sample. There is no broadcasting beyond
+scalar-vs-tensor; every other shape mismatch is a hard error so gradient
+rules stay simple and bugs stay loud.
 """
 
 from __future__ import annotations
@@ -178,6 +180,22 @@ def _wrap(data) -> Tensor:
     return out
 
 
+def _shared(fn, users):
+    """``fn`` of an output gradient, made once for the rules of the tracked ``users``, dropped once all read it."""
+    n = sum(map(_tracked, users)) if Tape._active is not None else 0
+    state = [None, None, 0]  # the output gradient, fn of it, and the reads left
+
+    def get(g):
+        if state[0] is not g:
+            state[:] = [g, fn(g), n]
+        out, state[2] = state[1], state[2] - 1
+        if state[2] <= 0:
+            state[:] = [None, None, 0]
+        return out
+
+    return get
+
+
 def _make(kind: str, out_data: np.ndarray, inputs) -> Tensor:
     """Wrap an op result, recording it on the active tape when needed.
 
@@ -296,27 +314,26 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
 
 def add_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """The layer norm of ``x + y`` over the last axis: a residual step as one record."""
-    if x.shape != y.shape or x.data.ndim < 1:
-        raise ShapeError(f"add_norm of {x.shape} and {y.shape}")
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"add_norm affine shapes {gamma.shape}/{beta.shape} do not match d={d}")
+    xs, ys, gs, bs = x.data.shape, y.data.shape, gamma.data.shape, beta.data.shape
+    if xs != ys or not xs:
+        raise ShapeError(f"add_norm of {xs} and {ys}")
+    d = xs[-1]
+    if gs != (d,) or bs != (d,):
+        raise ShapeError(f"add_norm affine shapes {gs}/{bs} do not match d={d}")
     # Means as sums over d: the bits of np.mean (add.reduce, then divide), at a fraction of its call cost.
     z = x.data + y.data
     zc = z - z.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((zc**2).sum(axis=-1, keepdims=True) / d + eps)
     zhat = zc * inv
     lead = tuple(range(z.ndim - 1))
-    last = [None, None]  # the output gradient last seen, and d (x + y)
 
-    def grad_z(g):
-        if last[0] is not g:
-            gg = g * gamma.data
-            t1 = gg.sum(axis=-1, keepdims=True) / d
-            t2 = (gg * zhat).sum(axis=-1, keepdims=True) / d
-            last[:] = [g, inv * (gg - t1 - zhat * t2)]
-        return last[1]
+    def d_z(g):  # d (x + y)
+        gg = g * gamma.data
+        t1 = gg.sum(axis=-1, keepdims=True) / d
+        t2 = (gg * zhat).sum(axis=-1, keepdims=True) / d
+        return inv * (gg - t1 - zhat * t2)
 
+    grad_z = _shared(d_z, (x, y))
     grads = [(x, grad_z), (y, grad_z), (gamma, lambda g: np.sum(g * zhat, axis=lead) if lead else g * zhat),
              (beta, lambda g: np.sum(g, axis=lead) if lead else g)]
     return _make("add_norm", zhat * gamma.data + beta.data, grads)
@@ -327,8 +344,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
+    """The rows ``ids`` of a table, or the elements ``ids`` of a vector."""
+    if table.data.ndim not in (1, 2):
+        raise ShapeError(f"embedding table must be 1-D or 2-D, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("ids must be a non-empty 1-D sequence")
@@ -355,8 +373,9 @@ def add_row(x: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w`` plus the bias row ``b`` on every row, as one record."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear: {x.shape} x {w.shape} + {b.shape}")
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
+    if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or bs != ws[1:]:
+        raise ShapeError(f"linear: {xs} x {ws} + {bs}")
     xd, wd = x.data, w.data
     grads = [(x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g), (b, lambda g: g.sum(axis=0))]
     return _make("linear", xd @ wd + b.data, grads)
@@ -364,20 +383,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """The feed-forward ``relu(x @ w1 + b1) @ w2 + b2`` as one record."""
-    if (any(t.data.ndim != 2 for t in (x, w1, w2)) or x.shape[1] != w1.shape[0] or w2.shape[0] != w1.shape[1]
-            or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
-        raise ShapeError(f"ffn: {x.shape} x {w1.shape} + {b1.shape}, then x {w2.shape} + {b2.shape}")
+    xs, w1s, b1s, w2s, b2s = x.data.shape, w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape
+    if (len(xs) != 2 or len(w1s) != 2 or len(w2s) != 2 or xs[1] != w1s[0] or w2s[0] != w1s[1]
+            or b1s != w1s[1:] or b2s != w2s[1:]):
+        raise ShapeError(f"ffn: {xs} x {w1s} + {b1s}, then x {w2s} + {b2s}")
     xd, w1d, w2d = x.data, w1.data, w2.data
     pre = xd @ w1d + b1.data
-    mask = (pre > 0).astype(np.float64)
+    mask = pre > 0
     h = pre * mask
-    last = [None, None]  # the output gradient last seen, and d pre
-
-    def d_pre(g):
-        if last[0] is not g:
-            last[:] = [g, (g @ w2d.T) * mask]
-        return last[1]
-
+    d_pre = _shared(lambda g: (g @ w2d.T) * mask, (x, w1, b1))
     grads = [(x, lambda g: d_pre(g) @ w1d.T), (w1, lambda g: xd.T @ d_pre(g)), (b1, lambda g: d_pre(g).sum(axis=0)),
              (w2, lambda g: h.T @ g), (b2, lambda g: g.sum(axis=0))]
     return _make("ffn", h @ w2d + b2.data, grads)
@@ -456,18 +470,48 @@ def concat_vec(parts: list[Tensor]) -> Tensor:
     return _make("concat_vec", np.concatenate([p.data.ravel() for p in parts]), inputs)
 
 
-@functools.lru_cache(maxsize=256)
-def _segment_index(lengths, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each segment's first key and each key's segment, read-only: a decode reuses its layouts every step."""
+def _starts(lengths, total: int, what: str) -> np.ndarray:
+    """The first row of each of consecutive runs of ``lengths`` rows, which must cover ``total`` rows."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1) or lengths.sum() != r:
-        raise ShapeError(f"segment lengths {lengths} must be positive ints summing to the {r} keys")
-    starts, seg = np.cumsum(lengths) - lengths, np.repeat(np.arange(lengths.size), lengths)
-    starts.flags.writeable = seg.flags.writeable = False
-    return starts, seg
+    if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1) or lengths.sum() != total:
+        raise ShapeError(f"{what} lengths {lengths} must be positive ints summing to {total}")
+    return np.cumsum(lengths) - lengths
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = False, segments=None) -> Tensor:
+@functools.lru_cache(maxsize=256)
+def _layout(n: int, r: int, causal: bool, blocks, segments) -> tuple:
+    """The segment count and, per block, its query and key slices, causal mask, block-local segment
+    starts and key segments, and weight columns; read-only, as a decode reuses its layouts every step."""
+    q_lengths, k_lengths = blocks or ((n,), (r,))
+    q0, k0 = _starts(q_lengths, n, "query block"), _starts(k_lengths, r, "key block")
+    starts = None if segments is None else _starts(segments, r, "segment")
+    if q0.size != k0.size or starts is not None and not np.isin(k0, starts).all():
+        raise ShapeError(f"blocks {blocks} do not pair up, or segments {segments} straddle them")
+    layout = []
+    for qa, qb, ka, kb in zip(q0, [*q0[1:], n], k0, [*k0[1:], r]):
+        if causal and kb - ka < qb - qa:
+            raise ShapeError(f"causal attention of {qb - qa} query rows to only {kb - ka} keys")
+        hide = causal and qb > qa + 1  # a single query row sees every key
+        mask = np.triu(np.ones((qb - qa, kb - ka), dtype=bool), k=kb - ka - qb + qa + 1) if hide else None
+        sa, sb = np.searchsorted(starts, [ka, kb]) if segments else (None, None)
+        seg = np.repeat(np.arange(sb - sa), np.diff([*starts[sa:sb], kb])) if segments else None
+        layout.append((slice(qa, qb), slice(ka, kb), mask, segments and starts[sa:sb] - ka, seg, slice(sa, sb)))
+    for x in itertools.chain(*layout):
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    return segments and starts.size, tuple(layout)
+
+
+def _reductions(starts, seg):
+    """Max and sum over each key segment, spread back over its keys, or over all keys when unsegmented."""
+    if starts is None:
+        return (lambda x: x.max(axis=-1, keepdims=True)), (lambda x: x.sum(axis=-1, keepdims=True))
+    return (lambda x: np.maximum.reduceat(x, starts, axis=-1)[..., seg]), (
+        lambda x: np.add.reduceat(x, starts, axis=-1)[..., seg])
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = False, segments=None,
+              blocks=None) -> Tensor:
     """Multi-head scaled dot-product attention of the rows of ``q`` to the rows of ``k``/``v``.
 
     Head h reads columns ``[h * dh, (h + 1) * dh)`` of each operand and writes
@@ -479,66 +523,67 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
     segment cannot underflow another), and then multiplied by its weight:
     ``w[s]`` for a weight vector of shape ``(S,)``, or ``w[i, s]`` on query
     row i for a weight matrix of shape ``(len(q), S)``. Nothing is normalised
-    across segments, so a zero weight removes its segment exactly. One record;
-    gradients flow to ``q``, ``k``, ``v`` and ``w``.
+    across segments, so a zero weight removes its segment exactly.
+    ``blocks=(q_lengths, k_lengths)`` splits the query and the key rows into as
+    many consecutive blocks, each holding whole segments: query block b attends
+    to key block b alone, with ``causal`` and the segments applied within it.
+    No score between two blocks is computed. One record; gradients flow to
+    ``q``, ``k``, ``v`` and ``w``.
     """
-    if any(t.data.ndim != 2 for t in (q, k, v)) or q.shape[1] != k.shape[1] or v.shape[0] != k.shape[0]:
-        raise ShapeError(f"attention of q {q.shape} to k {k.shape} and v {v.shape}")
-    if n_heads < 1 or q.shape[1] % n_heads or v.shape[1] % n_heads:
-        raise ShapeError(f"cannot split q {q.shape} and v {v.shape} into {n_heads} heads")
-    n, r = q.shape[0], k.shape[0]
-    if causal and r < n:
-        raise ShapeError(f"causal attention of {n} query rows to only {r} keys")
+    qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
+    if len(qs) != 2 or len(ks) != 2 or len(vs) != 2 or qs[1] != ks[1] or vs[0] != ks[0]:
+        raise ShapeError(f"attention of q {qs} to k {ks} and v {vs}")
+    if n_heads < 1 or qs[1] % n_heads or vs[1] % n_heads:
+        raise ShapeError(f"cannot split q {qs} and v {vs} into {n_heads} heads")
+    n = qs[0]
+    key = (n, ks[0], bool(causal), blocks and tuple(map(tuple, blocks)), segments and tuple(segments[0]))
+    try:
+        n_segs, layout = _layout(*key)
+    except TypeError:  # unhashable, e.g. nested: checked uncached, which raises
+        n_segs, layout = _layout.__wrapped__(*key)
+    w = segments and segments[1]
+    if w is not None and w.data.shape not in ((n_segs,), (n, n_segs)):
+        raise ShapeError(f"{n_segs} segments for {n} query rows but weights of shape {w.data.shape}")
 
     def split(x):  # (rows, h * dh) -> (h, rows, dh)
         return np.ascontiguousarray(x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2))
 
-    def merge(x):  # (h, rows, dh) -> (rows, h * dh)
+    def cat(parts):  # each block's (h, rows, dh) -> (all rows, h * dh)
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     c = 1.0 / math.sqrt(qh.shape[-1])
-    s = (qh @ np.ascontiguousarray(kh.transpose(0, 2, 1))) * c
-    if causal and n > 1:  # a single query row sees every key
-        s[:, np.triu(np.ones((n, r), dtype=bool), k=r - n + 1)] = -np.inf
-    if segments is None:
-        seg_max = lambda x: x.max(axis=-1, keepdims=True)  # noqa: E731
-        seg_sum = lambda x: x.sum(axis=-1, keepdims=True)  # noqa: E731
-        w, wd = None, 1.0
-    else:
-        w = segments[1]
-        try:
-            starts, seg = _segment_index(tuple(segments[0]), r)
-        except TypeError:  # unhashable, e.g. nested: checked uncached, which raises
-            starts, seg = _segment_index.__wrapped__(segments[0], r)
-        if w.shape not in (starts.shape, (n,) + starts.shape):
-            raise ShapeError(f"{starts.size} segments for {n} query rows but weights of shape {w.shape}")
-        seg_max = lambda x: np.maximum.reduceat(x, starts, axis=-1)[..., seg]  # noqa: E731
-        seg_sum = lambda x: np.add.reduceat(x, starts, axis=-1)[..., seg]  # noqa: E731
-        wd = w.data[..., seg]
-    p = np.exp(s - seg_max(s))
-    p /= seg_sum(p)
-    a = p * wd
+    kept = []  # per block: its weights, p, a and segment sum
+    for qsl, ksl, mask, starts, seg, wsl in layout:
+        s = (qh[:, qsl] @ np.ascontiguousarray(kh[:, ksl].transpose(0, 2, 1))) * c
+        if mask is not None:
+            s[:, mask] = -np.inf
+        seg_max, seg_sum = _reductions(starts, seg)
+        wd = 1.0 if w is None else (w.data[wsl] if w.data.ndim == 1 else w.data[qsl, wsl])[..., seg]
+        p = np.exp(s - seg_max(s))
+        p /= seg_sum(p)
+        kept.append((wd, p, p if w is None else p * wd, seg_sum))
 
-    last = [None, None]  # the output gradient last seen, and its (d a, d scores)
+    inputs = (q, k, v) if w is None else (q, k, v, w)
+    need_w = w is not None and _tracked(w)
 
-    def backward(g):
-        if last[0] is not g:
-            da = split(g) @ vh.transpose(0, 2, 1)
+    def d_inputs(g):  # d q, d k, d v and d w, a block at a time: no block's score gradients outlive it
+        gh, parts, gw = split(g), [], np.zeros(w.data.shape) if need_w else None
+        for (qsl, ksl, _, starts, _, wsl), (wd, p, a, seg_sum) in zip(layout, kept):
+            gb = gh[:, qsl]
+            da = gb @ vh[:, ksl].transpose(0, 2, 1)
             dp = da * wd
-            last[:] = [g, (da, p * (dp - seg_sum(dp * p)) * c)]
-        return last[1]
+            ds = p * (dp - seg_sum(dp * p)) * c
+            parts.append((ds @ kh[:, ksl], ds.transpose(0, 2, 1) @ qh[:, qsl], a.transpose(0, 2, 1) @ gb))
+            if need_w:
+                at = wsl if w.data.ndim == 1 else (qsl, wsl)
+                gw[at] = np.add.reduceat(da * p, starts, axis=-1).reshape((-1,) + gw[at].shape).sum(axis=0)
+        return [cat(list(x)) for x in zip(*parts)] + [gw]
 
-    def grad_w(g):
-        per_seg = np.add.reduceat(backward(g)[0] * p, starts, axis=-1)
-        return per_seg.reshape((-1,) + w.shape).sum(axis=0)
-
-    grads = [
-        (q, lambda g: merge(backward(g)[1] @ kh)),
-        (k, lambda g: merge(backward(g)[1].transpose(0, 2, 1) @ qh)),
-        (v, lambda g: merge(a.transpose(0, 2, 1) @ split(g))),
-    ]
-    return _make("attention", merge(a @ vh), grads if w is None else grads + [(w, grad_w)])
+    grad = _shared(d_inputs, inputs)
+    out = cat([a @ vh[:, ksl] for (_, ksl, *_), (_, _, a, _) in zip(layout, kept)])
+    return _make("attention", out, [(t, lambda g, i=i: grad(g)[i]) for i, t in enumerate(inputs)])
 
 
 def take_per_row(x: Tensor, ids) -> Tensor:

@@ -114,6 +114,7 @@ def test_criterion_1_gradient_suite(gradcheck):
     gradcheck(lambda x: mul(element(x, 1), element(x, 1)), [v])
     keys, values = rng.uniform(-2, 2, (5, 4)), rng.uniform(-2, 2, (5, 2))
     read_out = Tensor(rng.uniform(-2, 2, (3, 2)))
+    block_rng = np.random.default_rng(101)  # its own draws leave the other checks' inputs as they were
     for n_heads in (1, 2):
         gradcheck(
             lambda q, k, x: sum_all(mul(attention(q, k, x, n_heads, causal=True), read_out)),
@@ -122,6 +123,18 @@ def test_criterion_1_gradient_suite(gradcheck):
         for w in (rng.uniform(0.1, 1.5, 2), rng.uniform(0.1, 1.5, (3, 2))):
             gradcheck(
                 lambda q, k, x, y: sum_all(mul(attention(q, k, x, n_heads, segments=([2, 3], y)), read_out)),
+                [a, keys, values, w],
+            )
+        # Blocks: query rows [0, 1) attend to keys [0, 2), rows [1, 3) to keys [2, 5).
+        blocks = ([1, 2], [2, 3])
+        gradcheck(
+            lambda q, k, x: sum_all(mul(attention(q, k, x, n_heads, causal=True, blocks=blocks), read_out)),
+            [a, keys, values],
+        )
+        for w in (block_rng.uniform(0.1, 1.5, 3), block_rng.uniform(0.1, 1.5, (3, 3))):
+            gradcheck(
+                lambda q, k, x, y: sum_all(
+                    mul(attention(q, k, x, n_heads, segments=([2, 1, 2], y), blocks=blocks), read_out)),
                 [a, keys, values, w],
             )
     affine = [rng.uniform(0.5, 2, 4), rng.uniform(-1, 1, 4)]

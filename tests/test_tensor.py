@@ -520,6 +520,87 @@ class TestAttentionKernels:
                 gradcheck(lambda *leaves: sum_all(mul(segmented(*leaves), read_out)), qkv + [w])
 
 
+class TestAttentionBlocks:
+    """``blocks`` makes one call act as separate calls, one per block."""
+
+    Q_LENGTHS, K_LENGTHS, SEGMENTS = [2, 1, 3], [3, 4, 3], [1, 2, 4, 2, 1]  # 2 + 1 + 2 segments
+
+    def operands(self, seed=30):
+        rng = np.random.default_rng(seed)
+        n, r = sum(self.Q_LENGTHS), sum(self.K_LENGTHS)
+        return [rng.uniform(-2, 2, shape) for shape in ((n, 4), (r, 4), (r, 6))]
+
+    READ_OUT = np.linspace(-1.0, 1.0, 36).reshape(6, 6)  # one row per query row
+
+    @classmethod
+    def run(cls, q, k, v, w=None, rows=slice(None), **kwargs):
+        """The output and the q, k, v (and w) gradients of ``sum(out * READ_OUT[rows])``."""
+        leaves = [Tensor(x, requires_grad=True) for x in (q, k, v) + (() if w is None else (w,))]
+        read_out = cls.READ_OUT[rows]
+        segments = None if w is None else (kwargs.pop("lengths"), leaves[3])
+        with Tape() as tape:
+            out = attention(*leaves[:3], segments=segments, **kwargs)
+            grads = tape.backward(sum_all(mul(out, Tensor(read_out))))
+        return [out.data] + [grads[leaf.node_id] for leaf in leaves], [record[0] for record in tape.records]
+
+    def blockwise(self, q, k, v, w=None, **kwargs):
+        """The same quantities from one call per block, stacked."""
+        q0, k0 = np.cumsum([0] + self.Q_LENGTHS), np.cumsum([0] + self.K_LENGTHS)
+        s0 = np.cumsum([0] + [2, 1, 2])
+        parts = []
+        for b in range(3):
+            qs, ks, ss = slice(q0[b], q0[b + 1]), slice(k0[b], k0[b + 1]), slice(s0[b], s0[b + 1])
+            wb = None if w is None else (w[ss] if w.ndim == 1 else w[qs, ss])
+            extra = {} if w is None else {"lengths": self.SEGMENTS[ss]}
+            parts.append(self.run(q[qs], k[ks], v[ks], wb, qs, **extra, **kwargs)[0])
+        out = [np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
+               np.concatenate([p[2] for p in parts]), np.concatenate([p[3] for p in parts])]
+        if w is not None:
+            gw = np.zeros_like(w)
+            for b, p in enumerate(parts):
+                gw[slice(s0[b], s0[b + 1]) if w.ndim == 1 else (slice(q0[b], q0[b + 1]), slice(s0[b], s0[b + 1]))] = p[4]
+            out.append(gw)
+        return out
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("kind", ["causal", "vector", "matrix"])
+    def test_equals_one_call_per_block(self, n_heads, kind):
+        q, k, v = self.operands()
+        rng = np.random.default_rng(31)
+        w = {"causal": None, "vector": rng.uniform(0.1, 1.5, 5), "matrix": rng.uniform(0.1, 1.5, (6, 5))}[kind]
+        kwargs = dict(n_heads=n_heads, causal=kind == "causal")
+        if w is not None:
+            kwargs["lengths"] = self.SEGMENTS
+        got, kinds = self.run(q, k, v, w, blocks=(self.Q_LENGTHS, self.K_LENGTHS), **dict(kwargs))
+        expected = self.blockwise(q, k, v, w, **{key: val for key, val in kwargs.items() if key != "lengths"})
+        assert kinds == ["attention", "mul", "sum_all"]  # one record for every block
+        for g, e in zip(got, expected, strict=True):
+            assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
+
+    def test_one_block_of_every_row_is_the_unblocked_kernel_bitwise(self):
+        q, k, v = self.operands()
+        w = np.random.default_rng(32).uniform(0.1, 1.5, (6, 5))
+        plain, _ = self.run(q, k, v, w, lengths=self.SEGMENTS, n_heads=2)
+        one, _ = self.run(q, k, v, w, lengths=self.SEGMENTS, n_heads=2, blocks=([6], [10]))
+        assert all(np.array_equal(a, b) for a, b in zip(plain, one, strict=True))
+
+    @pytest.mark.parametrize("blocks,segments,causal", [
+        (([2, 1, 2], [3, 4, 3]), None, False),  # queries sum to 5, not 6
+        (([2, 1, 3], [3, 4, 4]), None, False),  # keys sum to 11, not 10
+        (([3, 3], [3, 4, 3]), None, False),  # two query blocks for three key blocks
+        (([2, 0, 4], [3, 4, 3]), None, False),  # an empty block
+        (([2, 1, 3], [3, 4, 3]), [1, 3, 3, 2, 1], False),  # a segment straddles two blocks
+        (([2, 1, 3], [3, 4, 3]), [1, 2, 5, 2], False),  # a segment runs from the second block into the third
+        (([2, 4, 0], [3, 4, 3]), None, True),  # a causal block of 4 queries to 4 keys is fine; 0 is not
+        (([2, 1, 3], [3, 5, 2]), None, True),  # a causal block of 3 queries to 2 keys
+    ])
+    def test_mismatched_blocks_raise(self, blocks, segments, causal):
+        q, k, v = (Tensor(x) for x in self.operands())
+        seg = None if segments is None else (segments, Tensor(np.ones(len(segments))))
+        with pytest.raises(ShapeError):
+            attention(q, k, v, causal=causal, segments=seg, blocks=blocks)
+
+
 class TestInvariants:
     def test_determinism(self):
         def run():

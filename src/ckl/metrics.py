@@ -107,13 +107,20 @@ class WordVectorTable:
 
     @classmethod
     def load(cls, path) -> "WordVectorTable":
-        vectors = {}
+        """Every line must hold finite values, as many as the first line holds."""
+        vectors, dim = {}, 0
         for lineno, line in numbered_lines(path):
-            parts = line.split()
+            token, *values = line.split()
             try:
-                vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
+                vec = np.array([float(x) for x in values])
             except ValueError as err:
                 raise ValueError(f"{path}: line {lineno}: bad vector") from err
+            dim = dim or vec.size
+            problem = ("no values" if not vec.size else f"{vec.size} values, not the first line's {dim}"
+                       if vec.size != dim else "a non-finite value" if not np.isfinite(vec).all() else None)
+            if problem:
+                raise ValueError(f"{path}: line {lineno}: bad vector: {problem}")
+            vectors[token] = vec
         return cls(vectors)
 
     def get(self, token: str) -> np.ndarray | None:

@@ -16,21 +16,22 @@ each segment's keys separately, each segment scaled by its weight, and one
 multiplication by the values. Nothing is renormalised across segments, so a
 zero weight removes a segment's contribution exactly. The decoder's LWE
 (latent-weight-enhanced) cross-attention weights the segments by their
-latent weights. The weight generators give their latent query one row per
-segment and identity weights, so row s attends to its own utterance or
-sentence alone and one pass yields every weight. The decoder's causal
-self-attention is the only one that hides keys. Every sublayer ends in the
-post-norm residual step ``LayerNorm(x + Sublayer(x))``, one ``add_norm``
-record; the feed-forward is one ``ffn`` record. One block (attention, then
-the feed-forward) serves the encoder layers and the three latent-weight blocks.
-Training passes take a pack of samples, stacking their rows with positions
-restarting per sample; block-diagonal attention keeps each sample to itself.
+latent weights. Every sublayer ends in the post-norm residual step
+``LayerNorm(x + Sublayer(x))``, one ``add_norm`` record; the feed-forward is
+one ``ffn`` record. One block (attention, then the feed-forward) serves the
+encoder layers and the three latent-weight blocks. ``blocks`` is the one way
+rows are kept apart. Every pass takes a pack of samples, a lone sample being a
+pack of one, with positions restarting per sample; block-diagonal attention
+keeps each sample to itself. The weight generators give their latent query one
+row per segment, a block whose keys are that segment's rows, so one pass scores
+every utterance or sentence on its own.
 
-A decode step advances every live hypothesis by one row in one call. Each
-layer caches all hypotheses' self-attention K/V in one array, gathered by parent
-when beams are pruned; the cross-attention K/V and segment weights are shared.
-Cached calls are tape-free. A checkpoint's arrays become the parameters as
-they are, with nothing drawn at random.
+A decode step advances every live hypothesis by one row in one call, each
+hypothesis a self-attention block of its own. Each layer caches all
+hypotheses' self-attention K/V in one array, gathered by parent when beams are
+pruned; the cross-attention K/V and segment weights are shared. Cached calls are
+tape-free. A checkpoint's arrays become the parameters as they are, with
+nothing drawn at random.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .tensor import (
     embedding_lookup,
     ffn,
     linear,
-    rows,
     sigmoid,
 )
 
@@ -121,8 +121,8 @@ class SegmentedEncoding:
     """Encoder memory: the rows of every segment, stacked in segment order.
 
     Segment s is ``lengths[s]`` rows long; the first ``m`` segments are the
-    context utterances, the rest the knowledge sentences. A pack stacks its
-    samples' memories; ``samples`` holds each one's ``(m, l)``, and ``m`` sums theirs.
+    context utterances, the rest the knowledge sentences. A pack stacks its samples'
+    memories; ``samples`` holds each one's ``(m, l)`` (one sample's by default), and ``m`` sums theirs.
     """
 
     memory: Tensor
@@ -130,17 +130,20 @@ class SegmentedEncoding:
     m: int
     samples: tuple = ()
 
-    def pack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per segment: whether it is a context utterance, and its sample (0 outside a pack)."""
-        counts = self.samples or ((self.m, self.l),)
-        return (np.concatenate([[True] * m + [False] * l for m, l in counts]),
-                np.repeat(np.arange(len(counts)), [m + l for m, l in counts]))
+    def __post_init__(self):
+        self.samples = self.samples or ((self.m, self.l),)
 
-    def part(self, context: bool) -> tuple[np.ndarray, list[int], np.ndarray]:
+    def pack(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per segment: whether it is a context utterance, and its sample."""
+        return (np.concatenate([[True] * m + [False] * l for m, l in self.samples]),
+                np.repeat(np.arange(len(self.samples)), [m + l for m, l in self.samples]))
+
+    def part(self, context: bool) -> tuple[Tensor, list[int], np.ndarray]:
         """The context's (or the knowledge's) memory rows, segment lengths, and each segment's sample."""
         is_context, sample = self.pack()
         mask, lengths = is_context == context, np.asarray(self.lengths)
-        return np.flatnonzero(np.repeat(mask, lengths)), lengths[mask].tolist(), sample[mask]
+        rows = embedding_lookup(self.memory, np.flatnonzero(np.repeat(mask, lengths)))
+        return rows, lengths[mask].tolist(), sample[mask]
 
     @property
     def l(self) -> int:  # noqa: E741
@@ -159,14 +162,6 @@ class LatentWeights:
             "clwk": self.clwk.tolist(),
             "klw": self.klw.tolist(),
         }
-
-
-def _take(x: Tensor, idx) -> Tensor:
-    """The rows ``idx`` of ``x``: one slice when they are consecutive, as a lone sample's are."""
-    idx = np.asarray(idx)
-    if np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        return rows(x, int(idx[0]), idx.size)
-    return embedding_lookup(x, idx)
 
 
 def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) -> Tensor:
@@ -274,12 +269,11 @@ class CKLModel:
         h = self._norm(f"{name}.ln1", q, attn)
         return self._norm(f"{name}.ln2", h, self._ffn(f"{name}.ffn", h))
 
-    def _per_segment_block(self, name, latent: Tensor, kv: Tensor, lengths: list[int], sample) -> Tensor:
+    def _per_segment_block(self, name, latent: Tensor, enc: SegmentedEncoding, context: bool) -> Tensor:
         """Row s is the block's output for its sample's latent row (or the one row) attending to segment s alone."""
+        kv, lengths, sample = enc.part(context)
         q = embedding_lookup(latent, sample if latent.data.shape[0] > 1 else [0] * len(lengths))
-        # Identity weights keep row s to segment s; in a pack, blocks skip the scores between samples.
-        blocks = (np.bincount(sample), np.bincount(sample, lengths).astype(int)) if sample[-1] else None
-        return self._block(name, q, kv, segments=(lengths, Tensor(np.eye(len(lengths)))), blocks=blocks)
+        return self._block(name, q, kv, blocks=([1] * len(lengths), lengths))
 
     def _weights(self, name, h) -> Tensor:
         """One sigmoid weight per row of h, as a vector."""
@@ -288,39 +282,35 @@ class CKLModel:
     # ----- components ---------------------------------------------------
 
     def encode(self, *samples: EncodedSample) -> SegmentedEncoding:
-        """The memory of one sample, or of a pack of samples, each attending within itself."""
+        """The memory of a pack of samples, each attending within itself."""
         srcs = [sample.source_ids() for sample in samples]
         lens = [len(src) for src in srcs]
         if max(lens) > self.config.max_source_len:
             raise ShapeError(f"source of {max(lens)} tokens exceeds max_source_len={self.config.max_source_len}")
         x = add(embedding_lookup(self.params["emb.token"], np.concatenate(srcs)),
-                _take(self.params["emb.pos_src"], np.concatenate([np.arange(n) for n in lens])))
-        blocks = None if len(samples) == 1 else (lens, lens)
+                embedding_lookup(self.params["emb.pos_src"], np.concatenate([np.arange(n) for n in lens])))
         for i in range(self.config.n_encoder_layers):
-            x = self._block(f"enc{i}", x, x, self.config.n_heads, blocks=blocks)
+            x = self._block(f"enc{i}", x, x, self.config.n_heads, blocks=(lens, lens))
         keep = [start + off + i for start, sample in zip(np.cumsum([0] + lens), samples)
                 for off, length in sample.segment_offsets() for i in range(length)]
         lengths = [n for sample in samples for n in sample.segment_lengths]
-        pack = tuple((sample.m, sample.l) for sample in samples) if len(samples) > 1 else ()
+        pack = tuple((sample.m, sample.l) for sample in samples)
         return SegmentedEncoding(embedding_lookup(x, keep), lengths, sum(sample.m for sample in samples), pack)
 
     def clw_generate(self, enc: SegmentedEncoding) -> tuple[Tensor, Tensor]:
         """One response weight and one knowledge weight per context utterance."""
-        idx, lengths, sample = enc.part(context=True)
-        h = self._per_segment_block("clw.block", self.params["clw.latent"], _take(enc.memory, idx), lengths, sample)
+        h = self._per_segment_block("clw.block", self.params["clw.latent"], enc, context=True)
         return self._weights("clw.head_r", h), self._weights("clw.head_k", h)
 
     def klw_generate(self, enc: SegmentedEncoding, clwk: Tensor) -> Tensor:
         """One weight per knowledge sentence, context-conditioned if ``use_ck_dep``."""
-        z, b = self.params["klw.latent"], len(enc.samples) or 1
+        z, b = self.params["klw.latent"], len(enc.samples)
         if self.config.use_ck_dep:
-            idx, lengths, sample = enc.part(context=True)
-            # In a pack, the latent row, once per sample, attends to that sample's context alone.
-            q, blocks = (z, None) if b == 1 else (
-                embedding_lookup(z, [0] * b), ([1] * b, np.bincount(sample, lengths).astype(int)))
-            z = self._block("klw.ck", q, _take(enc.memory, idx), segments=(lengths, clwk), blocks=blocks)
-        idx, lengths, sample = enc.part(context=False)
-        h = self._per_segment_block("klw.know", z, _take(enc.memory, idx), lengths, sample)
+            kv, lengths, sample = enc.part(context=True)
+            # The latent row, once per sample, attends to that sample's context alone.
+            blocks = ([1] * b, np.bincount(sample, lengths).astype(int))
+            z = self._block("klw.ck", embedding_lookup(z, [0] * b), kv, segments=(lengths, clwk), blocks=blocks)
+        h = self._per_segment_block("klw.know", z, enc, context=False)
         return self._weights("klw.head", h)
 
     def decoder_forward(self, prefix_ids: list, enc: SegmentedEncoding, clwr: Tensor, klw: Tensor,
@@ -329,46 +319,44 @@ class CKLModel:
 
         ``prefix_ids`` is ``t`` ids, or ``t`` rows of ``B`` ids, one column per
         hypothesis; the logits are hypothesis-major. Without a cache this is the
-        teacher-forced pass. A ``cache`` list, empty at first, holds
-        ``(segments, cross)``, the segment weights and cross-attention keys and
-        values that the first call makes and every hypothesis shares, then each
-        layer's self-attention keys and values as ``(B, rows, d)`` arrays.
-        Several hypotheses add one row each, and ``k[parents]`` reorders them.
+        teacher-forced pass. A ``cache`` list, empty at first, holds first what
+        the first call makes and every hypothesis shares: the segment weights,
+        the cross-attention keys and values and the memory's rows per sample.
+        Each layer's self-attention keys and values follow as ``(B, rows, d)``
+        arrays. Several hypotheses add one row each, and ``k[parents]`` reorders them.
         Cached rows are constants and carry no gradient, so a cached call under a tape raises.
-        For a pack ``enc``, ``prefix_ids`` is one prefix per sample, decoded
-        teacher-forced with no cache; each sample's rows attend within it alone.
+        For a pack ``enc`` of several samples, ``prefix_ids`` is one prefix per
+        sample, decoded teacher-forced with no cache.
         """
         if cache and Tape._active is not None:
             raise RuntimeError("a cached decoder_forward call is tape-free: its cached keys and values carry no gradient")
-        self_blocks = blocks = None
-        if enc.samples:  # the blocks check the prefix count and lengths
+        if len(enc.samples) > 1:  # the blocks check the prefix count and lengths
             lens, limit = [len(ids) for ids in prefix_ids], self.config.max_target_len
             if cache is not None or max(lens) > limit:
                 raise ShapeError(f"a pack takes prefixes of at most max_target_len={limit} ids, and no cache")
-            is_context, sample = enc.pack()
-            self_blocks, blocks = (lens, lens), (lens, np.bincount(sample, enc.lengths).astype(int))
-            b, n, ids, pos = 1, 0, np.concatenate(prefix_ids), np.concatenate([np.arange(t) for t in lens])
+            n, ids, queries, keys, per_sample = 0, np.concatenate(prefix_ids), lens, lens, lens
         else:
             hyps, n = cache[1].shape[:2] if cache else (None, 0)
-            t = len(prefix_ids)
-            if t <= n:
-                raise ShapeError(f"decoder prefix of {t} tokens must be longer than its {n} cached rows")
-            if t > self.config.max_target_len:
-                raise ShapeError(f"prefix of {t} tokens exceeds max_target_len={self.config.max_target_len}")
+            t, limit = len(prefix_ids), self.config.max_target_len
+            if not n < t <= limit:
+                raise ShapeError(f"decoder prefix of {t} tokens must be longer than its {n} cached rows, "
+                                 f"and at most max_target_len={limit}")
             ids = np.asarray(prefix_ids[n:], dtype=np.int64).reshape(t - n, -1).T  # (B, new rows)
             b, new = ids.shape
             if b > 1 and (cache is None or new > 1) or hyps not in (None, b):
                 raise ShapeError(f"{b} hypotheses adding {new} rows each to a cache of {hyps or 'no'} hypotheses; "
                                  "several need a cache of as many hypotheses and add one row each")
-            ids, pos = ids.ravel(), np.tile(np.arange(n, t), b)
+            ids, queries, keys, per_sample = ids.ravel(), [new] * b, [t] * b, [b * new]
+        pos = np.concatenate([np.arange(k - q, k) for q, k in zip(queries, keys)])  # each sequence's new positions
         y = add(embedding_lookup(self.params["emb.token"], ids), embedding_lookup(self.params["emb.pos_tgt"], pos))
-        segments, cross = cache[0] if cache else (
-            (enc.lengths, concat_vec([clwr, klw])),
-            [self._kv(f"dec{i}.cross", enc.memory) for i in range(self.config.n_decoder_layers)])
-        if enc.samples:  # the weights in memory order: each sample's clwr, then its klw
-            segments = (enc.lengths, embedding_lookup(segments[1], np.argsort(np.argsort(~is_context, kind="stable"))))
-        # One hypothesis is causal; several see only their own rows, through identity segment weights.
-        causal, own = (True, None) if b == 1 else (False, ([t] * b, Tensor(np.eye(b))))
+        if not cache:
+            is_context, sample = enc.pack()
+            order = np.argsort(np.argsort(~is_context, kind="stable"))  # memory order: each sample's clwr, then klw
+            shared = ((enc.lengths, embedding_lookup(concat_vec([clwr, klw]), order)),
+                      [self._kv(f"dec{i}.cross", enc.memory) for i in range(self.config.n_decoder_layers)],
+                      np.bincount(sample, enc.lengths).astype(int))
+        segments, cross, memory_rows = cache[0] if cache else shared
+        blocks = (per_sample, memory_rows)  # each sample's rows read its own memory
         kv = []
         for i, (ck, cv) in enumerate(cross):
             k, v = self._kv(f"dec{i}.self", y)
@@ -377,24 +365,24 @@ class CKLModel:
                         for past, x in zip(cache[1 + 2 * i : 3 + 2 * i], (k, v)))
             if cache is not None:
                 kv += [k.data.reshape(b, t, -1), v.data.reshape(b, t, -1)]
-            y = self._norm(f"dec{i}.ln1", y, self._attend(f"dec{i}.self", y, k, v, None, causal, own, self_blocks))
+            y = self._norm(f"dec{i}.ln1", y, self._attend(f"dec{i}.self", y, k, v, None, True, None, (queries, keys)))
             y = self._norm(f"dec{i}.ln2", y, self._attend(f"dec{i}.cross", y, ck, cv, None, False, segments, blocks))
             y = self._norm(f"dec{i}.ln3", y, self._ffn(f"dec{i}.ffn", y))
         if cache is not None:
-            cache[:] = [(segments, cross), *kv]
+            cache[:] = [(segments, cross, memory_rows), *kv]
         return self._project("out", y)
 
     def condition(self, *samples: EncodedSample) -> tuple[SegmentedEncoding, LatentWeights]:
-        """Encode one sample, or a pack, once and derive every latent weight from that encoding."""
+        """Encode a pack of samples once and derive every latent weight from that encoding."""
         enc = self.encode(*samples)
         clwr, clwk = self.clw_generate(enc)
         return enc, LatentWeights(clwr=clwr, clwk=clwk, klw=self.klw_generate(enc, clwk))
 
     def forward(self, *samples: EncodedSample) -> tuple[Tensor, LatentWeights]:
-        """Teacher-forced pass over the response of one sample, or of each of a pack; logits predict the next id."""
-        enc, weights = self.condition(*samples)
+        """Teacher-forced pass over the response of each sample of a pack; logits predict the next id."""
+        enc, w = self.condition(*samples)
         prefixes = [sample.response_ids[:-1] for sample in samples]
-        return self.decoder_forward(prefixes if enc.samples else prefixes[0], enc, weights.clwr, weights.klw), weights
+        return self.decoder_forward(prefixes if len(samples) > 1 else prefixes[0], enc, w.clwr, w.klw), w
 
     def latent_weights(self, sample: EncodedSample) -> LatentWeights:
         return self.condition(sample)[1]

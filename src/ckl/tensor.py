@@ -15,9 +15,10 @@ with a zero residual), and ``attention`` is all of multi-head attention in
 one record: it splits and merges the heads by reshape inside, and can hide
 future keys or normalise consecutive key segments separately, weighting each
 segment; with ``blocks`` it is block-diagonal, so a pack of several samples'
-rows attends within each sample. There is no broadcasting beyond
-scalar-vs-tensor; every other shape mismatch is a hard error so gradient
-rules stay simple and bugs stay loud.
+rows attends within each sample, and blocks of one query row each (beam
+hypotheses, per-segment latent rows) run as one masked pass. There is no
+broadcasting beyond scalar-vs-tensor; every other shape mismatch is a hard
+error so gradient rules stay simple and bugs stay loud.
 """
 
 from __future__ import annotations
@@ -480,13 +481,17 @@ def _starts(lengths, total: int, what: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _layout(n: int, r: int, causal: bool, blocks, segments) -> tuple:
-    """The segment count and, per block, its query and key slices, causal mask, block-local segment
+    """The segment count and, per block, its query and key slices, mask of hidden keys, block-local segment
     starts and key segments, and weight columns; read-only, as a decode reuses its layouts every step."""
     q_lengths, k_lengths = blocks or ((n,), (r,))
     q0, k0 = _starts(q_lengths, n, "query block"), _starts(k_lengths, r, "key block")
     starts = None if segments is None else _starts(segments, r, "segment")
     if q0.size != k0.size or starts is not None and not np.isin(k0, starts).all():
         raise ShapeError(f"blocks {blocks} do not pair up, or segments {segments} straddle them")
+    if segments is None and n == q0.size > 1:  # one query row per block: one pass, masking the other blocks' keys
+        mask = np.arange(n)[:, None] != np.repeat(np.arange(n), k_lengths)
+        mask.flags.writeable = False
+        return None, ((slice(0, n), slice(0, r), mask, None, None, None),)
     layout = []
     for qa, qb, ka, kb in zip(q0, [*q0[1:], n], k0, [*k0[1:], r]):
         if causal and kb - ka < qb - qa:
@@ -520,30 +525,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
     so new query rows may follow cached keys. ``segments=(lengths, w)`` splits
     the keys into consecutive segments of ``lengths`` rows. Each segment is
     normalised on its own, after subtracting its own max (a huge score in one
-    segment cannot underflow another), and then multiplied by its weight:
-    ``w[s]`` for a weight vector of shape ``(S,)``, or ``w[i, s]`` on query
-    row i for a weight matrix of shape ``(len(q), S)``. Nothing is normalised
-    across segments, so a zero weight removes its segment exactly.
+    segment cannot underflow another), and then multiplied by its weight
+    ``w[s]``, from a vector of shape ``(S,)``. Nothing is normalised across
+    segments, so a zero weight removes its segment exactly.
     ``blocks=(q_lengths, k_lengths)`` splits the query and the key rows into as
     many consecutive blocks, each holding whole segments: query block b attends
     to key block b alone, with ``causal`` and the segments applied within it.
-    No score between two blocks is computed. One record; gradients flow to
-    ``q``, ``k``, ``v`` and ``w``.
+    No score between two blocks is computed, except when every block holds one
+    query row and there are no segments: then one pass scores each row against
+    every key and masks the keys of the other blocks. One record; gradients
+    flow to ``q``, ``k``, ``v`` and ``w``.
     """
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
     if len(qs) != 2 or len(ks) != 2 or len(vs) != 2 or qs[1] != ks[1] or vs[0] != ks[0]:
         raise ShapeError(f"attention of q {qs} to k {ks} and v {vs}")
     if n_heads < 1 or qs[1] % n_heads or vs[1] % n_heads:
         raise ShapeError(f"cannot split q {qs} and v {vs} into {n_heads} heads")
-    n = qs[0]
-    key = (n, ks[0], bool(causal), blocks and tuple(map(tuple, blocks)), segments and tuple(segments[0]))
+    key = (qs[0], ks[0], bool(causal), blocks and tuple(map(tuple, blocks)), segments and tuple(segments[0]))
     try:
         n_segs, layout = _layout(*key)
     except TypeError:  # unhashable, e.g. nested: checked uncached, which raises
         n_segs, layout = _layout.__wrapped__(*key)
     w = segments and segments[1]
-    if w is not None and w.data.shape not in ((n_segs,), (n, n_segs)):
-        raise ShapeError(f"{n_segs} segments for {n} query rows but weights of shape {w.data.shape}")
+    if w is not None and w.data.shape != (n_segs,):
+        raise ShapeError(f"{n_segs} segments but weights of shape {w.data.shape}")
 
     def split(x):  # (rows, h * dh) -> (h, rows, dh)
         return np.ascontiguousarray(x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2))
@@ -560,7 +565,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
         if mask is not None:
             s[:, mask] = -np.inf
         seg_max, seg_sum = _reductions(starts, seg)
-        wd = 1.0 if w is None else (w.data[wsl] if w.data.ndim == 1 else w.data[qsl, wsl])[..., seg]
+        wd = 1.0 if w is None else w.data[wsl][seg]
         p = np.exp(s - seg_max(s))
         p /= seg_sum(p)
         kept.append((wd, p, p if w is None else p * wd, seg_sum))
@@ -577,8 +582,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
             ds = p * (dp - seg_sum(dp * p)) * c
             parts.append((ds @ kh[:, ksl], ds.transpose(0, 2, 1) @ qh[:, qsl], a.transpose(0, 2, 1) @ gb))
             if need_w:
-                at = wsl if w.data.ndim == 1 else (qsl, wsl)
-                gw[at] = np.add.reduceat(da * p, starts, axis=-1).reshape((-1,) + gw[at].shape).sum(axis=0)
+                gw[wsl] = np.add.reduceat(da * p, starts, axis=-1).reshape(-1, len(starts)).sum(axis=0)
         return [cat(list(x)) for x in zip(*parts)] + [gw]
 
     grad = _shared(d_inputs, inputs)

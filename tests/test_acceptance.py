@@ -120,22 +120,27 @@ def test_criterion_1_gradient_suite(gradcheck):
             lambda q, k, x: sum_all(mul(attention(q, k, x, n_heads, causal=True), read_out)),
             [a, keys, values],
         )
-        for w in (rng.uniform(0.1, 1.5, 2), rng.uniform(0.1, 1.5, (3, 2))):
-            gradcheck(
-                lambda q, k, x, y: sum_all(mul(attention(q, k, x, n_heads, segments=([2, 3], y)), read_out)),
-                [a, keys, values, w],
-            )
+        gradcheck(
+            lambda q, k, x, y: sum_all(mul(attention(q, k, x, n_heads, segments=([2, 3], y)), read_out)),
+            [a, keys, values, rng.uniform(0.1, 1.5, 2)],
+        )
         # Blocks: query rows [0, 1) attend to keys [0, 2), rows [1, 3) to keys [2, 5).
         blocks = ([1, 2], [2, 3])
         gradcheck(
             lambda q, k, x: sum_all(mul(attention(q, k, x, n_heads, causal=True, blocks=blocks), read_out)),
             [a, keys, values],
         )
-        for w in (block_rng.uniform(0.1, 1.5, 3), block_rng.uniform(0.1, 1.5, (3, 3))):
+        gradcheck(
+            lambda q, k, x, y: sum_all(
+                mul(attention(q, k, x, n_heads, segments=([2, 1, 2], y), blocks=blocks), read_out)),
+            [a, keys, values, block_rng.uniform(0.1, 1.5, 3)],
+        )
+        # One query row per block, as beam hypotheses and latent rows have: one pass with the other blocks masked.
+        for causal in (False, True):
             gradcheck(
-                lambda q, k, x, y: sum_all(
-                    mul(attention(q, k, x, n_heads, segments=([2, 1, 2], y), blocks=blocks), read_out)),
-                [a, keys, values, w],
+                lambda q, k, x: sum_all(mul(
+                    attention(q, k, x, n_heads, causal=causal, blocks=([1, 1, 1], [1, 2, 2])), read_out)),
+                [a, keys, values],
             )
     affine = [rng.uniform(0.5, 2, 4), rng.uniform(-1, 1, 4)]
     gradcheck(lambda x, y, g, be: sum_all(mul(add_norm(x, y, g, be), x)), [a, rng.uniform(-2, 2, (3, 4)), *affine])

@@ -548,6 +548,21 @@ class TestEvaluate:
         assert "vectors.txt: line 2: bad vector" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,problem", [
+        ("alpha 0.5 0.25 1\nb nan 1 2\n", "a non-finite value"),
+        ("alpha 0.5 0.25\nbeta 0.5\n", "1 values, not the first line's 2"),
+    ], ids=["nan", "short"])
+    def test_embeddings_line_the_metrics_cannot_use_exits_2_naming_it(self, workspace, capsys, text, problem):
+        tmp, data, _config = workspace
+        gen = self.make_reference_generations(tmp, data)
+        vec = tmp / "vectors.txt"
+        vec.write_text(text)
+        out = tmp / "eval5"
+        argv = ["evaluate", "--generations", gen, "--data", data, "--embeddings", str(vec), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"vectors.txt: line 2: bad vector: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("reader", ["data", "config", "generations", "embeddings"])
     def test_non_utf8_byte_exits_2_naming_the_line(self, workspace, capsys, reader):
         tmp, data, config = workspace

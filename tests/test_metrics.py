@@ -221,6 +221,19 @@ class TestEmbeddingMetrics:
         with pytest.raises(ValueError):
             WordVectorTable.load(p)
 
+    @pytest.mark.parametrize("text,problem", [
+        ("x 1.0 0.0\ny nan 1.0\n", "line 2: bad vector: a non-finite value"),
+        ("x 1.0 0.0\ny 1.0 -inf\n", "line 2: bad vector: a non-finite value"),
+        ("x 1.0 0.0\ny\n", "line 2: bad vector: no values"),
+        ("x 1.0 0.0\n\ny 0.0\n", "line 3: bad vector: 1 values, not the first line's 2"),
+        ("x 1.0 0.0\ny 0.0 1.0 2.0\n", "line 2: bad vector: 3 values, not the first line's 2"),
+    ], ids=["nan", "inf", "empty", "short-after-a-blank-line", "long"])
+    def test_bad_line_is_named(self, tmp_path, text, problem):
+        p = tmp_path / "vec.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"vec.txt: {problem}"):
+            WordVectorTable.load(p)
+
 
 class TestPAtN:
     def test_always_first(self):

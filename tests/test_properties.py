@@ -1,12 +1,14 @@
-"""Properties of sample truncation and of the vocabulary file, over generated inputs."""
+"""Properties of sample truncation, of the vocabulary file and of one-row attention blocks, over generated inputs."""
 
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ckl.corpus import RESERVED_TOKENS, DialogueSample, EncodeConfig, Vocabulary, kept_segments, tokenize
+from ckl.tensor import Tensor, attention
 
 # Words and 1-char punctuation survive " ".join and tokenize unchanged, so a text's tokens are its words.
 TEXT = st.lists(st.sampled_from(["a", "bb", "ccc", "d4", "?", ","]), min_size=1, max_size=12).map(" ".join)
@@ -59,3 +61,21 @@ def test_vocabulary_survives_save_and_load(tokens):
         loaded = Vocabulary.load(path)
     assert loaded.id_to_token == vocab.id_to_token
     assert loaded.encode(tokens) == vocab.encode(tokens)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    key_lengths=st.lists(st.integers(1, 6), min_size=2, max_size=8),
+    n_heads=st.sampled_from([1, 2]),
+    causal=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_one_row_blocks_equal_one_attention_call_per_row(key_lengths, n_heads, causal, seed):
+    """Query row i attends to its key block alone, as one call with that row and those keys would."""
+    rng = np.random.default_rng(seed)
+    n, starts = len(key_lengths), np.cumsum([0, *key_lengths])
+    q, k, v = (rng.uniform(-3, 3, shape) for shape in ((n, 4), (starts[-1], 4), (starts[-1], 6)))
+    got = attention(Tensor(q), Tensor(k), Tensor(v), n_heads, causal, blocks=([1] * n, key_lengths)).data
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        expected = attention(Tensor(q[i : i + 1]), Tensor(k[a:b]), Tensor(v[a:b]), n_heads, causal).data[0]
+        assert np.max(np.abs(got[i] - expected)) <= 1e-12 * np.max(np.abs(expected))

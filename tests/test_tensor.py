@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ckl import tensor
 from ckl.tensor import (
     NumericError,
     ShapeError,
@@ -477,20 +478,6 @@ class TestAttentionKernels:
         with pytest.raises(ShapeError):
             attention_weights(x[:, :3], segments=([2, 2], Tensor(np.ones(2))))
 
-    def test_segment_softmax_takes_one_weight_row_per_query_row(self):
-        rng = np.random.default_rng(24)
-        q, k, v = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (6, 4)), rng.uniform(-2, 2, (6, 4))
-        w = rng.uniform(0.0, 2.0, (3, 3))
-        w[1] = [0.0, 1.0, 0.0]
-        def attend(rows, weights):
-            return attention(Tensor(rows), Tensor(k), Tensor(v), n_heads=2, segments=([2, 3, 1], Tensor(weights))).data
-
-        out = attend(q, w)
-        for r in range(3):
-            assert np.allclose(out[r], attend(q[r : r + 1], w[r])[0], atol=1e-15)
-        weights = attention_weights(rng.uniform(-3, 3, (3, 6)), segments=([2, 3, 1], Tensor(w)))
-        assert np.all(weights[1, [0, 1, 5]] == 0.0)
-
     def test_segment_softmax_weight_matrix_shape_errors(self):
         x = np.zeros((3, 4))
         for bad in [(2, 2), (4, 2), (3, 3), (3, 2, 1), (1, 2)]:
@@ -515,15 +502,15 @@ class TestAttentionKernels:
                 lambda q, k, v: sum_all(mul(attention(q, k, v, n_heads, causal=True), read_out)),
                 qkv,
             )
-            for w in [rng.uniform(0.1, 1.5, 3), rng.uniform(0.1, 1.5, (3, 3))]:
-                segmented = lambda q, k, v, w: attention(q, k, v, n_heads, segments=([1, 3, 2], w))  # noqa: E731
-                gradcheck(lambda *leaves: sum_all(mul(segmented(*leaves), read_out)), qkv + [w])
+            segmented = lambda q, k, v, w: attention(q, k, v, n_heads, segments=([1, 3, 2], w))  # noqa: E731
+            gradcheck(lambda *leaves: sum_all(mul(segmented(*leaves), read_out)), qkv + [rng.uniform(0.1, 1.5, 3)])
 
 
 class TestAttentionBlocks:
     """``blocks`` makes one call act as separate calls, one per block."""
 
     Q_LENGTHS, K_LENGTHS, SEGMENTS = [2, 1, 3], [3, 4, 3], [1, 2, 4, 2, 1]  # 2 + 1 + 2 segments
+    ONE_ROW = [1] * 6, [2, 1, 3, 1, 2, 1]  # one query row per block, as a beam hypothesis or a latent row has
 
     def operands(self, seed=30):
         rng = np.random.default_rng(seed)
@@ -543,43 +530,50 @@ class TestAttentionBlocks:
             grads = tape.backward(sum_all(mul(out, Tensor(read_out))))
         return [out.data] + [grads[leaf.node_id] for leaf in leaves], [record[0] for record in tape.records]
 
-    def blockwise(self, q, k, v, w=None, **kwargs):
+    def blockwise(self, q, k, v, w=None, blocks=(Q_LENGTHS, K_LENGTHS), **kwargs):
         """The same quantities from one call per block, stacked."""
-        q0, k0 = np.cumsum([0] + self.Q_LENGTHS), np.cumsum([0] + self.K_LENGTHS)
+        q0, k0 = np.cumsum([0, *blocks[0]]), np.cumsum([0, *blocks[1]])
         s0 = np.cumsum([0] + [2, 1, 2])
         parts = []
-        for b in range(3):
-            qs, ks, ss = slice(q0[b], q0[b + 1]), slice(k0[b], k0[b + 1]), slice(s0[b], s0[b + 1])
-            wb = None if w is None else (w[ss] if w.ndim == 1 else w[qs, ss])
-            extra = {} if w is None else {"lengths": self.SEGMENTS[ss]}
-            parts.append(self.run(q[qs], k[ks], v[ks], wb, qs, **extra, **kwargs)[0])
-        out = [np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
-               np.concatenate([p[2] for p in parts]), np.concatenate([p[3] for p in parts])]
+        for b in range(len(blocks[0])):
+            qs, ks = slice(q0[b], q0[b + 1]), slice(k0[b], k0[b + 1])
+            if w is None:
+                parts.append(self.run(q[qs], k[ks], v[ks], None, qs, **kwargs)[0])
+            else:
+                ss = slice(s0[b], s0[b + 1])
+                parts.append(self.run(q[qs], k[ks], v[ks], w[ss], qs, lengths=self.SEGMENTS[ss], **kwargs)[0])
+        out = [np.concatenate([p[i] for p in parts]) for i in range(4)]
         if w is not None:
-            gw = np.zeros_like(w)
-            for b, p in enumerate(parts):
-                gw[slice(s0[b], s0[b + 1]) if w.ndim == 1 else (slice(q0[b], q0[b + 1]), slice(s0[b], s0[b + 1]))] = p[4]
-            out.append(gw)
+            out.append(np.concatenate([p[4] for p in parts]))
         return out
 
     @pytest.mark.parametrize("n_heads", [1, 2])
-    @pytest.mark.parametrize("kind", ["causal", "vector", "matrix"])
+    @pytest.mark.parametrize("kind", ["causal", "vector", "one-row", "one-row-causal"])
     def test_equals_one_call_per_block(self, n_heads, kind):
+        """Blocks of one query row each run as one masked pass, the others a block at a time."""
         q, k, v = self.operands()
-        rng = np.random.default_rng(31)
-        w = {"causal": None, "vector": rng.uniform(0.1, 1.5, 5), "matrix": rng.uniform(0.1, 1.5, (6, 5))}[kind]
-        kwargs = dict(n_heads=n_heads, causal=kind == "causal")
-        if w is not None:
-            kwargs["lengths"] = self.SEGMENTS
-        got, kinds = self.run(q, k, v, w, blocks=(self.Q_LENGTHS, self.K_LENGTHS), **dict(kwargs))
-        expected = self.blockwise(q, k, v, w, **{key: val for key, val in kwargs.items() if key != "lengths"})
+        w = np.random.default_rng(31).uniform(0.1, 1.5, 5) if kind == "vector" else None
+        blocks = self.ONE_ROW if kind.startswith("one-row") else (self.Q_LENGTHS, self.K_LENGTHS)
+        kwargs = dict(n_heads=n_heads, causal=kind.endswith("causal"))
+        extra = {} if w is None else {"lengths": self.SEGMENTS}
+        got, kinds = self.run(q, k, v, w, blocks=blocks, **extra, **kwargs)
+        expected = self.blockwise(q, k, v, w, blocks, **kwargs)
         assert kinds == ["attention", "mul", "sum_all"]  # one record for every block
         for g, e in zip(got, expected, strict=True):
             assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
 
+    def test_one_one_row_block_is_the_unblocked_kernel_bitwise(self):
+        """A greedy decode step's one hypothesis takes the per-block path, with nothing masked."""
+        q, k, v = (x[:n] for x, n in zip(self.operands(), (1, 5, 5)))
+        plain, _ = self.run(q, k, v, rows=slice(0, 1), n_heads=2, causal=True)
+        one, _ = self.run(q, k, v, rows=slice(0, 1), n_heads=2, causal=True, blocks=([1], [5]))
+        assert all(np.array_equal(a, b) for a, b in zip(plain, one, strict=True))
+        (_, _, mask, *_), = tensor._layout(1, 5, True, ((1,), (5,)), None)[1]
+        assert mask is None
+
     def test_one_block_of_every_row_is_the_unblocked_kernel_bitwise(self):
         q, k, v = self.operands()
-        w = np.random.default_rng(32).uniform(0.1, 1.5, (6, 5))
+        w = np.random.default_rng(32).uniform(0.1, 1.5, 5)
         plain, _ = self.run(q, k, v, w, lengths=self.SEGMENTS, n_heads=2)
         one, _ = self.run(q, k, v, w, lengths=self.SEGMENTS, n_heads=2, blocks=([6], [10]))
         assert all(np.array_equal(a, b) for a, b in zip(plain, one, strict=True))

@@ -55,6 +55,7 @@ from .tensor import (
     embedding_lookup,
     ffn,
     linear,
+    matmul,
     sigmoid,
 )
 
@@ -199,10 +200,11 @@ class CKLModel:
         def emb(name, n):
             out[name] = ((n, d), lambda rng: rng.normal(0.0, 0.02, (n, d)))
 
-        def linear(name, fan_in=d, fan_out=d):
+        def linear(name, fan_in=d, fan_out=d, bias=True):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
             out[f"{name}.w"] = ((fan_in, fan_out), lambda rng: rng.uniform(-limit, limit, (fan_in, fan_out)))
-            out[f"{name}.b"] = ((fan_out,), lambda rng: np.zeros(fan_out))
+            if bias:
+                out[f"{name}.b"] = ((fan_out,), lambda rng: np.zeros(fan_out))
 
         def sublayers(name, *parts):  # in order: layer norms "ln*", the "ffn", or attentions
             for part in parts:
@@ -213,8 +215,8 @@ class CKLModel:
                     linear(f"{name}.ffn.in", d, cfg.d_ff)
                     linear(f"{name}.ffn.out", cfg.d_ff, d)
                 else:
-                    for proj in ("wq", "wk", "wv", "wo"):
-                        linear(f"{name}.{part}.{proj}")
+                    for proj in ("wq", "wk", "wv", "wo"):  # no key bias: it shifts all of a query's scores alike
+                        linear(f"{name}.{part}.{proj}", bias=proj != "wk")
 
         block = ("attn", "ln1", "ffn", "ln2")
         emb("emb.token", cfg.vocab_size)
@@ -255,7 +257,7 @@ class CKLModel:
 
     def _kv(self, name, x) -> tuple[Tensor, Tensor]:
         """The keys and values of attention ``name`` for the rows of ``x``."""
-        return self._project(f"{name}.wk", x), self._project(f"{name}.wv", x)
+        return matmul(x, self.params[f"{name}.wk.w"]), self._project(f"{name}.wv", x)
 
     def _attend(self, name, x_q, k, v, n_heads=None, causal=False, segments=None, blocks=None) -> Tensor:
         """Attention ``name`` of the rows of ``x_q`` to projected keys and values."""

@@ -2,7 +2,8 @@
 
 The graph is rebuilt on every forward pass (define-by-run): while a Tape is
 active, each operation appends one record holding the op kind, the node ids of
-its tracked inputs, the output node id, and one gradient rule per tracked input.
+its inputs (None for an untracked one), the output node id, and one gradient
+rule, which maps the output gradient to one gradient per input, in order.
 ``Tape.backward`` walks the records once, in reverse, adding leaf gradients to
 a dict that may span tapes. ``_make`` checks each op output for NaN/Inf;
 training checks the gradients' global norm once per optimizer step.
@@ -128,8 +129,8 @@ class Tape:
     _active: "Tape | None" = None
 
     def __init__(self):
-        # record: (op kind, input node ids, output node id, gradient rules)
-        self.records: list[tuple[str, tuple, int, tuple]] = []
+        # record: (op kind, input node ids or None when untracked, output node id, gradient rule)
+        self.records: list[tuple[str, tuple, int, object]] = []
         self.serial = next(_tape_serials)
 
     def __enter__(self) -> "Tape":
@@ -154,13 +155,14 @@ class Tape:
             raise ValueError("loss was not produced on this tape")
         grads = {} if grads is None else grads
         grads[loss.node_id] = np.ones_like(loss.data)
-        for _kind, in_ids, out_id, rules in reversed(self.records):
+        for _kind, in_ids, out_id, rule in reversed(self.records):
             g = grads.pop(out_id, None)
             if g is None:
                 continue
-            for nid, rule in zip(in_ids, rules):
-                prev = grads.get(nid)
-                grads[nid] = rule(g) if prev is None else prev + rule(g)
+            for nid, gi in zip(in_ids, rule(g)):
+                if nid is not None:
+                    prev = grads.get(nid)
+                    grads[nid] = gi if prev is None else prev + gi
         return grads
 
 
@@ -181,39 +183,22 @@ def _wrap(data) -> Tensor:
     return out
 
 
-def _shared(fn, users):
-    """``fn`` of an output gradient, made once for the rules of the tracked ``users``, dropped once all read it."""
-    n = sum(map(_tracked, users)) if Tape._active is not None else 0
-    state = [None, None, 0]  # the output gradient, fn of it, and the reads left
+def _make(kind: str, out_data: np.ndarray, inputs, rule) -> Tensor:
+    """Wrap an op result, recording it on the active tape when any input is tracked.
 
-    def get(g):
-        if state[0] is not g:
-            state[:] = [g, fn(g), n]
-        out, state[2] = state[1], state[2] - 1
-        if state[2] <= 0:
-            state[:] = [None, None, 0]
-        return out
-
-    return get
-
-
-def _make(kind: str, out_data: np.ndarray, inputs) -> Tensor:
-    """Wrap an op result, recording it on the active tape when needed.
-
-    ``inputs`` pairs each input tensor with its gradient rule, a function
-    mapping the output gradient to that input's gradient.
+    ``rule`` maps the output gradient to one gradient per tensor of ``inputs``,
+    in order; those of untracked inputs are ignored.
     """
     out = _wrap(out_data)
     if not np.isfinite(out.data).all():
         raise NumericError(f"{kind} produced NaN/Inf (overflow is an error)")
     tape = Tape._active
     if tape is not None:
-        live = [(t.node_id, rule) for t, rule in inputs if _tracked(t)]
-        if live:
+        in_ids = tuple(t.node_id if _tracked(t) else None for t in inputs)
+        if any(nid is not None for nid in in_ids):
             out.node_id = next(_node_ids)
             out.tape_id = tape.serial
-            in_ids, rules = zip(*live)
-            tape.records.append((kind, in_ids, out.node_id, rules))
+            tape.records.append((kind, in_ids, out.node_id, rule))
     return out
 
 
@@ -227,25 +212,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return _make("matmul", ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
+    return _make("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _make("transpose", np.ascontiguousarray(a.data.T), [(a, lambda g: np.ascontiguousarray(g.T))])
+    return _make("transpose", np.ascontiguousarray(a.data.T), (a,), lambda g: (np.ascontiguousarray(g.T),))
 
 
 def _binary(kind: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
-    if a.shape == b.shape:
-        return _make(kind, fwd(a.data, b.data), [(a, grad_a), (b, grad_b)])
-    if b.data.size == 1:
-        gb = lambda g: np.sum(grad_b(g)).reshape(b.shape)  # noqa: E731
-        return _make(kind, fwd(a.data, b.data.reshape(())), [(a, grad_a), (b, gb)])
-    if a.data.size == 1:
-        ga = lambda g: np.sum(grad_a(g)).reshape(a.shape)  # noqa: E731
-        return _make(kind, fwd(a.data.reshape(()), b.data), [(a, ga), (b, grad_b)])
-    raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not match")
+    lone = None if a.shape == b.shape else 1 if b.data.size == 1 else 0  # a one-element operand acts as a scalar
+    if lone is not None and (a, b)[lone].data.size != 1:
+        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not match")
+    shapes = (a.shape, b.shape)
+
+    def rule(g):
+        return [np.sum(gt).reshape(shapes[i]) if i == lone else gt for i, gt in enumerate((grad_a(g), grad_b(g)))]
+
+    return _make(kind, fwd(*(t.data.reshape(()) if i == lone else t.data for i, t in enumerate((a, b)))), (a, b), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -263,25 +248,25 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make("scale", a.data * c, [(a, lambda g: g * c)])
+    return _make("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     z = np.clip(x.data, -_SIGMOID_CLIP, _SIGMOID_CLIP)
     y = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
     inside = (np.abs(x.data) <= _SIGMOID_CLIP).astype(np.float64)
-    return _make("sigmoid", y, [(x, lambda g: g * y * (1.0 - y) * inside)])
+    return _make("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y) * inside,))
 
 
 def exp(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         y = np.exp(x.data)
-    return _make("exp", y, [(x, lambda g: g * y)])
+    return _make("exp", y, (x,), lambda g: (g * y,))
 
 
 def relu(x: Tensor) -> Tensor:
     mask = (x.data > 0).astype(np.float64)
-    return _make("relu", x.data * mask, [(x, lambda g: g * mask)])
+    return _make("relu", x.data * mask, (x,), lambda g: (g * mask,))
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -293,9 +278,9 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 
     def grad(g):
         dot = np.sum(g * y, axis=-1, keepdims=True)
-        return y * (g - dot)
+        return (y * (g - dot),)
 
-    return _make("softmax", y, [(x, grad)])
+    return _make("softmax", y, (x,), grad)
 
 
 def log_softmax_lastdim(x: Tensor) -> Tensor:
@@ -308,9 +293,9 @@ def log_softmax_lastdim(x: Tensor) -> Tensor:
     soft = np.exp(y)
 
     def grad(g):
-        return g - soft * np.sum(g, axis=-1, keepdims=True)
+        return (g - soft * np.sum(g, axis=-1, keepdims=True),)
 
-    return _make("log_softmax", y, [(x, grad)])
+    return _make("log_softmax", y, (x,), grad)
 
 
 def add_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -328,16 +313,14 @@ def add_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     zhat = zc * inv
     lead = tuple(range(z.ndim - 1))
 
-    def d_z(g):  # d (x + y)
+    def grad(g):
         gg = g * gamma.data
         t1 = gg.sum(axis=-1, keepdims=True) / d
         t2 = (gg * zhat).sum(axis=-1, keepdims=True) / d
-        return inv * (gg - t1 - zhat * t2)
+        dz = inv * (gg - t1 - zhat * t2)  # d (x + y)
+        return dz, dz, np.sum(g * zhat, axis=lead) if lead else g * zhat, np.sum(g, axis=lead) if lead else g
 
-    grad_z = _shared(d_z, (x, y))
-    grads = [(x, grad_z), (y, grad_z), (gamma, lambda g: np.sum(g * zhat, axis=lead) if lead else g * zhat),
-             (beta, lambda g: np.sum(g, axis=lead) if lead else g)]
-    return _make("add_norm", zhat * gamma.data + beta.data, grads)
+    return _make("add_norm", zhat * gamma.data + beta.data, (x, y, gamma, beta), grad)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -358,18 +341,16 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     def grad(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, idx, g)
-        return gt
+        return (gt,)
 
-    return _make("embedding_lookup", table.data[idx], [(table, grad)])
+    return _make("embedding_lookup", table.data[idx], (table,), grad)
 
 
 def add_row(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-d vector to every row of an n-by-d matrix."""
     if x.data.ndim != 2 or b.shape != (x.shape[1],):
         raise ShapeError(f"add_row: {x.shape} with row {b.shape}")
-    return _make(
-        "add_row", x.data + b.data, [(x, lambda g: g), (b, lambda g: g.sum(axis=0))]
-    )
+    return _make("add_row", x.data + b.data, (x, b), lambda g: (g, g.sum(axis=0)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -378,8 +359,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or bs != ws[1:]:
         raise ShapeError(f"linear: {xs} x {ws} + {bs}")
     xd, wd = x.data, w.data
-    grads = [(x, lambda g: g @ wd.T), (w, lambda g: xd.T @ g), (b, lambda g: g.sum(axis=0))]
-    return _make("linear", xd @ wd + b.data, grads)
+    return _make("linear", xd @ wd + b.data, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -392,10 +372,12 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     pre = xd @ w1d + b1.data
     mask = pre > 0
     h = pre * mask
-    d_pre = _shared(lambda g: (g @ w2d.T) * mask, (x, w1, b1))
-    grads = [(x, lambda g: d_pre(g) @ w1d.T), (w1, lambda g: xd.T @ d_pre(g)), (b1, lambda g: d_pre(g).sum(axis=0)),
-             (w2, lambda g: h.T @ g), (b2, lambda g: g.sum(axis=0))]
-    return _make("ffn", h @ w2d + b2.data, grads)
+
+    def grad(g):
+        d_pre = (g @ w2d.T) * mask
+        return d_pre @ w1d.T, xd.T @ d_pre, d_pre.sum(axis=0), h.T @ g, g.sum(axis=0)
+
+    return _make("ffn", h @ w2d + b2.data, (x, w1, b1, w2, b2), grad)
 
 
 def rows(x: Tensor, start: int, length: int) -> Tensor:
@@ -408,9 +390,9 @@ def rows(x: Tensor, start: int, length: int) -> Tensor:
     def grad(g):
         gx = np.zeros_like(x.data)
         gx[start : start + length] = g
-        return gx
+        return (gx,)
 
-    return _make("rows", x.data[start : start + length].copy(), [(x, grad)])
+    return _make("rows", x.data[start : start + length].copy(), (x,), grad)
 
 
 def cols(x: Tensor, start: int, length: int) -> Tensor:
@@ -422,9 +404,9 @@ def cols(x: Tensor, start: int, length: int) -> Tensor:
     def grad(g):
         gx = np.zeros_like(x.data)
         gx[:, start : start + length] = g
-        return gx
+        return (gx,)
 
-    return _make("cols", x.data[:, start : start + length].copy(), [(x, grad)])
+    return _make("cols", x.data[:, start : start + length].copy(), (x,), grad)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -433,12 +415,8 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     n = parts[0].shape[0]
     if any(p.data.ndim != 2 or p.shape[0] != n for p in parts):
         raise ShapeError("concat_cols needs 2-D tensors with equal row counts")
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-    inputs = [
-        (p, lambda g, s=offsets[i], e=offsets[i + 1]: g[:, s:e].copy())
-        for i, p in enumerate(parts)
-    ]
-    return _make("concat_cols", np.hstack([p.data for p in parts]), inputs)
+    ends = np.cumsum([p.shape[1] for p in parts[:-1]])
+    return _make("concat_cols", np.hstack([p.data for p in parts]), parts, lambda g: np.split(g, ends, axis=1))
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -448,27 +426,20 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     d = parts[0].shape[-1]
     if any(p.data.ndim != 2 or p.shape[1] != d for p in parts):
         raise ShapeError("concat_rows needs 2-D tensors with equal column counts")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-    inputs = [
-        (p, lambda g, s=offsets[i], e=offsets[i + 1]: g[s:e])
-        for i, p in enumerate(parts)
-    ]
-    return _make("concat_rows", np.vstack([p.data for p in parts]), inputs)
+    ends = np.cumsum([p.shape[0] for p in parts[:-1]])
+    return _make("concat_rows", np.vstack([p.data for p in parts]), parts, lambda g: np.split(g, ends))
 
 
 def concat_vec(parts: list[Tensor]) -> Tensor:
     """Flatten each tensor and concatenate into one vector."""
     if not parts:
         raise ShapeError("concat_vec of an empty list")
-    offsets = np.cumsum([0] + [p.data.size for p in parts])
-    inputs = [
-        (
-            p,
-            lambda g, s=offsets[i], e=offsets[i + 1], shp=p.shape: g[s:e].reshape(shp),
-        )
-        for i, p in enumerate(parts)
-    ]
-    return _make("concat_vec", np.concatenate([p.data.ravel() for p in parts]), inputs)
+    ends, shapes = np.cumsum([p.data.size for p in parts[:-1]]), [p.shape for p in parts]
+
+    def grad(g):
+        return [piece.reshape(shape) for piece, shape in zip(np.split(g, ends), shapes)]
+
+    return _make("concat_vec", np.concatenate([p.data.ravel() for p in parts]), parts, grad)
 
 
 def _starts(lengths, total: int, what: str) -> np.ndarray:
@@ -573,7 +544,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
     inputs = (q, k, v) if w is None else (q, k, v, w)
     need_w = w is not None and _tracked(w)
 
-    def d_inputs(g):  # d q, d k, d v and d w, a block at a time: no block's score gradients outlive it
+    def grad(g):  # d q, d k, d v and d w, a block at a time: no block's score gradients outlive it
         gh, parts, gw = split(g), [], np.zeros(w.data.shape) if need_w else None
         for (qsl, ksl, _, starts, _, wsl), (wd, p, a, seg_sum) in zip(layout, kept):
             gb = gh[:, qsl]
@@ -585,9 +556,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
                 gw[wsl] = np.add.reduceat(da * p, starts, axis=-1).reshape(-1, len(starts)).sum(axis=0)
         return [cat(list(x)) for x in zip(*parts)] + [gw]
 
-    grad = _shared(d_inputs, inputs)
     out = cat([a @ vh[:, ksl] for (_, ksl, *_), (_, _, a, _) in zip(layout, kept)])
-    return _make("attention", out, [(t, lambda g, i=i: grad(g)[i]) for i, t in enumerate(inputs)])
+    return _make("attention", out, inputs, grad)
 
 
 def take_per_row(x: Tensor, ids) -> Tensor:
@@ -605,17 +575,14 @@ def take_per_row(x: Tensor, ids) -> Tensor:
     def grad(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, (r, idx), g)
-        return gx
+        return (gx,)
 
-    return _make("take_per_row", x.data[r, idx], [(x, grad)])
+    return _make("take_per_row", x.data[r, idx], (x,), grad)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    return _make(
-        "sum_all",
-        np.asarray(np.sum(x.data)),
-        [(x, lambda g: np.broadcast_to(g, x.shape).astype(np.float64))],
-    )
+    return _make("sum_all", np.asarray(np.sum(x.data)), (x,),
+                 lambda g: (np.broadcast_to(g, x.shape).astype(np.float64),))
 
 
 def element(v: Tensor, i: int) -> Tensor:
@@ -628,6 +595,6 @@ def element(v: Tensor, i: int) -> Tensor:
     def grad(g):
         gv = np.zeros_like(v.data)
         gv[i] = g
-        return gv
+        return (gv,)
 
-    return _make("element", np.asarray(v.data[i]), [(v, grad)])
+    return _make("element", np.asarray(v.data[i]), (v,), grad)

@@ -242,6 +242,7 @@ def train(
             if not math.isfinite(clip_gradients(grads, train_cfg.grad_clip)):
                 raise TrainingAbort(step, "gradient norm is NaN/Inf")
             adam_step(trainables, grads, state, train_cfg.learning_rate)
+            del grads, leaf_grads  # not kept alive through the next step's forward
             trace.append(TraceRow(step, *(float(v) for v in sums / len(batch)), s=s_before))  # per-step means
             if max_steps is not None and step >= max_steps:
                 return TrainResult(model, awl_params, trace, n, encoded, labels)

@@ -72,7 +72,7 @@ class LoopOracle:
     def mha(self, name, x_q, x_kv, mask=None, n_heads=None):
         n_heads = n_heads or self.cfg.n_heads
         q = self.project(f"{name}.wq", x_q)
-        k = self.project(f"{name}.wk", x_kv)
+        k = matmul(x_kv, self.p[f"{name}.wk.w"])
         v = self.project(f"{name}.wv", x_kv)
         dh = self.cfg.d_model // n_heads
         heads = [
@@ -85,7 +85,7 @@ class LoopOracle:
     def mha_lwe(self, name, x_q, views, lw, n_heads=None):
         n_heads = n_heads or self.cfg.n_heads
         q = self.project(f"{name}.wq", x_q)
-        ks = [self.project(f"{name}.wk", view) for view in views]
+        ks = [matmul(view, self.p[f"{name}.wk.w"]) for view in views]
         vs = [self.project(f"{name}.wv", view) for view in views]
         dh = self.cfg.d_model // n_heads
         heads = []

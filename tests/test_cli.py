@@ -137,7 +137,7 @@ class TestTrain:
         # forward pass overflows inside an op and raises NumericError.
         code, out, _ = self.train(workspace, "--learning-rate", "1e300")
         assert code == 3
-        assert "step 2: linear produced NaN/Inf" in capsys.readouterr().err
+        assert "step 2: matmul produced NaN/Inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -265,7 +265,49 @@ class TestEmbeddingLookup:
             embedding_lookup(table, [4])
 
 
+def _uniform(*shape, rng=np.random.default_rng(12)):
+    return rng.uniform(-1.0, 1.0, shape)
+
+
+# Each multi-input op and its operands, for holding one input constant at a time.
+MULTI_INPUT_OPS = {
+    "matmul": (matmul, [_uniform(3, 4), _uniform(4, 2)]),
+    "linear": (linear, [_uniform(3, 4), _uniform(4, 2), _uniform(2)]),
+    "ffn": (ffn, [_uniform(3, 4), _uniform(4, 5), _uniform(5), _uniform(5, 4), _uniform(4)]),
+    "add_norm": (add_norm, [_uniform(3, 4), _uniform(3, 4), _uniform(4), _uniform(4)]),
+    "weighted-attention": (lambda q, k, v, w: attention(q, k, v, n_heads=2, segments=([2, 3], w)),
+                           [_uniform(3, 4), _uniform(5, 4), _uniform(5, 2), _uniform(2)]),
+    "concat_rows": (lambda a, b: concat_rows([a, b]), [_uniform(2, 3), _uniform(1, 3)]),
+    "concat_cols": (lambda a, b: concat_cols([a, b]), [_uniform(3, 2), _uniform(3, 1)]),
+    "concat_vec": (lambda a, b: concat_vec([a, b]), [_uniform(2, 3), _uniform(4)]),
+    "mul-by-one-element": (mul, [_uniform(2, 3), _uniform(1)]),
+    "one-element-mul": (mul, [_uniform(1, 1), _uniform(2, 3)]),
+}
+
+
 class TestBackward:
+    @pytest.mark.parametrize("name", list(MULTI_INPUT_OPS))
+    def test_an_untracked_input_gets_no_gradient_and_changes_no_other(self, name):
+        op, arrays = MULTI_INPUT_OPS[name]
+
+        def leaf_gradients(held):
+            """Each input's gradient, None for the one ``held`` constant, and any other dict entries."""
+            inputs = [Tensor(a, requires_grad=i != held) for i, a in enumerate(arrays)]
+            with Tape() as tape:
+                out = op(*inputs)
+                loss = sum_all(mul(out, Tensor(np.cos(np.arange(out.size)).reshape(out.shape))))
+                grads = tape.backward(loss)
+            return [grads.pop(t.node_id) if t.requires_grad else None for t in inputs], grads
+
+        every, rest = leaf_gradients(None)
+        assert not rest
+        for held in range(len(arrays)):
+            some, rest = leaf_gradients(held)
+            assert not rest, f"entries beyond the tracked leaves: {list(rest)}"
+            assert some[held] is None
+            for i, (a, b) in enumerate(zip(every, some)):
+                assert i == held or (a.shape == b.shape and np.array_equal(a, b)), (held, i)
+
     def test_square_gradient(self):
         x = Tensor(3.0, requires_grad=True)
         with Tape() as tape:

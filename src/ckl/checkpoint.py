@@ -132,8 +132,10 @@ def restore_model(
             raise CheckpointError(f"config mismatch ({detail}); use --force to override")
     inits = CKLModel.initialisers(config)
     model_arrays = {k: v for k, v in arrays.items() if not k.startswith("awl.")}
-    if set(model_arrays) != set(inits):
-        raise CheckpointError("checkpoint parameter names do not match the model")
+    extra, missing = sorted(set(model_arrays) - set(inits)), sorted(set(inits) - set(model_arrays))
+    if extra or missing:
+        raise CheckpointError("checkpoint parameter names do not match the model: "
+                              f"extra {', '.join(extra) or 'none'}; missing {', '.join(missing) or 'none'}")
     for name, arr in model_arrays.items():
         if inits[name][0] != arr.shape:
             raise CheckpointError(f"parameter {name} has shape {arr.shape}")

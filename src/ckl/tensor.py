@@ -226,24 +226,24 @@ def _binary(kind: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
     if lone is not None and (a, b)[lone].data.size != 1:
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not match")
     shapes = (a.shape, b.shape)
+    x, y = (t.data.reshape(()) if i == lone else t.data for i, t in enumerate((a, b)))
 
-    def rule(g):
-        return [np.sum(gt).reshape(shapes[i]) if i == lone else gt for i, gt in enumerate((grad_a(g), grad_b(g)))]
+    def rule(g):  # each operand's rule sees the other operand as the forward did
+        return [np.sum(gt).reshape(shapes[i]) if i == lone else gt for i, gt in enumerate((grad_a(g, y), grad_b(g, x)))]
 
-    return _make(kind, fwd(*(t.data.reshape(()) if i == lone else t.data for i, t in enumerate((a, b)))), (a, b), rule)
+    return _make(kind, fwd(x, y), (a, b), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("add", a, b, lambda x, y: x + y, lambda g: g, lambda g: g)
+    return _binary("add", a, b, lambda x, y: x + y, lambda g, y: g, lambda g, x: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", a, b, lambda x, y: x - y, lambda g: g, lambda g: -g)
+    return _binary("sub", a, b, lambda x, y: x - y, lambda g, y: g, lambda g, x: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    return _binary("mul", a, b, lambda x, y: x * y, lambda g: g * bd, lambda g: g * ad)
+    return _binary("mul", a, b, lambda x, y: x * y, lambda g, y: g * y, lambda g, x: g * x)
 
 
 def scale(a: Tensor, c: float) -> Tensor:

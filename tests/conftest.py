@@ -43,6 +43,7 @@ def check_gradients(build_loss, arrays, rtol=1e-4, h=1e-5):
     fd = finite_difference(scalar_f, [a.copy() for a in arrays], h=h)
     for leaf, expected in zip(leaves, fd):
         got = grads[leaf.node_id]
+        assert got.shape == leaf.shape, f"gradient of shape {got.shape} for a leaf of shape {leaf.shape}"
         denom = np.maximum(1.0, np.maximum(np.abs(expected), np.abs(got)))
         rel = np.max(np.abs(got - expected) / denom)
         assert rel < rtol, f"gradient mismatch: rel err {rel:.3e}"

@@ -433,11 +433,14 @@ class TestDamagedCheckpoint:
     @pytest.mark.parametrize(
         "extra_ids, damage, message",
         [
-            (0, lambda params: params.pop("out.b"), "parameter names do not match the model"),
+            (0, lambda params: params.pop("out.b"),
+             "parameter names do not match the model: extra none; missing out.b"),
+            (0, lambda params: params.update({"enc0.attn.wk.b": Tensor(np.zeros(8))}),
+             "parameter names do not match the model: extra enc0.attn.wk.b; missing none"),
             (0, lambda params: params.update({"out.b": Tensor(np.zeros(3))}), "parameter out.b has shape (3,)"),
             (1, lambda params: None, "but vocabulary has"),
         ],
-        ids=["names", "shapes", "vocab-size"],
+        ids=["names", "extra", "shapes", "vocab-size"],
     )
     def test_checkpoint_not_matching_its_config_or_vocabulary_exits_4(self, tmp_path, capsys, extra_ids, damage,
                                                                        message):

@@ -410,6 +410,18 @@ class TestGradientSuite:
         gradcheck(lambda x, y: sum_all(mul(x, y)), [a, s])
         gradcheck(lambda x, y: sum_all(add(x, y)), [a, s])
 
+    @pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("lone_first", [False, True], ids=["vector-first", "lone-first"])
+    def test_one_element_operand_of_more_dimensions_gets_its_own_shape(self, gradcheck, op, lone_first):
+        """A ``(3,)`` leaf with a ``(1, 1)`` leaf, on either side: each leaf's gradient has the leaf's shape."""
+        rng = np.random.default_rng(9)
+        arrays = [rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (1, 1))][:: -1 if lone_first else 1]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            grads = tape.backward(sum_all(op(*leaves)))
+        assert [grads[leaf.node_id].shape for leaf in leaves] == [a.shape for a in arrays]
+        gradcheck(lambda x, y: sum_all(op(x, y)), arrays)
+
 
 def attention_weights(x, **kwargs):
     """The attention kernel's weights for the scores ``x`` (at most 16 keys), one head.

@@ -10,6 +10,7 @@ error, 3 training abort, 4 checkpoint that is damaged, mismatched or cannot run.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import MISSING, fields
@@ -61,8 +62,7 @@ SCHEMA: dict[str, object] = {
     **MODEL_DEFAULTS,
     **_defaults(TrainingConfig),
     # vocabulary build
-    "min_freq": 1,
-    "max_size": 50000,
+    **{name: p.default for name, p in inspect.signature(build_vocab).parameters.items() if p.default is not p.empty},
     # decoding
     "beam": 1,
     "max_len": 0,
@@ -245,10 +245,12 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
     return 0
 
 
-# What each list field of a generations.jsonl record holds: item types, and their name.
+# What each list field of a generations.jsonl record holds: a test of each item, and the items' name.
+# json reads NaN and Infinity, and an int too large for a float; none of them is a weight.
 RECORD_LISTS = {
-    "tokens": ((str,), "strings"),
-    **dict.fromkeys(("clwr", "clwk", "klw"), ((int, float), "numbers")),
+    "tokens": (lambda x: type(x) is str, "strings"),
+    **dict.fromkeys(("clwr", "clwk", "klw"),
+                    (lambda x: type(x) in (int, float) and abs(x) <= sys.float_info.max, "finite numbers")),
 }
 
 
@@ -272,9 +274,9 @@ def _load_generations(cfg: RunConfig, keys: tuple[str, ...]) -> tuple[list, list
         if not isinstance(rec, dict):
             raise DatasetError(f"{where}: generation record is not a JSON object")
         for key in keys:
-            types, name = RECORD_LISTS[key]
+            item_ok, name = RECORD_LISTS[key]
             value = rec.get(key)
-            if not isinstance(value, list) or any(type(x) not in types for x in value):
+            if not isinstance(value, list) or not all(map(item_ok, value)):
                 raise DatasetError(f"{where}: generation record needs {key} as a list of {name}")
         records.append((lineno, rec))
     if len(records) != len(samples):

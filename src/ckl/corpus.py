@@ -16,6 +16,7 @@ one-token post is truncated from the right.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,6 +24,8 @@ from pathlib import Path
 
 PAD, BOS, EOS, UNK, SEP = 0, 1, 2, 3, 4
 RESERVED_TOKENS = ["<pad>", "<bos>", "<eos>", "<unk>", "<sep>"]
+# A word is a run of str.isalnum characters, exactly what [^\W_] matches; \S is one of any other non-space.
+_TOKEN = re.compile(r"[^\W_]+|\S")
 
 
 class DatasetError(ValueError):
@@ -31,20 +34,7 @@ class DatasetError(ValueError):
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, detach punctuation as 1-char tokens."""
-    tokens = []
-    word = []
-    for ch in text.lower():
-        if ch.isalnum():
-            word.append(ch)
-        else:
-            if word:
-                tokens.append("".join(word))
-                word = []
-            if not ch.isspace():
-                tokens.append(ch)
-    if word:
-        tokens.append("".join(word))
-    return tokens
+    return _TOKEN.findall(text.lower())
 
 
 def detokenize(tokens: list[str]) -> str:

@@ -84,15 +84,11 @@ def rouge_l_corpus(candidates: list[list[str]], references: list[list[str]]) -> 
 
 def distinct_n(corpus: list[list[str]], n: int) -> float:
     """Unique n-grams across the whole corpus divided by total n-grams."""
-    total = 0
-    unique = set()
-    for sent in corpus:
-        for i in range(len(sent) - n + 1):
-            unique.add(tuple(sent[i : i + n]))
-            total += 1
+    grams = [_ngrams(sent, n) for sent in corpus]
+    total = sum(sum(g.values()) for g in grams)
     if total == 0:
         raise ValueError(f"corpus contains no {n}-grams")
-    return len(unique) / total
+    return len(set().union(*grams)) / total
 
 
 class WordVectorTable:
@@ -172,23 +168,14 @@ def embedding_corpus_scores(
     candidates: list[list[str]], references: list[list[str]], table: WordVectorTable
 ) -> tuple[dict[str, float], int]:
     """Mean Average/Extrema/Greedy over scoreable pairs plus excluded count."""
-    sums = {"average": 0.0, "extrema": 0.0, "greedy": 0.0}
-    scored = 0
-    excluded = 0
+    scores, excluded = [], 0
     for cand, ref in zip(candidates, references):
         try:
-            a = emb_average(cand, ref, table)
-            e = emb_extrema(cand, ref, table)
-            g = emb_greedy(cand, ref, table)
+            scores.append([score(cand, ref, table) for score in (emb_average, emb_extrema, emb_greedy)])
         except EmbeddingOovError:
             excluded += 1
-            continue
-        sums["average"] += a
-        sums["extrema"] += e
-        sums["greedy"] += g
-        scored += 1
-    means = {k: (v / scored if scored else 0.0) for k, v in sums.items()}
-    return means, excluded
+    means = np.mean(scores, axis=0) if scores else np.zeros(3)
+    return dict(zip(("average", "extrema", "greedy"), map(float, means))), excluded
 
 
 def p_at_n(rankings: list[list[int]], targets: list[int], n: int) -> float:
@@ -207,18 +194,9 @@ def p_at_n(rankings: list[list[int]], targets: list[int], n: int) -> float:
 
 
 def _average_ranks(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=np.float64)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        # 1-based positions i+1..j+1 share the average rank
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-    return ranks
+    """1-based ranks of finite values; a tie shares the mean of its positions, last - (count - 1) / 2."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(x, y) -> float:
@@ -227,6 +205,8 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("spearman needs two equal-length vectors of size >= 2")
+    if not np.isfinite([x, y]).all():  # np.unique would pool NaNs into one tie
+        raise ValueError("spearman needs finite values")
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     dx = rx - rx.mean()

@@ -454,6 +454,8 @@ def _starts(lengths, total: int, what: str) -> np.ndarray:
 def _layout(n: int, r: int, causal: bool, blocks, segments) -> tuple:
     """The segment count and, per block, its query and key slices, mask of hidden keys, block-local segment
     starts and key segments, and weight columns; read-only, as a decode reuses its layouts every step."""
+    if causal and segments is not None:
+        raise ShapeError(f"causal attention cannot take segments {segments}")
     q_lengths, k_lengths = blocks or ((n,), (r,))
     q0, k0 = _starts(q_lengths, n, "query block"), _starts(k_lengths, r, "key block")
     starts = None if segments is None else _starts(segments, r, "segment")
@@ -493,7 +495,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
     Head h reads columns ``[h * dh, (h + 1) * dh)`` of each operand and writes
     the same columns of the output; its scores are ``q_h k_h^T / sqrt(dh)``.
     ``causal`` hides from query row i every key after row ``len(k) - len(q) + i``,
-    so new query rows may follow cached keys. ``segments=(lengths, w)`` splits
+    so new query rows may follow cached keys; it takes no ``segments``, as it
+    could hide a whole segment from a row. ``segments=(lengths, w)`` splits
     the keys into consecutive segments of ``lengths`` rows. Each segment is
     normalised on its own, after subtracting its own max (a huge score in one
     segment cannot underflow another), and then multiplied by its weight
@@ -501,7 +504,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
     segments, so a zero weight removes its segment exactly.
     ``blocks=(q_lengths, k_lengths)`` splits the query and the key rows into as
     many consecutive blocks, each holding whole segments: query block b attends
-    to key block b alone, with ``causal`` and the segments applied within it.
+    to key block b alone, with ``causal`` applied within it.
     No score between two blocks is computed, except when every block holds one
     query row and there are no segments: then one pass scores each row against
     every key and masks the keys of the other blocks. One record; gradients

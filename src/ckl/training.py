@@ -25,7 +25,7 @@ from .corpus import DialogueSample, EncodedSample, Vocabulary, encode_sample
 from .losses import AwlParams, awl, mse, nll
 from .model import CKLModel, ModelConfig
 from .tensor import NumericError, Tape, Tensor, scale
-from .weak_supervision import PseudoGroundTruth, TfIdfIndex, build_index, build_pseudo_gt
+from .weak_supervision import PseudoGroundTruth, TfIdfIndex, build_pseudo_gt
 
 
 # Samples per tape pass. A pack pays each record once; its activations, and peak RSS, grow with it: 4 ran
@@ -152,7 +152,7 @@ def build_labels(
     encoding keeps them (``corpus.kept_segments``), so label positions line up
     with model segments. The index covers every kept knowledge sentence.
     """
-    index = build_index([knowledge for _context, knowledge, _response in kept])
+    index = TfIdfIndex([sentence for _context, knowledge, _response in kept for sentence in knowledge])
     labels = [
         build_pseudo_gt(context, knowledge, response, index, top_n)
         for context, knowledge, response in kept

@@ -32,10 +32,7 @@ class TfIdfIndex:
 
     def __init__(self, documents: list[list[str]]):
         self.doc_count = len(documents)
-        self.doc_tfs = [Counter(doc) for doc in documents]
-        self.df: Counter = Counter()
-        for tf in self.doc_tfs:
-            self.df.update(tf.keys())
+        self.df = Counter(term for doc in documents for term in dict.fromkeys(doc))
 
     def idf(self, term: str) -> float:
         # Smoothed so unseen and ubiquitous terms stay positive-definite.
@@ -103,12 +100,6 @@ def build_pseudo_gt(
         gt_klw=gt_klw,
         top1_rk_index=top1,
     )
-
-
-def build_index(knowledge_per_sample: list[list[list[str]]]) -> TfIdfIndex:
-    """Index over every (kept) knowledge sentence in a dataset split."""
-    docs = [sent for sample in knowledge_per_sample for sent in sample]
-    return TfIdfIndex(docs)
 
 
 def save_label_cache(path, labels: list[PseudoGroundTruth]) -> None:

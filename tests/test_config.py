@@ -1,5 +1,6 @@
 """Config keys, flags, labels and restore each have one definition."""
 
+import inspect
 import json
 from dataclasses import fields
 
@@ -28,6 +29,11 @@ class TestSingleSource:
         for f in model_fields + list(fields(TrainingConfig)):
             assert f.name in SCHEMA, f.name
             assert SCHEMA[f.name] == f.default and type(SCHEMA[f.name]) is type(f.default)
+
+    def test_vocabulary_keys_are_build_vocab_defaults(self):
+        params = inspect.signature(build_vocab).parameters
+        for key in ("min_freq", "max_size"):
+            assert SCHEMA[key] == params[key].default and type(SCHEMA[key]) is int, key
 
     def test_every_flag_is_a_config_key_or_an_action_flag(self):
         for command, sub in subparsers().items():

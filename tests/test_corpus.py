@@ -1,7 +1,10 @@
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ckl import corpus
 from ckl.corpus import (
     BOS,
     EOS,
@@ -32,7 +35,44 @@ GOOD = {
 }
 
 
+def oracle_tokenize(text):
+    """The character scanner the tokenizer's pattern replaced."""
+    tokens = []
+    word = []
+    for ch in text.lower():
+        if ch.isalnum():
+            word.append(ch)
+        else:
+            if word:
+                tokens.append("".join(word))
+                word = []
+            if not ch.isspace():
+                tokens.append(ch)
+    if word:
+        tokens.append("".join(word))
+    return tokens
+
+
+# Characters where a regex class and a str predicate could part: "_" is in \w, "İ" lowercases to two
+# characters, "²" and "٣" are numeric, and the rest are spaces outside ASCII or separators \s might miss.
+EDGE_CHARS = "_İßΣ²٣\u00a0\u0085\u1680\u2028\u3000\x1c\x1f\u200b\ufeff-'"
+
+
 class TestTokenize:
+    def test_pattern_classes_agree_with_str_predicates_on_every_code_point(self):
+        bad = []
+        for cp in range(sys.maxunicode + 1):
+            ch = chr(cp)
+            expected = ["a" + ch + "a"] if ch.isalnum() else ["a", "a"] if ch.isspace() else ["a", ch, "a"]
+            if corpus._TOKEN.findall("a" + ch + "a") != expected:
+                bad.append(hex(cp))
+        assert bad == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(st.one_of(st.characters(), st.sampled_from(EDGE_CHARS), st.sampled_from(" \t\nAb1")), max_size=40))
+    def test_equals_the_character_scanner(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
     def test_punctuation_detached(self):
         assert tokenize("Pop music!") == ["pop", "music", "!"]
 

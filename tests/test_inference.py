@@ -5,6 +5,7 @@ disagree with the data, with exit 2 and a line-numbered message. Both reject
 a data file with no samples, naming it."""
 
 import json
+import math
 
 import pytest
 
@@ -70,10 +71,11 @@ def test_generate_rejects_max_len_outside_range(tmp_path, data, capsys, max_len,
 
 
 def write_generations(tmp_path, bad_record):
-    """A generations file whose second line is ``bad_record``."""
-    good = {"tokens": ["alpha"], "clwr": [0.5, 0.5], "clwk": [0.5, 0.5], "klw": [0.5, 0.5]}
+    """A generations file whose second line is ``bad_record``, and whose other lines fit RECORDS."""
+    lines = [{"tokens": ["alpha"], "clwr": [0.5] * len(r["context"]), "clwk": [0.5] * len(r["context"]),
+              "klw": [0.5] * len(r["knowledge"])} for r in RECORDS]
+    lines[1] = bad_record
     path = tmp_path / "generations.jsonl"
-    lines = [good, bad_record] + [good] * (len(RECORDS) - 2)
     path.write_text("".join(json.dumps(r) + "\n" for r in lines))
     return str(path)
 
@@ -84,8 +86,13 @@ def write_generations(tmp_path, bad_record):
         ("evaluate", {"text": "alpha"}),
         ("evaluate", ["alpha"]),
         ("analyze", {"tokens": ["alpha"], "clwr": [0.5], "clwk": [0.5], "klw": 0.5}),
+        # Line 2's sample keeps 1 utterance and 3 sentences, so only the values are wrong.
+        ("analyze", {"tokens": ["alpha"], "clwr": [0.5], "clwk": [0.5], "klw": [math.nan, math.nan, 0.5]}),
+        ("analyze", {"tokens": ["alpha"], "clwr": [math.inf], "clwk": [0.5], "klw": [0.5, 0.5, 0.5]}),
+        ("analyze", {"tokens": ["alpha"], "clwr": [0.5], "clwk": [10**400], "klw": [0.5, 0.5, 0.5]}),
     ],
-    ids=["evaluate-no-tokens", "evaluate-array-record", "analyze-scalar-klw"],
+    ids=["evaluate-no-tokens", "evaluate-array-record", "analyze-scalar-klw", "analyze-nan-klw",
+         "analyze-infinite-clwr", "analyze-float-overflowing-clwk"],
 )
 def test_malformed_record_exits_2_naming_the_line(tmp_path, data, capsys, command, bad_record):
     gen = write_generations(tmp_path, bad_record)

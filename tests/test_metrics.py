@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ckl import metrics
 from ckl.metrics import (
     EmbeddingOovError,
     UndefinedCorrelationError,
@@ -111,17 +113,18 @@ def oracle_embedding(cand, ref, table):
     )
 
 
-def oracle_spearman(x, y):
-    def ranks(vals):
-        out = []
-        for v in vals:
-            below = sum(1 for w in vals if w < v)
-            equal = sum(1 for w in vals if w == v)
-            # average of positions below+1 .. below+equal
-            out.append(below + (equal + 1) / 2)
-        return out
+def oracle_ranks(vals):
+    out = []
+    for v in vals:
+        below = sum(1 for w in vals if w < v)
+        equal = sum(1 for w in vals if w == v)
+        # average of positions below+1 .. below+equal
+        out.append(below + (equal + 1) / 2)
+    return out
 
-    rx, ry = ranks(x), ranks(y)
+
+def oracle_spearman(x, y):
+    rx, ry = oracle_ranks(x), oracle_ranks(y)
     mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
     num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
     den = math.sqrt(sum((a - mx) ** 2 for a in rx)) * math.sqrt(
@@ -283,6 +286,19 @@ class TestSpearman:
         assert spearman(x, y) == pytest.approx(oracle_spearman(x, y), abs=1e-12)
         assert spearman(x, y) == pytest.approx(-2 / math.sqrt(5))
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e300]), st.integers(-3, 3),
+                              st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=30))
+    def test_average_ranks_equal_the_oracle_bitwise(self, values):
+        ranks = metrics._average_ranks(np.asarray(values, dtype=np.float64))
+        assert ranks.tolist() == oracle_ranks([float(v) for v in values])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_raise(self, bad):
+        for x, y in (([1.0, bad, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [bad, bad, 0.0])):
+            with pytest.raises(ValueError, match="finite"):
+                spearman(x, y)
+
     def test_constant_vector_is_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
             spearman([1.0, 1.0], [0.0, 1.0])
@@ -333,11 +349,14 @@ class TestOracleEquivalence:
                     assert distinct_n(cands, n) == pytest.approx(
                         oracle_distinct(cands, n), abs=1e-9
                     )
+            rows = []
             for cand, ref in zip(cands, refs):
-                oa, oe, og = oracle_embedding(cand, ref, plain_table)
-                assert emb_average(cand, ref, table) == pytest.approx(oa, abs=1e-9)
-                assert emb_extrema(cand, ref, table) == pytest.approx(oe, abs=1e-9)
-                assert emb_greedy(cand, ref, table) == pytest.approx(og, abs=1e-9)
+                rows.append((emb_average(cand, ref, table), emb_extrema(cand, ref, table), emb_greedy(cand, ref, table)))
+                assert rows[-1] == pytest.approx(oracle_embedding(cand, ref, plain_table), abs=1e-9)
+            # The corpus means are the running sums over pairs divided by the pair count, bit for bit.
+            means, excluded = embedding_corpus_scores(cands, refs, table)
+            assert excluded == 0
+            assert [means[k] for k in ("average", "extrema", "greedy")] == [sum(col) / n_pairs for col in zip(*rows)]
 
             # spearman / p@n on random score vectors and rankings
             size = rng.randint(2, 7)

@@ -641,6 +641,7 @@ class TestAttentionBlocks:
         (([2, 1, 3], [3, 4, 3]), [1, 2, 5, 2], False),  # a segment runs from the second block into the third
         (([2, 4, 0], [3, 4, 3]), None, True),  # a causal block of 4 queries to 4 keys is fine; 0 is not
         (([2, 1, 3], [3, 5, 2]), None, True),  # a causal block of 3 queries to 2 keys
+        (([2, 1, 3], [3, 4, 3]), [1, 2, 2, 2, 1, 2], True),  # causal with segments: a row could see no key of one
     ])
     def test_mismatched_blocks_raise(self, blocks, segments, causal):
         q, k, v = (Tensor(x) for x in self.operands())

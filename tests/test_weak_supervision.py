@@ -5,7 +5,6 @@ import pytest
 from ckl.weak_supervision import (
     PseudoGroundTruth,
     TfIdfIndex,
-    build_index,
     build_pseudo_gt,
     load_label_cache,
     rank_knowledge,
@@ -64,6 +63,11 @@ class TestTfIdf:
         index = TfIdfIndex([["a", "b"], ["a"], ["c"]])
         assert index.idf("a") == pytest.approx(math.log(4 / 3) + 1)
         assert index.idf("zzz") == pytest.approx(math.log(4 / 1) + 1)
+
+    def test_document_frequency_counts_each_document_once(self):
+        index = TfIdfIndex([["a"], ["b"], ["a", "c", "a"]])
+        assert index.doc_count == 3
+        assert list(index.df.items()) == [("a", 2), ("b", 1), ("c", 1)]  # first-occurrence order
 
 
 class TestRankKnowledge:
@@ -175,8 +179,3 @@ class TestLabelCache:
         p = tmp_path / "labels.jsonl"
         save_label_cache(p, labels)
         assert load_label_cache(p) == labels
-
-    def test_build_index_spans_samples(self):
-        index = build_index([[["a"]], [["b"], ["a", "c"]]])
-        assert index.doc_count == 3
-        assert index.df["a"] == 2

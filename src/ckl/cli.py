@@ -32,7 +32,9 @@ from .corpus import (
     kept_segments,
     load_jsonl,
     numbered_lines,
+    read_json_lines,
     tokenize,
+    write_json_lines,
 )
 from .metrics import (
     bleu_n,
@@ -225,7 +227,7 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
         )
     cfg.values.update((key, getattr(model.config, key)) for key in MODEL_DEFAULTS)
     samples = load_jsonl(data)
-    beam_size = max(1, cfg["beam"])
+    beam_size = cfg["beam"] or 1  # --beam 0 is greedy
     max_len = model.decode_length(cfg["max_len"])
     records = []
     try:  # _make reports non-finite op outputs, so numpy need not warn
@@ -237,10 +239,7 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
                 records.append({"token_ids": ids, "tokens": tokens, "text": detokenize(tokens), **weights.lists()})
     except NumericError as err:
         raise ckpt.CheckpointError(f"{cfg['checkpoint']}: the model cannot run: {err}") from err
-    out = _ensure_out(cfg)
-    with open(out / "generations.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_json_lines(_ensure_out(cfg) / "generations.jsonl", records)
     print(f"generate: wrote {len(records)} records")
     return 0
 
@@ -265,12 +264,8 @@ def _load_generations(cfg: RunConfig, keys: tuple[str, ...]) -> tuple[list, list
     if not samples:
         raise DatasetError(f"{data}: no samples to score the generations against")
     records = []
-    for lineno, line in numbered_lines(path):
+    for lineno, rec in read_json_lines(path):
         where = f"{path}: line {lineno}"
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise DatasetError(f"{where}: {err.msg}") from err
         if not isinstance(rec, dict):
             raise DatasetError(f"{where}: generation record is not a JSON object")
         for key in keys:

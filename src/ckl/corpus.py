@@ -1,4 +1,4 @@
-"""Corpus loading, rule tokenization, vocabulary, and sample encoding.
+"""Corpus loading, JSON Lines reading and writing, rule tokenization, vocabulary, and sample encoding.
 
 Dataset files are JSON Lines with keys ``context`` (array of strings, last
 entry is the post), ``knowledge`` (array of strings) and ``response``
@@ -62,39 +62,47 @@ def numbered_lines(path, keep_blank: bool = False):
             yield lineno, line
 
 
-def load_jsonl(path) -> list[DialogueSample]:
-    """Parse a dataset file, reporting malformed lines by line number."""
-    samples = []
+def read_json_lines(path):
+    """(line number, object) for each non-blank line of a JSON Lines file; bad JSON names its line."""
     for lineno, line in numbered_lines(path):
         try:
-            obj = json.loads(line)
+            yield lineno, json.loads(line)
         except json.JSONDecodeError as err:
-            raise DatasetError(f"line {lineno}: invalid JSON ({err.msg})") from err
-        samples.append(_validate_record(obj, lineno))
-    return samples
+            raise DatasetError(f"{path}: line {lineno}: invalid JSON ({err.msg})") from err
 
 
-def _validate_record(obj, lineno: int) -> DialogueSample:
+def write_json_lines(path, records) -> None:
+    """One key-sorted JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+def load_jsonl(path) -> list[DialogueSample]:
+    """Parse a dataset file, reporting malformed lines by file and line number."""
+    return [_validate_record(obj, f"{path}: line {lineno}") for lineno, obj in read_json_lines(path)]
+
+
+def _validate_record(obj, where: str) -> DialogueSample:
     if not isinstance(obj, dict):
-        raise DatasetError(f"line {lineno}: record is not an object")
+        raise DatasetError(f"{where}: record is not an object")
     for key, typ in (("context", list), ("knowledge", list), ("response", str)):
         if key not in obj:
-            raise DatasetError(f"line {lineno}: missing field '{key}'")
+            raise DatasetError(f"{where}: missing field '{key}'")
         if not isinstance(obj[key], typ):
-            raise DatasetError(f"line {lineno}: field '{key}' has wrong type")
+            raise DatasetError(f"{where}: field '{key}' has wrong type")
     context, knowledge, response = obj["context"], obj["knowledge"], obj["response"]
     if not context:
-        raise DatasetError(f"line {lineno}: context must contain at least one utterance")
+        raise DatasetError(f"{where}: context must contain at least one utterance")
     if not knowledge:
-        raise DatasetError(f"line {lineno}: knowledge must contain at least one sentence")
+        raise DatasetError(f"{where}: knowledge must contain at least one sentence")
     for name, seq in (("context", context), ("knowledge", knowledge)):
         for i, s in enumerate(seq):
             if not isinstance(s, str):
-                raise DatasetError(f"line {lineno}: {name}[{i}] is not a string")
+                raise DatasetError(f"{where}: {name}[{i}] is not a string")
             if not tokenize(s):
-                raise DatasetError(f"line {lineno}: {name}[{i}] tokenizes to nothing")
+                raise DatasetError(f"{where}: {name}[{i}] tokenizes to nothing")
     if not tokenize(response):
-        raise DatasetError(f"line {lineno}: response tokenizes to nothing")
+        raise DatasetError(f"{where}: response tokenizes to nothing")
     return DialogueSample(list(context), list(knowledge), response)
 
 
@@ -143,6 +151,8 @@ def build_vocab(samples: list[DialogueSample], min_freq: int = 1, max_size: int 
     """Frequency-sorted vocabulary; ties break lexicographically."""
     if not samples:
         raise ValueError("cannot build a vocabulary from zero samples")
+    if max_size < 0:
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
     counts = Counter()
     for s in samples:
         for text in s.context + s.knowledge + [s.response]:

@@ -8,11 +8,9 @@ knowledge weighting have a clean learnable signal.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .corpus import DialogueSample
+from .corpus import DialogueSample, write_json_lines
 
 TOPICS = [
     "guitars", "volcanoes", "penguins", "bridges", "comets", "castles",
@@ -89,12 +87,4 @@ def retrieval_corpus(n: int = 500, n_knowledge: int = 3, seed: int = 0) -> list[
 
 
 def write_jsonl(path, samples: list[DialogueSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(
-                json.dumps(
-                    {"context": s.context, "knowledge": s.knowledge, "response": s.response},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_json_lines(path, ({"context": s.context, "knowledge": s.knowledge, "response": s.response} for s in samples))

@@ -17,9 +17,11 @@ one record: it splits and merges the heads by reshape inside, and can hide
 future keys or normalise consecutive key segments separately, weighting each
 segment; with ``blocks`` it is block-diagonal, so a pack of several samples'
 rows attends within each sample, and blocks of one query row each (beam
-hypotheses, per-segment latent rows) run as one masked pass. There is no
-broadcasting beyond scalar-vs-tensor; every other shape mismatch is a hard
-error so gradient rules stay simple and bugs stay loud.
+hypotheses, per-segment latent rows) run as one masked pass. Every gather
+(``embedding_lookup``, ``take_per_row``, ``rows``, ``cols``, ``element``)
+shares one scatter-add gradient rule, and every concat one split rule.
+There is no broadcasting beyond scalar-vs-tensor; every other shape mismatch
+is a hard error so gradient rules stay simple and bugs stay loud.
 """
 
 from __future__ import annotations
@@ -311,20 +313,31 @@ def add_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     zc = z - z.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((zc**2).sum(axis=-1, keepdims=True) / d + eps)
     zhat = zc * inv
-    lead = tuple(range(z.ndim - 1))
+    lead = tuple(range(z.ndim - 1))  # () for a vector, where np.sum(a, axis=()) is a itself
 
     def grad(g):
         gg = g * gamma.data
         t1 = gg.sum(axis=-1, keepdims=True) / d
         t2 = (gg * zhat).sum(axis=-1, keepdims=True) / d
         dz = inv * (gg - t1 - zhat * t2)  # d (x + y)
-        return dz, dz, np.sum(g * zhat, axis=lead) if lead else g * zhat, np.sum(g, axis=lead) if lead else g
+        return dz, dz, np.sum(g * zhat, axis=lead), np.sum(g, axis=lead)
 
     return _make("add_norm", zhat * gamma.data + beta.data, (x, y, gamma, beta), grad)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     return add_norm(x, _wrap(np.zeros_like(x.data)), gamma, beta, eps)
+
+
+def _gather(kind: str, x: Tensor, index) -> Tensor:
+    """``x.data[index]``, a copy; the gradient adds each picked entry's gradient back into its place."""
+
+    def grad(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, index, g)
+        return (gx,)
+
+    return _make(kind, x.data[index], (x,), grad)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -337,13 +350,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     v = table.shape[0]
     if np.any(idx < 0) or np.any(idx >= v):
         raise IndexError(f"embedding id out of range [0, {v})")
-
-    def grad(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return _make("embedding_lookup", table.data[idx], (table,), grad)
+    return _gather("embedding_lookup", table, idx)
 
 
 def add_row(x: Tensor, b: Tensor) -> Tensor:
@@ -386,13 +393,7 @@ def rows(x: Tensor, start: int, length: int) -> Tensor:
         raise ShapeError(f"rows needs a 2-D tensor, got {x.shape}")
     if length < 1 or start < 0 or start + length > x.shape[0]:
         raise ShapeError(f"row slice [{start}:{start + length}) outside {x.shape}")
-
-    def grad(g):
-        gx = np.zeros_like(x.data)
-        gx[start : start + length] = g
-        return (gx,)
-
-    return _make("rows", x.data[start : start + length].copy(), (x,), grad)
+    return _gather("rows", x, np.arange(start, start + length))
 
 
 def cols(x: Tensor, start: int, length: int) -> Tensor:
@@ -400,13 +401,15 @@ def cols(x: Tensor, start: int, length: int) -> Tensor:
         raise ShapeError(f"cols needs a 2-D tensor, got {x.shape}")
     if length < 1 or start < 0 or start + length > x.shape[1]:
         raise ShapeError(f"col slice [{start}:{start + length}) outside {x.shape}")
+    return _gather("cols", x, (slice(None), np.arange(start, start + length)))
 
-    def grad(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start : start + length] = g
-        return (gx,)
 
-    return _make("cols", x.data[:, start : start + length].copy(), (x,), grad)
+def _concat(kind: str, parts: list[Tensor], axis) -> Tensor:
+    """``parts`` joined along ``axis``, or flattened and joined when it is None; the gradient splits back."""
+    ends = np.cumsum([p.data.size if axis is None else p.shape[axis] for p in parts[:-1]])
+    shapes = [p.shape for p in parts]
+    return _make(kind, np.concatenate([p.data for p in parts], axis=axis), parts,
+                 lambda g: [piece.reshape(shape) for piece, shape in zip(np.split(g, ends, axis=axis or 0), shapes)])
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -415,8 +418,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     n = parts[0].shape[0]
     if any(p.data.ndim != 2 or p.shape[0] != n for p in parts):
         raise ShapeError("concat_cols needs 2-D tensors with equal row counts")
-    ends = np.cumsum([p.shape[1] for p in parts[:-1]])
-    return _make("concat_cols", np.hstack([p.data for p in parts]), parts, lambda g: np.split(g, ends, axis=1))
+    return _concat("concat_cols", parts, 1)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -426,20 +428,14 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     d = parts[0].shape[-1]
     if any(p.data.ndim != 2 or p.shape[1] != d for p in parts):
         raise ShapeError("concat_rows needs 2-D tensors with equal column counts")
-    ends = np.cumsum([p.shape[0] for p in parts[:-1]])
-    return _make("concat_rows", np.vstack([p.data for p in parts]), parts, lambda g: np.split(g, ends))
+    return _concat("concat_rows", parts, 0)
 
 
 def concat_vec(parts: list[Tensor]) -> Tensor:
     """Flatten each tensor and concatenate into one vector."""
     if not parts:
         raise ShapeError("concat_vec of an empty list")
-    ends, shapes = np.cumsum([p.data.size for p in parts[:-1]]), [p.shape for p in parts]
-
-    def grad(g):
-        return [piece.reshape(shape) for piece, shape in zip(np.split(g, ends), shapes)]
-
-    return _make("concat_vec", np.concatenate([p.data.ravel() for p in parts]), parts, grad)
+    return _concat("concat_vec", parts, None)
 
 
 def _starts(lengths, total: int, what: str) -> np.ndarray:
@@ -573,14 +569,7 @@ def take_per_row(x: Tensor, ids) -> Tensor:
         raise ShapeError(f"need exactly one index per row, got {idx.shape} for {n} rows")
     if np.any(idx < 0) or np.any(idx >= v):
         raise IndexError(f"column index out of range [0, {v})")
-    r = np.arange(n)
-
-    def grad(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (r, idx), g)
-        return (gx,)
-
-    return _make("take_per_row", x.data[r, idx], (x,), grad)
+    return _gather("take_per_row", x, (np.arange(n), idx))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -594,10 +583,4 @@ def element(v: Tensor, i: int) -> Tensor:
         raise ShapeError(f"element needs a 1-D tensor, got {v.shape}")
     if i < 0 or i >= v.shape[0]:
         raise IndexError(f"index {i} outside vector of length {v.shape[0]}")
-
-    def grad(g):
-        gv = np.zeros_like(v.data)
-        gv[i] = g
-        return (gv,)
-
-    return _make("element", np.asarray(v.data[i]), (v,), grad)
+    return _gather("element", v, i)

@@ -9,10 +9,11 @@ lowest original index so labels are reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+
+from .corpus import read_json_lines, write_json_lines
 
 
 def word_f1(a: list[str], b: list[str]) -> float:
@@ -103,35 +104,10 @@ def build_pseudo_gt(
 
 
 def save_label_cache(path, labels: list[PseudoGroundTruth]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for lab in labels:
-            fh.write(
-                json.dumps(
-                    {
-                        "gt_clwr": lab.gt_clwr,
-                        "gt_clwk": lab.gt_clwk,
-                        "gt_klw": lab.gt_klw,
-                        "top1_rk": lab.top1_rk_index,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_json_lines(path, ({"gt_clwr": lab.gt_clwr, "gt_clwk": lab.gt_clwk, "gt_klw": lab.gt_klw,
+                             "top1_rk": lab.top1_rk_index} for lab in labels))
 
 
 def load_label_cache(path) -> list[PseudoGroundTruth]:
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            labels.append(
-                PseudoGroundTruth(
-                    gt_clwr=list(obj["gt_clwr"]),
-                    gt_clwk=list(obj["gt_clwk"]),
-                    gt_klw=list(obj["gt_klw"]),
-                    top1_rk_index=int(obj["top1_rk"]),
-                )
-            )
-    return labels
+    return [PseudoGroundTruth(gt_clwr=list(obj["gt_clwr"]), gt_clwk=list(obj["gt_clwk"]), gt_klw=list(obj["gt_klw"]),
+                              top1_rk_index=int(obj["top1_rk"])) for _lineno, obj in read_json_lines(path)]

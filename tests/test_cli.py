@@ -96,6 +96,13 @@ class TestPrep:
         assert f"{cfg}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_max_size_exits_2_and_writes_nothing(self, workspace, capsys):
+        tmp, data, _config = workspace
+        out = tmp / "o"
+        assert main(["prep", "--data", data, "--out", str(out), "--max-size", "-1"]) == 2
+        assert "max_size must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def train(self, ws, *extra):
@@ -186,6 +193,14 @@ class TestTrain:
         code, vocab = self.train_with_vocab_lines(workspace, damage)
         assert code == 2
         assert f"{vocab}: line 3: expected reserved token '<eos>', got {got}" in capsys.readouterr().err
+
+    def test_missing_data_path_exits_2_and_writes_nothing(self, workspace, capsys):
+        tmp, _data, config = workspace
+        prep = run_prep(workspace)
+        out = tmp / "train"
+        assert main(["train", "--vocab", str(prep / "vocab.txt"), "--out", str(out), "--config", config]) == 2
+        assert "missing required path: data" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_training_set_exits_2_and_writes_nothing(self, workspace, capsys):
         tmp, _data, config = workspace
@@ -343,6 +358,21 @@ class TestGenerate:
             outs.append((out / "generations.jsonl").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_negative_beam_exits_2_and_writes_nothing(self, trained, capsys):
+        tmp, data, config, vocab, checkpoint = trained
+        out = tmp / "gen"
+        argv = ["generate", "--data", data, "--vocab", vocab, "--checkpoint", checkpoint, "--out", str(out)]
+        assert main(argv + ["--beam", "-2"]) == 2
+        assert "beam_size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_out_path_exits_2_and_writes_nothing(self, trained, capsys):
+        tmp, data, config, vocab, checkpoint = trained
+        before = sorted(tmp.rglob("*"))
+        assert main(["generate", "--data", data, "--vocab", vocab, "--checkpoint", checkpoint]) == 2
+        assert "missing required path: out" in capsys.readouterr().err
+        assert sorted(tmp.rglob("*")) == before
+
     def test_post_filling_the_source_still_generates(self, tmp_path):
         post = " ".join(f"p{i}" for i in range(10))
         records = [{"context": [post], "knowledge": ["alpha beta", "gamma"], "response": "alpha"}]
@@ -409,6 +439,21 @@ class TestDamagedCheckpoint:
                 "--checkpoint", str(path), "--out", str(tmp_path / "gen")]
         assert main(argv) == 4
 
+    def test_trailing_byte_exits_4_naming_it_and_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        write_jsonl(data, overfit_corpus(2, seed=0))
+        vocab = build_vocab(load_jsonl(data))
+        vocab.save(tmp_path / "vocab.txt")
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, d_ff=8, max_source_len=64)
+        path = tmp_path / "model.ckpt"
+        ckpt.save(path, config, CKLModel(config, seed=0).parameters())
+        path.write_bytes(path.read_bytes() + b"\0")
+        out = tmp_path / "gen"
+        argv = ["generate", "--data", str(data), "--vocab", str(tmp_path / "vocab.txt"),
+                "--checkpoint", str(path), "--out", str(out)]
+        assert main(argv) == 4
+        assert f"{path}: 1 trailing bytes" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_exits_4_and_writes_nothing(self, tmp_path, capsys, value):

@@ -136,7 +136,7 @@ class TestLoadJsonl:
         p.write_text(json.dumps(GOOD) + "\n\n" + line + "\n", encoding="utf-8")
         with pytest.raises(DatasetError) as err:
             load_jsonl(p)
-        assert str(err.value).startswith("line 3: ") and message in str(err.value)
+        assert str(err.value).startswith(f"{p}: line 3: ") and message in str(err.value)
 
 
 class TestBuildVocab:

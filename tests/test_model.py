@@ -411,6 +411,17 @@ class TestDecoderCache:
         with pytest.raises(ShapeError, match="prefix of 0 tokens"):
             model.decoder_forward([], enc, clwr, klw, [])
 
+    def test_a_pack_takes_no_cache_and_no_prefix_beyond_max_target_len(self):
+        model = CKLModel(tiny_config(), seed=22)
+        enc, weights = model.condition(tiny_sample(), tiny_sample(m=1, l=3))
+        prefixes = [self.IDS[:3], self.IDS[:2]]
+        assert model.decoder_forward(prefixes, enc, weights.clwr, weights.klw).shape == (5, 16)
+        message = "a pack takes prefixes of at most max_target_len=8 ids, and no cache"
+        with pytest.raises(ShapeError, match=message):
+            model.decoder_forward(prefixes, enc, weights.clwr, weights.klw, [])
+        with pytest.raises(ShapeError, match=message):
+            model.decoder_forward([self.IDS + [5], self.IDS[:2]], enc, weights.clwr, weights.klw)
+
     def test_step_op_kinds_do_not_depend_on_prefix_or_hypotheses(self, monkeypatch):
         model, enc, clwr, klw = self.conditioned()
         kinds, make = [], tensor._make

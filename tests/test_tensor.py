@@ -264,6 +264,19 @@ class TestEmbeddingLookup:
         with pytest.raises(IndexError):
             embedding_lookup(table, [4])
 
+    @pytest.mark.parametrize(
+        "gather, shape",
+        [(lambda x: embedding_lookup(x, [2, 0]), (4, 3)), (lambda x: take_per_row(x, [0, 2, 1, 2]), (4, 3)),
+         (lambda x: rows(x, 1, 2), (4, 3)), (lambda x: cols(x, 1, 2), (4, 3)), (lambda x: element(x, 1), (4,))],
+        ids=["embedding_lookup", "take_per_row", "rows", "cols", "element"],
+    )
+    def test_every_gather_copies_so_an_in_place_update_of_its_input_leaves_it(self, gather, shape):
+        x = Tensor(np.arange(float(math.prod(shape))).reshape(shape), requires_grad=True)
+        out = gather(x)
+        before = out.data.copy()
+        x.data += 100.0  # as Adam updates a parameter
+        assert np.array_equal(out.data, before)
+
 
 def _uniform(*shape, rng=np.random.default_rng(12)):
     return rng.uniform(-1.0, 1.0, shape)

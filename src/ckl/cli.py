@@ -226,9 +226,10 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
             f"checkpoint vocab_size={model.config.vocab_size} but vocabulary has {len(vocab)}"
         )
     cfg.values.update((key, getattr(model.config, key)) for key in MODEL_DEFAULTS)
+    beam_size, max_len = model.decode_width(cfg["beam"] or 1), model.decode_length(cfg["max_len"])  # --beam 0: greedy
     samples = load_jsonl(data)
-    beam_size = cfg["beam"] or 1  # --beam 0 is greedy
-    max_len = model.decode_length(cfg["max_len"])
+    if not samples:
+        raise DatasetError(f"{data}: no samples to generate from")
     records = []
     try:  # _make reports non-finite op outputs, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

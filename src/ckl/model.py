@@ -20,11 +20,11 @@ latent weights. Every sublayer ends in the post-norm residual step
 ``LayerNorm(x + Sublayer(x))``, one ``add_norm`` record; the feed-forward is
 one ``ffn`` record. One block (attention, then the feed-forward) serves the
 encoder layers and the three latent-weight blocks. ``blocks`` is the one way
-rows are kept apart. Every pass takes a pack of samples, a lone sample being a
-pack of one, with positions restarting per sample; block-diagonal attention
-keeps each sample to itself. The weight generators give their latent query one
-row per segment, a block whose keys are that segment's rows, so one pass scores
-every utterance or sentence on its own.
+rows are kept apart, each layout one padded batch in ``attention``. Every pass
+takes a pack of samples (a lone sample is a pack of one), positions restarting
+per sample; block-diagonal attention keeps each sample to itself. The weight
+generators give their latent query one row per segment, a block whose keys are
+that segment's rows, so one call scores every utterance or sentence on its own.
 
 A decode step advances every live hypothesis by one row in one call, each
 hypothesis a self-attention block of its own. Each layer caches all
@@ -398,17 +398,22 @@ class CKLModel:
             raise ValueError(f"max_len must be in [1, max_target_len={limit}], got {max_len}")
         return max_len or limit
 
+    @staticmethod
+    def decode_width(beam_size: int) -> int:
+        """``beam_size`` checked to be at least 1."""
+        if beam_size < 1:
+            raise ValueError(f"beam_size must be >= 1, got {beam_size}")
+        return beam_size
+
     def decode(self, enc: SegmentedEncoding, weights: LatentWeights, beam_size: int = 1,
                max_len: int | None = None) -> list[int]:
         """Beam search from BOS until EOS or ``max_len`` ids; width 1 is greedy.
 
         Returns ids including the leading BOS and, when reached, the final
         EOS. Hypotheses are ranked by per-token mean log-probability, and a
-        stable sort keeps the lower token id on ties. ``decode_length`` reads ``max_len``.
+        stable sort keeps the lower token id on ties. ``decode_width`` and ``decode_length`` check both arguments.
         """
-        if beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
-        max_len = self.decode_length(max_len)
+        beam_size, max_len = self.decode_width(beam_size), self.decode_length(max_len)
         # A hypothesis is (ids, log-probability, its parent's row in the last step).
         beams, finished, cache = [([BOS], 0.0, 0)], [], []
         while beams and len(beams[0][0]) < max_len:

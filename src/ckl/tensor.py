@@ -16,8 +16,8 @@ with a zero residual), and ``attention`` is all of multi-head attention in
 one record: it splits and merges the heads by reshape inside, and can hide
 future keys or normalise consecutive key segments separately, weighting each
 segment; with ``blocks`` it is block-diagonal, so a pack of several samples'
-rows attends within each sample, and blocks of one query row each (beam
-hypotheses, per-segment latent rows) run as one masked pass. Every gather
+rows attends within each sample, every layout running as one batch of blocks
+padded to the longest, with no loop over blocks. Every gather
 (``embedding_lookup``, ``take_per_row``, ``rows``, ``cols``, ``element``)
 shares one scatter-add gradient rule, and every concat one split rule.
 There is no broadcasting beyond scalar-vs-tensor; every other shape mismatch
@@ -438,50 +438,41 @@ def concat_vec(parts: list[Tensor]) -> Tensor:
     return _concat("concat_vec", parts, None)
 
 
-def _starts(lengths, total: int, what: str) -> np.ndarray:
-    """The first row of each of consecutive runs of ``lengths`` rows, which must cover ``total`` rows."""
+def _starts(lengths, total: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``lengths`` as an array, and the first row of each of its consecutive runs, which must cover ``total`` rows."""
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1) or lengths.sum() != total:
         raise ShapeError(f"{what} lengths {lengths} must be positive ints summing to {total}")
-    return np.cumsum(lengths) - lengths
+    return lengths, np.cumsum(lengths) - lengths
 
 
 @functools.lru_cache(maxsize=256)
 def _layout(n: int, r: int, causal: bool, blocks, segments) -> tuple:
-    """The segment count and, per block, its query and key slices, mask of hidden keys, block-local segment
-    starts and key segments, and weight columns; read-only, as a decode reuses its layouts every step."""
+    """The padded batch's shape (blocks, longest query block, longest key block); each query and key row's slot,
+    or None when no block is short; an additive 0/-inf mask over (block, key slot, query slot), one query slot wide
+    unless causal, or None; and each segment's first slot and each slot's segment on the flattened (block, key slot)
+    axis, a block's padding joining its last segment. Read-only, as a decode reuses its layouts every step."""
     if causal and segments is not None:
         raise ShapeError(f"causal attention cannot take segments {segments}")
     q_lengths, k_lengths = blocks or ((n,), (r,))
-    q0, k0 = _starts(q_lengths, n, "query block"), _starts(k_lengths, r, "key block")
-    starts = None if segments is None else _starts(segments, r, "segment")
-    if q0.size != k0.size or starts is not None and not np.isin(k0, starts).all():
+    (q_lengths, q0), (k_lengths, k0) = _starts(q_lengths, n, "query block"), _starts(k_lengths, r, "key block")
+    starts = k0 if segments is None else _starts(segments, r, "segment")[1]  # an unsegmented block is one segment
+    if q0.size != k0.size or not np.isin(k0, starts).all():
         raise ShapeError(f"blocks {blocks} do not pair up, or segments {segments} straddle them")
-    if segments is None and n == q0.size > 1:  # one query row per block: one pass, masking the other blocks' keys
-        mask = np.arange(n)[:, None] != np.repeat(np.arange(n), k_lengths)
-        mask.flags.writeable = False
-        return None, ((slice(0, n), slice(0, r), mask, None, None, None),)
-    layout = []
-    for qa, qb, ka, kb in zip(q0, [*q0[1:], n], k0, [*k0[1:], r]):
-        if causal and kb - ka < qb - qa:
-            raise ShapeError(f"causal attention of {qb - qa} query rows to only {kb - ka} keys")
-        hide = causal and qb > qa + 1  # a single query row sees every key
-        mask = np.triu(np.ones((qb - qa, kb - ka), dtype=bool), k=kb - ka - qb + qa + 1) if hide else None
-        sa, sb = np.searchsorted(starts, [ka, kb]) if segments else (None, None)
-        seg = np.repeat(np.arange(sb - sa), np.diff([*starts[sa:sb], kb])) if segments else None
-        layout.append((slice(qa, qb), slice(ka, kb), mask, segments and starts[sa:sb] - ka, seg, slice(sa, sb)))
-    for x in itertools.chain(*layout):
+    if causal and np.any(k_lengths < q_lengths):
+        raise ShapeError(f"causal attention of query blocks {q_lengths} to fewer keys, {k_lengths}")
+    b, lq, lk = q0.size, q_lengths.max(), k_lengths.max()
+    q_slot, k_slot = (None if np.all(lengths == m) else np.arange(total) + np.repeat(np.arange(b) * m - x0, lengths)
+                      for lengths, m, x0, total in ((q_lengths, lq, q0, n), (k_lengths, lk, k0, r)))
+    j, i, kl, ql = np.arange(lk)[:, None], np.arange(lq), k_lengths[:, None, None], q_lengths[:, None, None]
+    hidden = (j >= kl) | (j > kl - ql + i) if causal else j >= kl  # a padded query row (i >= ql) hides only padded keys
+    mask = np.where(hidden, -np.inf, 0.0) if hidden.any() else None
+    flat = starts if k_slot is None else k_slot[starts]
+    layout = (b, lq, lk), q_slot, k_slot, mask, flat, np.repeat(np.arange(flat.size), np.diff([*flat, b * lk]))
+    for x in layout:
         if isinstance(x, np.ndarray):
             x.flags.writeable = False
-    return segments and starts.size, tuple(layout)
-
-
-def _reductions(starts, seg):
-    """Max and sum over each key segment, spread back over its keys, or over all keys when unsegmented."""
-    if starts is None:
-        return (lambda x: x.max(axis=-1, keepdims=True)), (lambda x: x.sum(axis=-1, keepdims=True))
-    return (lambda x: np.maximum.reduceat(x, starts, axis=-1)[..., seg]), (
-        lambda x: np.add.reduceat(x, starts, axis=-1)[..., seg])
+    return layout
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = False, segments=None,
@@ -501,10 +492,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
     ``blocks=(q_lengths, k_lengths)`` splits the query and the key rows into as
     many consecutive blocks, each holding whole segments: query block b attends
     to key block b alone, with ``causal`` applied within it.
-    No score between two blocks is computed, except when every block holds one
-    query row and there are no segments: then one pass scores each row against
-    every key and masks the keys of the other blocks. One record; gradients
-    flow to ``q``, ``k``, ``v`` and ``w``.
+    Every call runs as one batch of shape (blocks, heads, longest query block,
+    longest key block), each block padded with zero rows that a mask hides
+    from its real rows, so no score between two blocks is computed. One
+    record; gradients flow to ``q``, ``k``, ``v`` and ``w``.
     """
     qs, ks, vs = q.data.shape, k.data.shape, v.data.shape
     if len(qs) != 2 or len(ks) != 2 or len(vs) != 2 or qs[1] != ks[1] or vs[0] != ks[0]:
@@ -513,50 +504,53 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
         raise ShapeError(f"cannot split q {qs} and v {vs} into {n_heads} heads")
     key = (qs[0], ks[0], bool(causal), blocks and tuple(map(tuple, blocks)), segments and tuple(segments[0]))
     try:
-        n_segs, layout = _layout(*key)
+        (b, lq, lk), q_slot, k_slot, mask, starts, seg = _layout(*key)
     except TypeError:  # unhashable, e.g. nested: checked uncached, which raises
-        n_segs, layout = _layout.__wrapped__(*key)
+        (b, lq, lk), q_slot, k_slot, mask, starts, seg = _layout.__wrapped__(*key)
     w = segments and segments[1]
-    if w is not None and w.data.shape != (n_segs,):
-        raise ShapeError(f"{n_segs} segments but weights of shape {w.data.shape}")
+    if w is not None and w.data.shape != starts.shape:
+        raise ShapeError(f"{starts.size} segments but weights of shape {w.data.shape}")
 
-    def split(x):  # (rows, h * dh) -> (h, rows, dh)
-        return np.ascontiguousarray(x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2))
+    def split(x, slot, rows):  # (rows of every block, h * dh) -> (h, blocks, rows, dh), short blocks zero-padded
+        if slot is not None:
+            x, unpadded = np.zeros((b * rows, x.shape[1])), x
+            x[slot] = unpadded
+        return np.ascontiguousarray(x.reshape(b, rows, n_heads, -1).transpose(2, 0, 1, 3))
 
-    def cat(parts):  # each block's (h, rows, dh) -> (all rows, h * dh)
-        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    def merge(x, slot):  # (h, blocks, rows, dh) -> (rows of every block, h * dh), the padding dropped
+        x = x.transpose(1, 2, 0, 3).reshape(b * x.shape[2], -1)
+        return x if slot is None else x[slot]
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    def per_segment(reduce, x, out=None):  # each segment's reduction, on its slots; "clip" writes out unbuffered
+        return np.take(reduce.reduceat(x, starts, axis=1), seg, axis=1, out=out, mode="clip")
+
+    qh, kh, vh = split(q.data, q_slot, lq), split(k.data, k_slot, lk), split(v.data, k_slot, lk)
     c = 1.0 / math.sqrt(qh.shape[-1])
-    kept = []  # per block: its weights, p, a and segment sum
-    for qsl, ksl, mask, starts, seg, wsl in layout:
-        s = (qh[:, qsl] @ np.ascontiguousarray(kh[:, ksl].transpose(0, 2, 1))) * c
-        if mask is not None:
-            s[:, mask] = -np.inf
-        seg_max, seg_sum = _reductions(starts, seg)
-        wd = 1.0 if w is None else w.data[wsl][seg]
-        p = np.exp(s - seg_max(s))
-        p /= seg_sum(p)
-        kept.append((wd, p, p if w is None else p * wd, seg_sum))
-
+    s = kh @ np.ascontiguousarray((qh * c).transpose(0, 1, 3, 2))  # (h, blocks, key slot, query slot)
+    if mask is not None:
+        s += mask
+    p = s.reshape(n_heads, b * lk, lq)  # in place from here: each score array is large
+    p -= per_segment(np.maximum, p)
+    np.exp(p, out=p)
+    p /= per_segment(np.add, p)
+    wd = 1.0 if w is None else w.data[seg][:, None]
+    a = (p if w is None else p * wd).reshape(n_heads, b, lk, lq)
     inputs = (q, k, v) if w is None else (q, k, v, w)
     need_w = w is not None and _tracked(w)
 
-    def grad(g):  # d q, d k, d v and d w, a block at a time: no block's score gradients outlive it
-        gh, parts, gw = split(g), [], np.zeros(w.data.shape) if need_w else None
-        for (qsl, ksl, _, starts, _, wsl), (wd, p, a, seg_sum) in zip(layout, kept):
-            gb = gh[:, qsl]
-            da = gb @ vh[:, ksl].transpose(0, 2, 1)
-            dp = da * wd
-            ds = p * (dp - seg_sum(dp * p)) * c
-            parts.append((ds @ kh[:, ksl], ds.transpose(0, 2, 1) @ qh[:, qsl], a.transpose(0, 2, 1) @ gb))
-            if need_w:
-                gw[wsl] = np.add.reduceat(da * p, starts, axis=-1).reshape(-1, len(starts)).sum(axis=0)
-        return [cat(list(x)) for x in zip(*parts)] + [gw]
+    def grad(g):  # d q, d k, d v and d w; g is zero on padded query rows, and p on padded keys
+        gh = split(g, q_slot, lq)
+        da = (vh @ gh.transpose(0, 1, 3, 2)).reshape(p.shape)
+        gw = np.add.reduceat(da * p, starts, axis=1).sum(axis=(0, 2)) if need_w else None
+        da *= wd  # d p, then d s, in place
+        dp_p = da * p
+        da -= per_segment(np.add, dp_p, dp_p)
+        da *= p
+        da *= c
+        ds = da.reshape(a.shape)
+        return merge(ds.transpose(0, 1, 3, 2) @ kh, q_slot), merge(ds @ qh, k_slot), merge(a @ gh, k_slot), gw
 
-    out = cat([a @ vh[:, ksl] for (_, ksl, *_), (_, _, a, _) in zip(layout, kept)])
-    return _make("attention", out, inputs, grad)
+    return _make("attention", merge(a.transpose(0, 1, 3, 2) @ vh, q_slot), inputs, grad)
 
 
 def take_per_row(x: Tensor, ids) -> Tensor:

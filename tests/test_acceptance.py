@@ -135,7 +135,7 @@ def test_criterion_1_gradient_suite(gradcheck):
                 mul(attention(q, k, x, n_heads, segments=([2, 1, 2], y), blocks=blocks), read_out)),
             [a, keys, values, block_rng.uniform(0.1, 1.5, 3)],
         )
-        # One query row per block, as beam hypotheses and latent rows have: one pass with the other blocks masked.
+        # One query row per block, as beam hypotheses and latent rows have; the first block's keys are padded.
         for causal in (False, True):
             gradcheck(
                 lambda q, k, x: sum_all(mul(

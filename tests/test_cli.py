@@ -366,6 +366,17 @@ class TestGenerate:
         assert "beam_size must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("beam", ["1", "-2"])
+    def test_empty_data_exits_2_naming_it_and_writes_nothing(self, trained, capsys, beam):
+        tmp, _data, config, vocab, checkpoint = trained
+        empty, out = tmp / "blank.jsonl", tmp / "gen"
+        empty.write_text("\n  \n\n")
+        argv = ["generate", "--data", str(empty), "--vocab", vocab, "--checkpoint", checkpoint, "--out", str(out)]
+        assert main(argv + ["--beam", beam]) == 2
+        err = capsys.readouterr().err
+        assert (f"{empty}: no samples to generate from" if beam == "1" else "beam_size must be >= 1") in err
+        assert not out.exists()
+
     def test_missing_out_path_exits_2_and_writes_nothing(self, trained, capsys):
         tmp, data, config, vocab, checkpoint = trained
         before = sorted(tmp.rglob("*"))

@@ -1,4 +1,4 @@
-"""Properties of sample truncation, of the vocabulary file and of one-row attention blocks, over generated inputs."""
+"""Properties of sample truncation, of the vocabulary file and of attention blocks, over generated inputs."""
 
 import tempfile
 import warnings
@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ckl.corpus import RESERVED_TOKENS, DialogueSample, EncodeConfig, Vocabulary, kept_segments, tokenize
-from ckl.tensor import Tensor, attention
+from ckl.tensor import Tape, Tensor, attention, mul, sum_all
 
 # Words and 1-char punctuation survive " ".join and tokenize unchanged, so a text's tokens are its words.
 TEXT = st.lists(st.sampled_from(["a", "bb", "ccc", "d4", "?", ","]), min_size=1, max_size=12).map(" ".join)
@@ -63,19 +63,43 @@ def test_vocabulary_survives_save_and_load(tokens):
     assert loaded.encode(tokens) == vocab.encode(tokens)
 
 
+@st.composite
+def block_layouts(draw):
+    """Query and key block lengths, causal or not, and without causal each block's key segments or None."""
+    causal = draw(st.booleans())
+    q_lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    k_lengths = [draw(st.integers(n if causal else 1, 6)) for n in q_lengths]
+    if causal or not draw(st.booleans()):
+        return q_lengths, k_lengths, causal, None
+    cuts = [sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else [] for n in k_lengths]
+    return q_lengths, k_lengths, causal, [np.diff([0, *c, n]).tolist() for c, n in zip(cuts, k_lengths)]
+
+
+def attend(q, k, v, read_out, n_heads, causal, segments=None, blocks=None):
+    """The output and the q, k, v (and segment weight) gradients of ``sum(out * read_out)``."""
+    leaves = [Tensor(x, requires_grad=True) for x in (q, k, v) + (() if segments is None else (segments[1],))]
+    with Tape() as tape:
+        seg = None if segments is None else (segments[0], leaves[3])
+        out = attention(*leaves[:3], n_heads, causal, seg, blocks)
+        grads = tape.backward(sum_all(mul(out, Tensor(read_out))))
+    return [out.data] + [grads[leaf.node_id] for leaf in leaves]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    key_lengths=st.lists(st.integers(1, 6), min_size=2, max_size=8),
-    n_heads=st.sampled_from([1, 2]),
-    causal=st.booleans(),
-    seed=st.integers(0, 2**16),
-)
-def test_one_row_blocks_equal_one_attention_call_per_row(key_lengths, n_heads, causal, seed):
-    """Query row i attends to its key block alone, as one call with that row and those keys would."""
+@given(layout=block_layouts(), n_heads=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+def test_blocks_equal_one_attention_call_per_block(layout, n_heads, seed):
+    """Query block b attends to key block b alone, as one call with those rows would, short blocks included."""
+    q_lengths, k_lengths, causal, block_segments = layout
     rng = np.random.default_rng(seed)
-    n, starts = len(key_lengths), np.cumsum([0, *key_lengths])
-    q, k, v = (rng.uniform(-3, 3, shape) for shape in ((n, 4), (starts[-1], 4), (starts[-1], 6)))
-    got = attention(Tensor(q), Tensor(k), Tensor(v), n_heads, causal, blocks=([1] * n, key_lengths)).data
-    for i, (a, b) in enumerate(zip(starts, starts[1:])):
-        expected = attention(Tensor(q[i : i + 1]), Tensor(k[a:b]), Tensor(v[a:b]), n_heads, causal).data[0]
-        assert np.max(np.abs(got[i] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    q0, k0 = np.cumsum([0, *q_lengths]), np.cumsum([0, *k_lengths])
+    q, k, v = (rng.uniform(-3, 3, shape) for shape in ((q0[-1], 4), (k0[-1], 4), (k0[-1], 6)))
+    read_out = rng.uniform(-1, 1, (q0[-1], 6))
+    segments = None if block_segments is None else [n for parts in block_segments for n in parts]
+    w = None if segments is None else rng.uniform(0.1, 1.5, len(segments))
+    got = attend(q, k, v, read_out, n_heads, causal, None if w is None else (segments, w), (q_lengths, k_lengths))
+    s0 = np.cumsum([0, *map(len, block_segments or [])])
+    parts = [attend(q[qa:qb], k[ka:kb], v[ka:kb], read_out[qa:qb], n_heads, causal,
+                    None if w is None else (block_segments[b], w[s0[b] : s0[b + 1]]))
+             for b, (qa, qb, ka, kb) in enumerate(zip(q0, q0[1:], k0, k0[1:]))]
+    for g, e in zip(got, map(np.concatenate, zip(*parts)), strict=True):
+        assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))

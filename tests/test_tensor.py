@@ -578,6 +578,7 @@ class TestAttentionBlocks:
 
     Q_LENGTHS, K_LENGTHS, SEGMENTS = [2, 1, 3], [3, 4, 3], [1, 2, 4, 2, 1]  # 2 + 1 + 2 segments
     ONE_ROW = [1] * 6, [2, 1, 3, 1, 2, 1]  # one query row per block, as a beam hypothesis or a latent row has
+    ONE_ROW_SEGMENTS = [2, 1, 1, 2, 1, 1, 1, 1]  # 1 + 1 + 2 + 1 + 2 + 1 segments, as the klw.ck latent rows have
 
     def operands(self, seed=30):
         rng = np.random.default_rng(seed)
@@ -597,10 +598,10 @@ class TestAttentionBlocks:
             grads = tape.backward(sum_all(mul(out, Tensor(read_out))))
         return [out.data] + [grads[leaf.node_id] for leaf in leaves], [record[0] for record in tape.records]
 
-    def blockwise(self, q, k, v, w=None, blocks=(Q_LENGTHS, K_LENGTHS), **kwargs):
+    def blockwise(self, q, k, v, w=None, blocks=(Q_LENGTHS, K_LENGTHS), lengths=None, **kwargs):
         """The same quantities from one call per block, stacked."""
         q0, k0 = np.cumsum([0, *blocks[0]]), np.cumsum([0, *blocks[1]])
-        s0 = np.cumsum([0] + [2, 1, 2])
+        s0 = None if w is None else np.searchsorted(np.cumsum([0, *lengths]), k0)  # each block's first segment
         parts = []
         for b in range(len(blocks[0])):
             qs, ks = slice(q0[b], q0[b + 1]), slice(k0[b], k0[b + 1])
@@ -608,35 +609,36 @@ class TestAttentionBlocks:
                 parts.append(self.run(q[qs], k[ks], v[ks], None, qs, **kwargs)[0])
             else:
                 ss = slice(s0[b], s0[b + 1])
-                parts.append(self.run(q[qs], k[ks], v[ks], w[ss], qs, lengths=self.SEGMENTS[ss], **kwargs)[0])
+                parts.append(self.run(q[qs], k[ks], v[ks], w[ss], qs, lengths=lengths[ss], **kwargs)[0])
         out = [np.concatenate([p[i] for p in parts]) for i in range(4)]
         if w is not None:
             out.append(np.concatenate([p[4] for p in parts]))
         return out
 
     @pytest.mark.parametrize("n_heads", [1, 2])
-    @pytest.mark.parametrize("kind", ["causal", "vector", "one-row", "one-row-causal"])
+    @pytest.mark.parametrize("kind", ["causal", "vector", "one-row", "one-row-causal", "one-row-vector"])
     def test_equals_one_call_per_block(self, n_heads, kind):
-        """Blocks of one query row each run as one masked pass, the others a block at a time."""
+        """Every layout runs as one padded batch, short blocks and their segments included."""
         q, k, v = self.operands()
-        w = np.random.default_rng(31).uniform(0.1, 1.5, 5) if kind == "vector" else None
+        lengths = {"vector": self.SEGMENTS, "one-row-vector": self.ONE_ROW_SEGMENTS}.get(kind)
+        w = None if lengths is None else np.random.default_rng(31).uniform(0.1, 1.5, len(lengths))
         blocks = self.ONE_ROW if kind.startswith("one-row") else (self.Q_LENGTHS, self.K_LENGTHS)
         kwargs = dict(n_heads=n_heads, causal=kind.endswith("causal"))
-        extra = {} if w is None else {"lengths": self.SEGMENTS}
+        extra = {} if w is None else {"lengths": lengths}
         got, kinds = self.run(q, k, v, w, blocks=blocks, **extra, **kwargs)
-        expected = self.blockwise(q, k, v, w, blocks, **kwargs)
+        expected = self.blockwise(q, k, v, w, blocks, lengths, **kwargs)
         assert kinds == ["attention", "mul", "sum_all"]  # one record for every block
         for g, e in zip(got, expected, strict=True):
             assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
 
     def test_one_one_row_block_is_the_unblocked_kernel_bitwise(self):
-        """A greedy decode step's one hypothesis takes the per-block path, with nothing masked."""
+        """A greedy decode step's one hypothesis is one block, with nothing masked or padded."""
         q, k, v = (x[:n] for x, n in zip(self.operands(), (1, 5, 5)))
         plain, _ = self.run(q, k, v, rows=slice(0, 1), n_heads=2, causal=True)
         one, _ = self.run(q, k, v, rows=slice(0, 1), n_heads=2, causal=True, blocks=([1], [5]))
         assert all(np.array_equal(a, b) for a, b in zip(plain, one, strict=True))
-        (_, _, mask, *_), = tensor._layout(1, 5, True, ((1,), (5,)), None)[1]
-        assert mask is None
+        shape, q_slot, k_slot, mask, *_ = tensor._layout(1, 5, True, ((1,), (5,)), None)
+        assert shape == (1, 1, 5) and q_slot is None and k_slot is None and mask is None
 
     def test_one_block_of_every_row_is_the_unblocked_kernel_bitwise(self):
         q, k, v = self.operands()

@@ -4,9 +4,9 @@ The graph is rebuilt on every forward pass (define-by-run): while a Tape is
 active, each operation appends one record holding the op kind, the node ids of
 its inputs (None for an untracked one), the output node id, and one gradient
 rule, which maps the output gradient to one gradient per input, in order.
-``Tape.backward`` walks the records once, in reverse, adding leaf gradients to
-a dict that may span tapes. ``_make`` checks each op output for NaN/Inf;
-training checks the gradients' global norm once per optimizer step.
+``Tape.backward`` walks the records once, in reverse, freeing each rule once
+run, and adds leaf gradients to a dict that may span tapes. ``_make`` checks
+each op output for NaN/Inf; training checks the global gradient norm per step.
 
 Only the kernels a small transformer needs are provided, on 2-D operands;
 ``linear`` is a projection plus its bias in one record, ``ffn`` the ReLU
@@ -126,12 +126,12 @@ def _as_tensor(x) -> Tensor:
 
 
 class Tape:
-    """Ordered op records for one forward pass; single-owner, not shareable."""
+    """Ordered op records for one forward pass and one backward; single-owner, not shareable."""
 
     _active: "Tape | None" = None
 
     def __init__(self):
-        # record: (op kind, input node ids or None when untracked, output node id, gradient rule)
+        # record: (op kind, input node ids or None when untracked, output node id, gradient rule or None once spent)
         self.records: list[tuple[str, tuple, int, object]] = []
         self.serial = next(_tape_serials)
 
@@ -148,16 +148,21 @@ class Tape:
     def backward(self, loss: Tensor, grads: dict[int, np.ndarray] | None = None) -> dict[int, np.ndarray]:
         """Add d loss / d leaf into ``grads`` (a new dict when omitted) and return it.
 
-        Visits each record exactly once, in reverse order, dropping an op output's
-        gradient once its record is done, so only (unchecked) leaf gradients remain.
+        Visits each record exactly once, in reverse order, dropping an op output's gradient and the
+        record's rule, with the activations it holds, once the record is done: only (unchecked) leaf
+        gradients remain, the kinds and ids stay readable, and a tape serves one backward.
         """
         if not isinstance(loss, Tensor) or loss.data.size != 1:
             raise ShapeError("backward requires a scalar loss tensor")
         if loss.node_id is None or loss.tape_id != self.serial:
             raise ValueError("loss was not produced on this tape")
+        if self.records[-1][3] is None:  # the first record a backward visits, and frees
+            raise RuntimeError("this tape is spent: its backward has run, and a tape serves one backward")
         grads = {} if grads is None else grads
         grads[loss.node_id] = np.ones_like(loss.data)
-        for _kind, in_ids, out_id, rule in reversed(self.records):
+        for i in range(len(self.records) - 1, -1, -1):
+            kind, in_ids, out_id, rule = self.records[i]
+            self.records[i] = (kind, in_ids, out_id, None)
             g = grads.pop(out_id, None)
             if g is None:
                 continue
@@ -223,29 +228,27 @@ def transpose(a: Tensor) -> Tensor:
     return _make("transpose", np.ascontiguousarray(a.data.T), (a,), lambda g: (np.ascontiguousarray(g.T),))
 
 
-def _binary(kind: str, a: Tensor, b: Tensor, fwd, grad_a, grad_b) -> Tensor:
+def _binary(kind: str, a: Tensor, b: Tensor, fwd, grads) -> Tensor:
     lone = None if a.shape == b.shape else 1 if b.data.size == 1 else 0  # a one-element operand acts as a scalar
     if lone is not None and (a, b)[lone].data.size != 1:
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not match")
     shapes = (a.shape, b.shape)
     x, y = (t.data.reshape(()) if i == lone else t.data for i, t in enumerate((a, b)))
-
-    def rule(g):  # each operand's rule sees the other operand as the forward did
-        return [np.sum(gt).reshape(shapes[i]) if i == lone else gt for i, gt in enumerate((grad_a(g, y), grad_b(g, x)))]
-
-    return _make(kind, fwd(x, y), (a, b), rule)
+    both = grads(x, y)  # maps g to both operands' gradients as the forward saw them, holding only what it reads
+    return _make(kind, fwd(x, y), (a, b),
+                 lambda g: [np.sum(gt).reshape(shapes[i]) if i == lone else gt for i, gt in enumerate(both(g))])
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("add", a, b, lambda x, y: x + y, lambda g, y: g, lambda g, x: g)
+    return _binary("add", a, b, lambda x, y: x + y, lambda x, y: lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", a, b, lambda x, y: x - y, lambda g, y: g, lambda g, x: -g)
+    return _binary("sub", a, b, lambda x, y: x - y, lambda x, y: lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("mul", a, b, lambda x, y: x * y, lambda g, y: g * y, lambda g, x: g * x)
+    return _binary("mul", a, b, lambda x, y: x * y, lambda x, y: lambda g: (g * y, g * x))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -331,9 +334,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def _gather(kind: str, x: Tensor, index) -> Tensor:
     """``x.data[index]``, a copy; the gradient adds each picked entry's gradient back into its place."""
+    shape = x.data.shape
 
     def grad(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         np.add.at(gx, index, g)
         return (gx,)
 
@@ -370,21 +374,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """The feed-forward ``relu(x @ w1 + b1) @ w2 + b2`` as one record."""
+    """The feed-forward ``relu(x @ w1 + b1) @ w2 + b2`` as one record, which keeps ``x`` but not the hidden layer."""
     xs, w1s, b1s, w2s, b2s = x.data.shape, w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape
     if (len(xs) != 2 or len(w1s) != 2 or len(w2s) != 2 or xs[1] != w1s[0] or w2s[0] != w1s[1]
             or b1s != w1s[1:] or b2s != w2s[1:]):
         raise ShapeError(f"ffn: {xs} x {w1s} + {b1s}, then x {w2s} + {b2s}")
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    pre = xd @ w1d + b1.data
-    mask = pre > 0
-    h = pre * mask
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+
+    def hidden():  # relu(x @ w1 + b1) and its mask, recomputed bit for bit by the backward
+        pre = xd @ w1d + b1d
+        mask = pre > 0
+        return pre * mask, mask
 
     def grad(g):
+        h, mask = hidden()
         d_pre = (g @ w2d.T) * mask
         return d_pre @ w1d.T, xd.T @ d_pre, d_pre.sum(axis=0), h.T @ g, g.sum(axis=0)
 
-    return _make("ffn", h @ w2d + b2.data, (x, w1, b1, w2, b2), grad)
+    return _make("ffn", hidden()[0] @ w2d + b2.data, (x, w1, b1, w2, b2), grad)
 
 
 def rows(x: Tensor, start: int, length: int) -> Tensor:
@@ -405,7 +412,11 @@ def cols(x: Tensor, start: int, length: int) -> Tensor:
 
 
 def _concat(kind: str, parts: list[Tensor], axis) -> Tensor:
-    """``parts`` joined along ``axis``, or flattened and joined when it is None; the gradient splits back."""
+    """2-D ``parts`` joined along ``axis``, or any parts flattened and joined when it is None; the gradient splits back."""
+    if not parts:
+        raise ShapeError(f"{kind} of an empty list")
+    if axis is not None and any(p.data.ndim != 2 or p.shape[1 - axis] != parts[0].shape[1 - axis] for p in parts):
+        raise ShapeError(f"{kind} needs 2-D tensors with equal {('column', 'row')[axis]} counts")
     ends = np.cumsum([p.data.size if axis is None else p.shape[axis] for p in parts[:-1]])
     shapes = [p.shape for p in parts]
     return _make(kind, np.concatenate([p.data for p in parts], axis=axis), parts,
@@ -413,28 +424,16 @@ def _concat(kind: str, parts: list[Tensor], axis) -> Tensor:
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_cols of an empty list")
-    n = parts[0].shape[0]
-    if any(p.data.ndim != 2 or p.shape[0] != n for p in parts):
-        raise ShapeError("concat_cols needs 2-D tensors with equal row counts")
     return _concat("concat_cols", parts, 1)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
     """Stack 2-D tensors with equal column counts."""
-    if not parts:
-        raise ShapeError("concat_rows of an empty list")
-    d = parts[0].shape[-1]
-    if any(p.data.ndim != 2 or p.shape[1] != d for p in parts):
-        raise ShapeError("concat_rows needs 2-D tensors with equal column counts")
     return _concat("concat_rows", parts, 0)
 
 
 def concat_vec(parts: list[Tensor]) -> Tensor:
     """Flatten each tensor and concatenate into one vector."""
-    if not parts:
-        raise ShapeError("concat_vec of an empty list")
     return _concat("concat_vec", parts, None)
 
 

@@ -1,12 +1,12 @@
 """Adam training loop over the four supervised losses.
 
-An optimizer step runs its batch as packs of up to ``PACK`` samples, each
-pack's rows stacked into one forward pass on one tape (block-diagonal
+An optimizer step splits its batch into packs of about ``PACK_ROWS`` source
+rows, each pack's rows stacked into one forward pass on one tape (block-diagonal
 attention keeps the samples apart), so each record is paid once per pack. A
 pack of B samples totals ``B · awl(mean losses)``, the sum of its samples' AWL
-totals. Each tape's ``backward`` adds the leaf gradients into the step's one
-dict; the sum is scaled by 1/batch once, clipped to a global norm and applied
-as a bias-corrected Adam update.
+totals. Each tape's ``backward`` frees the pack's activations as it adds the
+leaf gradients into the step's one dict; the sum is scaled by 1/batch once,
+clipped to a global norm and applied as a bias-corrected Adam update.
 A NaN/Inf op output or a non-finite gradient norm (checked once per step,
 before Adam) aborts training. Low-resource runs take the first
 ceil(fraction * n) samples of one seeded shuffle, fixed for the whole run. A
@@ -16,6 +16,7 @@ uncertainty parameters.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,9 +29,9 @@ from .tensor import NumericError, Tape, Tensor, scale
 from .weak_supervision import PseudoGroundTruth, TfIdfIndex, build_pseudo_gt
 
 
-# Samples per tape pass. A pack pays each record once; its activations, and peak RSS, grow with it: 4 ran
-# overfit_train 1.8x faster than 1 but raised wide_retrieval_train's peak RSS 9%, over a 5% budget; 2 raised it 2%.
-PACK = 2
+# Source rows per tape pass: a pack pays each record once, and its activations, the peak RSS, follow its rows. 300
+# packs 16 samples of 24 rows as 8 + 8, and 24 of 72 rows as 6 x 4, within 5% of the peak RSS of 2-sample packs.
+PACK_ROWS = 300
 
 
 class TrainingAbort(RuntimeError):
@@ -182,6 +183,13 @@ def prepare_training_set(
     return encoded, labels
 
 
+def split_packs(batch: np.ndarray, encoded: list[EncodedSample]) -> list[np.ndarray]:
+    """``batch``, indices into ``encoded``, split in order into ceil(source rows / PACK_ROWS) packs, at most one
+    per sample, whose sizes differ by at most 1."""
+    rows = sum(len(encoded[i].source_ids()) for i in batch)
+    return np.array_split(batch, min(len(batch), math.ceil(rows / PACK_ROWS)))
+
+
 def sample_losses(model: CKLModel, samples: list[EncodedSample], labels: list[PseudoGroundTruth]):
     """The four losses of a pack of samples from one teacher-forced pass, each summed over the pack."""
     logits, weights = model.forward(*samples)
@@ -212,40 +220,32 @@ def train(
     state = AdamState()
     rng = np.random.default_rng(train_cfg.seed + 1)
     trace: list[TraceRow] = []
-    step = 0
-    n = len(encoded)
-
-    for _epoch in range(train_cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, train_cfg.batch_size):
-            batch = order[start : start + train_cfg.batch_size]
-            step += 1
-            leaf_grads: dict[int, np.ndarray] = {}
-            sums = np.zeros(5)
-            s_before = awl_params.values()
-            for first in range(0, len(batch), PACK):
-                pack = batch[first : first + PACK]
-                try:  # _make reports non-finite op outputs, so numpy need not warn
-                    with Tape() as tape, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                        losses = sample_losses(model, [encoded[i] for i in pack], [labels[i] for i in pack])
-                        means = [scale(loss, 1.0 / len(pack)) for loss in losses]
-                        total = scale(awl(*means, awl_params, use_loss_clwr=model_cfg.use_loss_clwr,
-                                          use_loss_clwk=model_cfg.use_loss_clwk, use_loss_klw=model_cfg.use_loss_klw),
-                                      len(pack))
-                        tape.backward(total, leaf_grads)
-                    del tape  # its records hold the pack's activations
-                except NumericError as err:
-                    raise TrainingAbort(step, str(err)) from err
-                sums += [loss.item() for loss in losses] + [total.item()]
-            grads = {name: leaf_grads[p.node_id] * (1.0 / len(batch))
-                     for name, p in trainables.items() if p.node_id in leaf_grads}
-            if not math.isfinite(clip_gradients(grads, train_cfg.grad_clip)):
-                raise TrainingAbort(step, "gradient norm is NaN/Inf")
-            adam_step(trainables, grads, state, train_cfg.learning_rate)
-            del grads, leaf_grads  # not kept alive through the next step's forward
-            trace.append(TraceRow(step, *(float(v) for v in sums / len(batch)), s=s_before))  # per-step means
-            if max_steps is not None and step >= max_steps:
-                return TrainResult(model, awl_params, trace, n, encoded, labels)
+    n, size = len(encoded), train_cfg.batch_size
+    orders = (rng.permutation(n) for _ in range(train_cfg.epochs))  # each epoch's shuffle, drawn as the epoch starts
+    batches = (order[start : start + size] for order in orders for start in range(0, n, size))
+    for step, batch in enumerate(itertools.islice(batches, max_steps), 1):
+        leaf_grads: dict[int, np.ndarray] = {}
+        sums = np.zeros(5)
+        s_before = awl_params.values()
+        for pack in split_packs(batch, encoded):
+            try:  # _make reports non-finite op outputs, so numpy need not warn
+                with Tape() as tape, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    losses = sample_losses(model, [encoded[i] for i in pack], [labels[i] for i in pack])
+                    means = [scale(loss, 1.0 / len(pack)) for loss in losses]
+                    total = scale(awl(*means, awl_params, use_loss_clwr=model_cfg.use_loss_clwr,
+                                      use_loss_clwk=model_cfg.use_loss_clwk, use_loss_klw=model_cfg.use_loss_klw),
+                                  len(pack))
+                    tape.backward(total, leaf_grads)
+            except NumericError as err:
+                raise TrainingAbort(step, str(err)) from err
+            sums += [loss.item() for loss in losses] + [total.item()]
+        grads = {name: leaf_grads[p.node_id] * (1.0 / len(batch))
+                 for name, p in trainables.items() if p.node_id in leaf_grads}
+        if not math.isfinite(clip_gradients(grads, train_cfg.grad_clip)):
+            raise TrainingAbort(step, "gradient norm is NaN/Inf")
+        adam_step(trainables, grads, state, train_cfg.learning_rate)
+        del grads, leaf_grads  # not kept alive through the next step's forward
+        trace.append(TraceRow(step, *(float(v) for v in sums / len(batch)), s=s_before))  # per-step means
     return TrainResult(model, awl_params, trace, n, encoded, labels)
 
 
@@ -258,11 +258,10 @@ def write_trace(path, trace: list[TraceRow], effective_n: int, total_n: int) -> 
 
 
 def mean_per_token_nll(model: CKLModel, encoded: list[EncodedSample]) -> float:
-    """Corpus teacher-forcing NLL divided by the number of predicted tokens."""
+    """Corpus teacher-forcing NLL divided by the number of predicted tokens, forwarded in training's packs."""
     total = 0.0
-    tokens = 0
-    for sample in encoded:
-        logits, _ = model.forward(sample)
-        total += nll(logits, sample.response_ids[1:]).item()
-        tokens += len(sample.response_ids) - 1
-    return total / tokens
+    for pack in split_packs(np.arange(len(encoded)), encoded):
+        samples = [encoded[i] for i in pack]
+        logits, _ = model.forward(*samples)
+        total += nll(logits, [y for sample in samples for y in sample.response_ids[1:]]).item()
+    return total / sum(len(sample.response_ids) - 1 for sample in encoded)

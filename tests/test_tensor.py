@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -355,16 +356,41 @@ class TestBackward:
         w = Tensor([[1.0, 2.0], [0.3, -0.4]], requires_grad=True)
         s = Tensor(0.7, requires_grad=True)
         const = Tensor([[0.2, 0.1]])
-        with Tape() as tape:
-            h = sigmoid(add_row(matmul(const, w), x))
-            loss = mul(sum_all(mul(h, h)), s)
-            once = tape.backward(loss)
-            twice = tape.backward(loss, tape.backward(loss))
+
+        def backward(grads=None):  # a tape serves one backward
+            with Tape() as tape:
+                h = sigmoid(add_row(matmul(const, w), x))
+                return tape.backward(mul(sum_all(mul(h, h)), s), grads)
+
+        once = backward()
+        twice = backward(backward())
         assert set(once) == {x.node_id, w.node_id, s.node_id}
         assert set(twice) == set(once)
         for nid, g in once.items():
             assert not isinstance(g, Tensor) and np.asarray(g).dtype == np.float64
             assert np.array_equal(twice[nid], 2 * g)
+
+    def test_a_second_backward_on_a_spent_tape_raises(self):
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(mul(x, x))
+            tape.backward(loss)
+            with pytest.raises(RuntimeError, match="spent"):
+                tape.backward(loss)
+        assert [record[0] for record in tape.records] == ["mul", "sum_all"]
+
+    def test_backward_frees_the_arrays_its_records_hold(self):
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        with Tape() as tape:
+            hidden = exp(x)
+            held = weakref.ref(hidden.data)
+            loss = sum_all(mul(hidden, hidden))
+            del hidden  # now only the exp and mul rules hold its data
+            assert held() is not None
+            grads = tape.backward(loss)
+        assert held() is None
+        assert [record[0] for record in tape.records] == ["exp", "mul", "sum_all"]
+        assert np.allclose(grads[x.node_id], 2 * np.exp(2 * x.data), rtol=1e-14, atol=0)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -6,9 +6,9 @@ import pytest
 from ckl import checkpoint, training
 from ckl.checkpoint import CheckpointError
 from ckl.corpus import BOS, EOS, DialogueSample, EncodedSample, build_vocab
-from ckl.losses import AwlParams, awl
+from ckl.losses import AwlParams, awl, nll
 from ckl.model import CKLModel, ModelConfig
-from ckl.synthetic import overfit_corpus
+from ckl.synthetic import overfit_corpus, retrieval_corpus
 from ckl.tensor import Tape, Tensor
 from ckl.training import (
     AdamState,
@@ -194,24 +194,38 @@ class TestTrainLoop:
             models.append(CKLModel(cfg, seed=seed))
             return models[-1]
 
-        backward = Tape.backward
-        calls = []
+        backward, adam = Tape.backward, training.adam_step
+        steps, poisoned = [], []
+
+        def counting_adam(*args):
+            steps.append(args)
+            return adam(*args)
 
         def poisoned_backward(tape, loss, grads=None):
             grads = backward(tape, loss, grads)
-            calls.append(loss)
-            if len(calls) == -(-tcfg.batch_size // training.PACK) + 1:  # the first pack of step 2
+            if len(steps) == 1 and not poisoned:  # the first backward after the first adam_step
+                poisoned.append(loss)
                 nid = models[0].params["out.b"].node_id
                 grads[nid] = np.full_like(grads[nid], np.nan)
             return grads
 
         monkeypatch.setattr(training, "CKLModel", recording_model)
+        monkeypatch.setattr(training, "adam_step", counting_adam)
         monkeypatch.setattr(Tape, "backward", poisoned_backward)
         with pytest.raises(TrainingAbort, match="gradient norm") as err:
             train(samples, vocab, mcfg, tcfg)
-        assert err.value.step == 2
+        assert err.value.step == 2 and len(steps) == 1 and poisoned
         for name, p in models[0].parameters().items():
             assert np.array_equal(p.data, after_step_1[name].data), name
+
+    @pytest.mark.parametrize("pack_rows", [training.PACK_ROWS, 50])
+    def test_mean_per_token_nll_equals_the_per_sample_loop(self, tiny_run, monkeypatch, pack_rows):
+        _, _, _, _, result = tiny_run
+        monkeypatch.setattr(training, "PACK_ROWS", pack_rows)
+        total = sum(nll(result.model.forward(s)[0], s.response_ids[1:]).item() for s in result.encoded)
+        tokens = sum(len(s.response_ids) - 1 for s in result.encoded)
+        got = mean_per_token_nll(result.model, result.encoded)
+        assert abs(got - total / tokens) <= 1e-12 * (total / tokens)
 
 
 def mixed_shape_samples():
@@ -296,21 +310,48 @@ def test_step_gradients_equal_per_sample_backward_mean(monkeypatch, use_ck_dep):
 
 @pytest.mark.parametrize("use_ck_dep", [True, False], ids=["ck-dep", "no-ck-dep"])
 def test_a_full_and_a_partial_pack_give_the_step_of_packs_of_one(monkeypatch, use_ck_dep):
-    """Batch 5 as a pack of 4 and a pack of 1, and in packs of ``PACK``, gives the step of packs of one."""
+    """Batch 5 as one pack, and as packs of 3 and 2, gives the step of packs of one."""
     samples = mixed_shape_samples()
     vocab = build_vocab(samples)
     mcfg = small_model_config(len(vocab), use_ck_dep=use_ck_dep)
     tcfg = TrainingConfig(learning_rate=1e-3, epochs=1, batch_size=5, seed=4)
+    rows = sum(len(e.source_ids()) for e in prepare_training_set(samples, vocab, mcfg, tcfg)[0])
     sizes, losses = [], training.sample_losses
     monkeypatch.setattr(training, "sample_losses", lambda model, s, l: sizes.append(len(s)) or losses(model, s, l))
-    steps, default = {}, training.PACK
-    for pack in (default, 4, 1):
+    steps = {}
+    for pack_rows, layout in ((rows, (5,)), (-(-rows // 2), (3, 2)), (1, (1,) * 5)):
         sizes.clear()
-        monkeypatch.setattr(training, "PACK", pack)
-        steps[pack] = first_step_gradients(monkeypatch, samples, vocab, mcfg, tcfg)
-        assert sizes == [pack] * (5 // pack) + [5 % pack] * (5 % pack > 0)
-    assert_gradients_agree(steps[4], steps[1])
-    assert_gradients_agree(steps[default], steps[1])
+        monkeypatch.setattr(training, "PACK_ROWS", pack_rows)
+        steps[layout] = first_step_gradients(monkeypatch, samples, vocab, mcfg, tcfg)
+        assert tuple(sizes) == layout
+    assert_gradients_agree(steps[3, 2], steps[(1,) * 5])
+    assert_gradients_agree(steps[5,], steps[(1,) * 5])
+
+
+@pytest.mark.parametrize("pack_rows", [1, 7, 60, 300, 10**6])
+def test_split_packs_cover_the_batch_in_order_in_near_equal_packs(monkeypatch, pack_rows):
+    samples = overfit_corpus(16, seed=0)
+    vocab = build_vocab(samples)
+    encoded, _ = prepare_training_set(samples, vocab, small_model_config(len(vocab)), TrainingConfig(seed=3))
+    monkeypatch.setattr(training, "PACK_ROWS", pack_rows)
+    for batch in (np.arange(16), np.random.default_rng(pack_rows).permutation(16)[:11], np.array([5])):
+        packs = training.split_packs(batch, encoded)
+        rows = sum(len(encoded[i].source_ids()) for i in batch)
+        assert np.array_equal(np.concatenate(packs), batch)
+        assert len(packs) == min(len(batch), -(-rows // pack_rows))
+        assert min(map(len, packs)) >= 1 and max(map(len, packs)) - min(map(len, packs)) <= 1
+
+
+@pytest.mark.parametrize("corpus,model,layout", [
+    (lambda: overfit_corpus(16, seed=0), dict(max_source_len=64), [8, 8]),
+    (lambda: retrieval_corpus(48, n_knowledge=8, seed=0)[:24], dict(max_source_len=96), [4] * 6),
+], ids=["overfit", "wide"])
+def test_split_packs_of_the_benchmark_batches(corpus, model, layout):
+    """16 samples of 24-26 source rows run as 8 + 8, and 24 of 72-74 rows as 6 packs of 4."""
+    samples = corpus()
+    vocab = build_vocab(samples)
+    encoded, _ = prepare_training_set(samples, vocab, small_model_config(len(vocab), **model), TrainingConfig(seed=3))
+    assert [len(pack) for pack in training.split_packs(np.arange(len(encoded)), encoded)] == layout
 
 
 @pytest.mark.xfail(

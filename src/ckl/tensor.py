@@ -333,13 +333,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def _gather(kind: str, x: Tensor, index) -> Tensor:
-    """``x.data[index]``, a copy; the gradient adds each picked entry's gradient back into its place."""
-    shape = x.data.shape
+    """``x.data[index]``, a copy; the gradient adds each picked entry's gradient back into its place, as a
+    ``bincount`` over the picked flat positions: faster than ``np.add.at``, and equal to it bit for bit."""
+    shape, size = x.data.shape, x.data.size
 
     def grad(g):
-        gx = np.zeros(shape)
-        np.add.at(gx, index, g)
-        return (gx,)
+        return (np.bincount(np.arange(size).reshape(shape)[index].ravel(), weights=g.ravel(), minlength=size)
+                .reshape(shape),)
 
     return _make(kind, x.data[index], (x,), grad)
 
@@ -352,7 +352,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("ids must be a non-empty 1-D sequence")
     v = table.shape[0]
-    if np.any(idx < 0) or np.any(idx >= v):
+    if idx.min() < 0 or idx.max() >= v:
         raise IndexError(f"embedding id out of range [0, {v})")
     return _gather("embedding_lookup", table, idx)
 

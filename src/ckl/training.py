@@ -1,12 +1,13 @@
 """Adam training loop over the four supervised losses.
 
-An optimizer step splits its batch into packs of about ``PACK_ROWS`` source
-rows, each pack's rows stacked into one forward pass on one tape (block-diagonal
-attention keeps the samples apart), so each record is paid once per pack. A
-pack of B samples totals ``B · awl(mean losses)``, the sum of its samples' AWL
-totals. Each tape's ``backward`` frees the pack's activations as it adds the
-leaf gradients into the step's one dict; the sum is scaled by 1/batch once,
-clipped to a global norm and applied as a bias-corrected Adam update.
+An optimizer step splits its batch into packs of about ``PACK_BUDGET`` source
+rows × d_model, each pack's rows stacked into one forward pass on one tape
+(block-diagonal attention keeps the samples apart), so each record is paid once
+per pack. A pack of B samples totals ``B · awl(mean losses)``, the sum of its
+samples' AWL totals. Each tape's ``backward`` frees the pack's activations as
+it adds the leaf gradients into the step's one dict; the sum is scaled by
+1/batch once, clipped to a global norm and applied as a bias-corrected Adam
+update.
 A NaN/Inf op output or a non-finite gradient norm (checked once per step,
 before Adam) aborts training. Low-resource runs take the first
 ceil(fraction * n) samples of one seeded shuffle, fixed for the whole run. A
@@ -29,9 +30,10 @@ from .tensor import NumericError, Tape, Tensor, scale
 from .weak_supervision import PseudoGroundTruth, TfIdfIndex, build_pseudo_gt
 
 
-# Source rows per tape pass: a pack pays each record once, and its activations, the peak RSS, follow its rows. 300
-# packs 16 samples of 24 rows as 8 + 8, and 24 of 72 rows as 6 x 4, within 5% of the peak RSS of 2-sample packs.
-PACK_ROWS = 300
+# Source rows × d_model per tape pass. A pack pays each record once, and what it holds as its backward starts follows
+# rows × width: 3.91 MB traced for 8 samples of 24-26 rows at d_model 64, 3.47 MB for 8 of 72-74 rows at d_model 32.
+# So 16 samples of 24 rows at d_model 64 run as 8 + 8, and 24 of 72 rows at d_model 32 as 3 × 8.
+PACK_BUDGET = 300 * 64
 
 
 class TrainingAbort(RuntimeError):
@@ -183,11 +185,11 @@ def prepare_training_set(
     return encoded, labels
 
 
-def split_packs(batch: np.ndarray, encoded: list[EncodedSample]) -> list[np.ndarray]:
-    """``batch``, indices into ``encoded``, split in order into ceil(source rows / PACK_ROWS) packs, at most one
-    per sample, whose sizes differ by at most 1."""
+def split_packs(batch: np.ndarray, encoded: list[EncodedSample], d_model: int) -> list[np.ndarray]:
+    """``batch``, indices into ``encoded``, split in order into ceil(source rows × d_model / PACK_BUDGET) packs, at
+    most one per sample, whose sizes differ by at most 1."""
     rows = sum(len(encoded[i].source_ids()) for i in batch)
-    return np.array_split(batch, min(len(batch), math.ceil(rows / PACK_ROWS)))
+    return np.array_split(batch, min(len(batch), math.ceil(rows * d_model / PACK_BUDGET)))
 
 
 def sample_losses(model: CKLModel, samples: list[EncodedSample], labels: list[PseudoGroundTruth]):
@@ -227,7 +229,7 @@ def train(
         leaf_grads: dict[int, np.ndarray] = {}
         sums = np.zeros(5)
         s_before = awl_params.values()
-        for pack in split_packs(batch, encoded):
+        for pack in split_packs(batch, encoded, model_cfg.d_model):
             try:  # _make reports non-finite op outputs, so numpy need not warn
                 with Tape() as tape, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     losses = sample_losses(model, [encoded[i] for i in pack], [labels[i] for i in pack])
@@ -260,7 +262,7 @@ def write_trace(path, trace: list[TraceRow], effective_n: int, total_n: int) -> 
 def mean_per_token_nll(model: CKLModel, encoded: list[EncodedSample]) -> float:
     """Corpus teacher-forcing NLL divided by the number of predicted tokens, forwarded in training's packs."""
     total = 0.0
-    for pack in split_packs(np.arange(len(encoded)), encoded):
+    for pack in split_packs(np.arange(len(encoded)), encoded, model.config.d_model):
         samples = [encoded[i] for i in pack]
         logits, _ = model.forward(*samples)
         total += nll(logits, [y for sample in samples for y in sample.response_ids[1:]]).item()

@@ -250,6 +250,10 @@ class TestElementwise:
         assert np.array_equal(out.data, [[3.0, 6.0]])
 
 
+_IDS = np.random.default_rng(3).integers(0, 50, 200)  # 200 ids of a 50-row table, most of them repeated
+_COLUMNS = np.random.default_rng(4).integers(0, 64, 200)
+
+
 class TestEmbeddingLookup:
     def test_returns_exact_row(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
@@ -277,6 +281,28 @@ class TestEmbeddingLookup:
         before = out.data.copy()
         x.data += 100.0  # as Adam updates a parameter
         assert np.array_equal(out.data, before)
+
+    @pytest.mark.parametrize(
+        "gather, index, shape",
+        [(lambda x: embedding_lookup(x, _IDS), _IDS, (50, 64)),
+         (lambda x: take_per_row(x, _COLUMNS), (np.arange(200), _COLUMNS), (200, 64)),
+         (lambda x: rows(x, 30, 120), np.arange(30, 150), (200, 64)),
+         (lambda x: cols(x, 5, 40), (slice(None), np.arange(5, 45)), (200, 64)),
+         (lambda x: element(x, 7), 7, (50,))],
+        ids=["embedding_lookup", "take_per_row", "rows", "cols", "element"],
+    )
+    def test_every_gather_gradient_is_np_add_at_bit_for_bit(self, gather, index, shape):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        with Tape() as tape:
+            out = gather(x)
+        rule = tape.records[-1][3]
+        g = rng.standard_normal(out.shape)
+        expected = np.zeros(shape)
+        np.add.at(expected, index, g)
+        got = rule(g)[0]
+        assert got.dtype == np.float64 and got.shape == shape
+        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def _uniform(*shape, rng=np.random.default_rng(12)):

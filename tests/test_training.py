@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -218,10 +219,10 @@ class TestTrainLoop:
         for name, p in models[0].parameters().items():
             assert np.array_equal(p.data, after_step_1[name].data), name
 
-    @pytest.mark.parametrize("pack_rows", [training.PACK_ROWS, 50])
-    def test_mean_per_token_nll_equals_the_per_sample_loop(self, tiny_run, monkeypatch, pack_rows):
+    @pytest.mark.parametrize("budget", [training.PACK_BUDGET, 50 * 16])  # one pack, and packs of 50 rows × d_model 16
+    def test_mean_per_token_nll_equals_the_per_sample_loop(self, tiny_run, monkeypatch, budget):
         _, _, _, _, result = tiny_run
-        monkeypatch.setattr(training, "PACK_ROWS", pack_rows)
+        monkeypatch.setattr(training, "PACK_BUDGET", budget)
         total = sum(nll(result.model.forward(s)[0], s.response_ids[1:]).item() for s in result.encoded)
         tokens = sum(len(s.response_ids) - 1 for s in result.encoded)
         got = mean_per_token_nll(result.model, result.encoded)
@@ -321,37 +322,86 @@ def test_a_full_and_a_partial_pack_give_the_step_of_packs_of_one(monkeypatch, us
     steps = {}
     for pack_rows, layout in ((rows, (5,)), (-(-rows // 2), (3, 2)), (1, (1,) * 5)):
         sizes.clear()
-        monkeypatch.setattr(training, "PACK_ROWS", pack_rows)
+        monkeypatch.setattr(training, "PACK_BUDGET", pack_rows * mcfg.d_model)
         steps[layout] = first_step_gradients(monkeypatch, samples, vocab, mcfg, tcfg)
         assert tuple(sizes) == layout
     assert_gradients_agree(steps[3, 2], steps[(1,) * 5])
     assert_gradients_agree(steps[5,], steps[(1,) * 5])
 
 
-@pytest.mark.parametrize("pack_rows", [1, 7, 60, 300, 10**6])
-def test_split_packs_cover_the_batch_in_order_in_near_equal_packs(monkeypatch, pack_rows):
+@pytest.mark.parametrize("budget", [16, 7 * 16, 60 * 16, 1000, 300 * 16, 10**6 * 16])  # rows × d_model 16
+def test_split_packs_cover_the_batch_in_order_in_near_equal_packs(monkeypatch, budget):
     samples = overfit_corpus(16, seed=0)
     vocab = build_vocab(samples)
-    encoded, _ = prepare_training_set(samples, vocab, small_model_config(len(vocab)), TrainingConfig(seed=3))
-    monkeypatch.setattr(training, "PACK_ROWS", pack_rows)
-    for batch in (np.arange(16), np.random.default_rng(pack_rows).permutation(16)[:11], np.array([5])):
-        packs = training.split_packs(batch, encoded)
+    mcfg = small_model_config(len(vocab))
+    encoded, _ = prepare_training_set(samples, vocab, mcfg, TrainingConfig(seed=3))
+    monkeypatch.setattr(training, "PACK_BUDGET", budget)
+    for batch in (np.arange(16), np.random.default_rng(budget).permutation(16)[:11], np.array([5])):
+        packs = training.split_packs(batch, encoded, mcfg.d_model)
         rows = sum(len(encoded[i].source_ids()) for i in batch)
         assert np.array_equal(np.concatenate(packs), batch)
-        assert len(packs) == min(len(batch), -(-rows // pack_rows))
+        assert len(packs) == min(len(batch), -(-rows * mcfg.d_model // budget))
         assert min(map(len, packs)) >= 1 and max(map(len, packs)) - min(map(len, packs)) <= 1
 
 
+# The benchmark's two models (perfbench/workloads.py) and the criteria-5/6 model (tests/test_acceptance.py).
+DEEP = dict(d_model=64, n_heads=2, n_encoder_layers=2, n_decoder_layers=2, d_ff=256, max_source_len=64)
+SMALL = dict(d_model=32, n_heads=2, n_encoder_layers=1, n_decoder_layers=1, d_ff=64, max_source_len=96)
+FIXTURE = dict(SMALL, max_source_len=48)
+OVERFIT_BATCH = (lambda: overfit_corpus(16, seed=0), DEEP)
+WIDE_BATCH = (lambda: retrieval_corpus(48, n_knowledge=8, seed=0)[:24], SMALL)
+
+
 @pytest.mark.parametrize("corpus,model,layout", [
-    (lambda: overfit_corpus(16, seed=0), dict(max_source_len=64), [8, 8]),
-    (lambda: retrieval_corpus(48, n_knowledge=8, seed=0)[:24], dict(max_source_len=96), [4] * 6),
-], ids=["overfit", "wide"])
+    (*OVERFIT_BATCH, [8, 8]),
+    (*WIDE_BATCH, [8, 8, 8]),
+    (lambda: retrieval_corpus(500, n_knowledge=3, seed=1)[:25], FIXTURE, [13, 12]),
+], ids=["overfit", "wide", "criteria-5-6"])
 def test_split_packs_of_the_benchmark_batches(corpus, model, layout):
-    """16 samples of 24-26 source rows run as 8 + 8, and 24 of 72-74 rows as 6 packs of 4."""
+    """16 samples of 24-26 source rows at d_model 64 run as 8 + 8, 24 of 72-74 rows at d_model 32 as 3 packs of 8,
+    and 25 of 32-34 rows at d_model 32 as 2 packs."""
     samples = corpus()
     vocab = build_vocab(samples)
-    encoded, _ = prepare_training_set(samples, vocab, small_model_config(len(vocab), **model), TrainingConfig(seed=3))
-    assert [len(pack) for pack in training.split_packs(np.arange(len(encoded)), encoded)] == layout
+    mcfg = small_model_config(len(vocab), **model)
+    encoded, _ = prepare_training_set(samples, vocab, mcfg, TrainingConfig(seed=3))
+    assert [len(pack) for pack in training.split_packs(np.arange(len(encoded)), encoded, mcfg.d_model)] == layout
+
+
+def held_at_first_backward(corpus, model) -> tuple[int, int]:
+    """The first pack's size, and the traced bytes it holds at the start of its backward beyond those held as its
+    forward began, in the first step of the benchmark batch ``corpus()`` on ``model``."""
+    samples = corpus()
+    vocab = build_vocab(samples)
+    marks, losses, backward = [], training.sample_losses, Tape.backward
+
+    def marked_losses(model, samples, labels):
+        marks.append((len(samples), tracemalloc.get_traced_memory()[0]))
+        return losses(model, samples, labels)
+
+    def marked_backward(tape, loss, grads=None):
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return backward(tape, loss, grads)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "sample_losses", marked_losses)
+        patch.setattr(Tape, "backward", marked_backward)
+        tracemalloc.start()
+        try:
+            train(samples, vocab, small_model_config(len(vocab), **model),
+                  TrainingConfig(epochs=1, batch_size=len(samples)), max_steps=1)
+        finally:
+            tracemalloc.stop()
+    (size, before), at_backward = marks[:2]
+    return size, at_backward - before
+
+
+def test_a_wide_pack_holds_no_more_at_its_backward_than_an_overfit_pack():
+    """The pack budget counts rows × d_model: a d_model-32 pack of 8 samples of 72 rows holds no more, as its
+    backward starts, than a d_model-64 pack of 8 samples of 24 rows."""
+    overfit_size, overfit = held_at_first_backward(*OVERFIT_BATCH)
+    wide_size, wide = held_at_first_backward(*WIDE_BATCH)
+    assert overfit_size == wide_size == 8
+    assert 0 < wide <= overfit
 
 
 @pytest.mark.xfail(

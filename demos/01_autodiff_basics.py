@@ -8,10 +8,11 @@ import numpy as np
 from ckl.tensor import (
     Tape,
     Tensor,
-    layer_norm,
+    add_norm,
+    exp,
+    log_softmax_lastdim,
     matmul,
     sigmoid,
-    softmax_lastdim,
     sum_all,
 )
 
@@ -19,10 +20,12 @@ print("== forward ops ==")
 a = Tensor([[1.0, 2.0], [3.0, 4.0]])
 b = Tensor([[5.0, 6.0], [7.0, 8.0]])
 print("a @ b =\n", matmul(a, b).data)
-print("softmax([log 2, 0]) =", softmax_lastdim(Tensor([np.log(2.0), 0.0])).data)
+log_p = log_softmax_lastdim(Tensor([np.log(2.0), 0.0]))
+print("log_softmax([log 2, 0]) =", log_p.data, "; its exp, the softmax, =", exp(log_p).data)
 print("sigmoid(log 3) =", sigmoid(Tensor(np.log(3.0))).item())
 gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
-print("layer_norm([1, 3]) =", layer_norm(Tensor([1.0, 3.0]), gamma, beta).data)
+residual = add_norm(Tensor([1.0, 3.0]), Tensor([0.0, 2.0]), gamma, beta)
+print("add_norm([1, 3], [0, 2]) = layer norm of [1, 5] =", residual.data)
 
 print("\n== tape and backward ==")
 x = Tensor([0.5, -1.0, 2.0], requires_grad=True)

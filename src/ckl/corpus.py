@@ -168,6 +168,13 @@ class EncodeConfig:
     max_source_len: int = 1024
     max_target_len: int = 64
 
+    def __post_init__(self):
+        for name, least, why in (("m_max", 1, "to keep the post"),
+                                 ("max_source_len", 3, "to fit a post token, a SEP and a knowledge token"),
+                                 ("max_target_len", 2, "to fit BOS and EOS")):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least} {why}, got {getattr(self, name)}")
+
 
 @dataclass
 class EncodedSample:
@@ -246,7 +253,7 @@ def kept_segments(
         knowledge.append(toks)
         budget -= len(toks) + 1
 
-    if not knowledge and 3 <= limit:
+    if not knowledge:
         # Reserve room for the first sentence: a one-token post, a SEP and it.
         first = tokenize(sample.knowledge[0])
         if len(first) > limit - 2:

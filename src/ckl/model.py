@@ -65,7 +65,7 @@ class ModelConfig:
     """Architecture, encode settings and loss switches.
 
     Boolean fields are the switches; every other field is a size that must be
-    at least 1. The encode settings take ``EncodeConfig``'s defaults.
+    at least 1. The encode settings take ``EncodeConfig``'s defaults and checks.
     """
 
     vocab_size: int
@@ -88,11 +88,7 @@ class ModelConfig:
             value = getattr(self, f.name)
             if not isinstance(f.default, bool) and int(value) < 1:
                 raise ValueError(f"{f.name} must be >= 1, got {value}")
-        if self.max_source_len < 3:
-            raise ValueError(
-                "max_source_len must be >= 3 to fit a post token, a SEP and a "
-                f"knowledge token, got {self.max_source_len}"
-            )
+        self.encode_config()  # checks the encode settings
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"

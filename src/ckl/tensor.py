@@ -8,18 +8,17 @@ rule, which maps the output gradient to one gradient per input, in order.
 run, and adds leaf gradients to a dict that may span tapes. ``_make`` checks
 each op output for NaN/Inf; training checks the global gradient norm per step.
 
-Only the kernels a small transformer needs are provided, on 2-D operands;
-``linear`` is a projection plus its bias in one record, ``ffn`` the ReLU
-feed-forward of two of them in one record, ``add_norm`` a post-norm residual
-step, the layer norm of a sum, in one record (``layer_norm`` is ``add_norm``
-with a zero residual), and ``attention`` is all of multi-head attention in
-one record: it splits and merges the heads by reshape inside, and can hide
-future keys or normalise consecutive key segments separately, weighting each
-segment; with ``blocks`` it is block-diagonal, so a pack of several samples'
-rows attends within each sample, every layout running as one batch of blocks
-padded to the longest, with no loop over blocks. Every gather
-(``embedding_lookup``, ``take_per_row``, ``rows``, ``cols``, ``element``)
-shares one scatter-add gradient rule, and every concat one split rule.
+Only the kernels the model calls are provided, on 2-D operands. Four are
+fused records: ``linear``, a projection plus its bias; ``ffn``, the ReLU
+feed-forward of two of them; ``add_norm``, a post-norm residual step, the
+layer norm of a sum; and ``attention``, all of multi-head attention, which
+splits and merges the heads by reshape inside, and can hide future keys or
+normalise consecutive key segments separately, weighting each segment; with
+``blocks`` it is block-diagonal, so a pack of several samples' rows attends
+within each sample, every layout running as one batch of blocks padded to
+the longest, with no loop over blocks. Both gathers, ``embedding_lookup``
+(rows of a matrix, elements of a vector) and ``take_per_row``, share one
+scatter-add gradient rule, and both concats one split rule.
 There is no broadcasting beyond scalar-vs-tensor; every other shape mismatch
 is a hard error so gradient rules stay simple and bugs stay loud.
 """
@@ -105,9 +104,9 @@ class Tensor:
         return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
+        if not isinstance(other, Tensor) and np.ndim(other) == 0:
+            return scale(self, other)
+        return mul(self, _as_tensor(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -222,12 +221,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _make("transpose", np.ascontiguousarray(a.data.T), (a,), lambda g: (np.ascontiguousarray(g.T),))
-
-
 def _binary(kind: str, a: Tensor, b: Tensor, fwd, grads) -> Tensor:
     lone = None if a.shape == b.shape else 1 if b.data.size == 1 else 0  # a one-element operand acts as a scalar
     if lone is not None and (a, b)[lone].data.size != 1:
@@ -267,25 +260,6 @@ def exp(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         y = np.exp(x.data)
     return _make("exp", y, (x,), lambda g: (g * y,))
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = (x.data > 0).astype(np.float64)
-    return _make("relu", x.data * mask, (x,), lambda g: (g * mask,))
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    if x.data.ndim < 1:
-        raise ShapeError("softmax needs at least one dimension")
-    m = np.max(x.data, axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / np.sum(e, axis=-1, keepdims=True)
-
-    def grad(g):
-        dot = np.sum(g * y, axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _make("softmax", y, (x,), grad)
 
 
 def log_softmax_lastdim(x: Tensor) -> Tensor:
@@ -328,10 +302,6 @@ def add_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     return _make("add_norm", zhat * gamma.data + beta.data, (x, y, gamma, beta), grad)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    return add_norm(x, _wrap(np.zeros_like(x.data)), gamma, beta, eps)
-
-
 def _gather(kind: str, x: Tensor, index) -> Tensor:
     """``x.data[index]``, a copy; the gradient adds each picked entry's gradient back into its place, as a
     ``bincount`` over the picked flat positions: faster than ``np.add.at``, and equal to it bit for bit."""
@@ -355,13 +325,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if idx.min() < 0 or idx.max() >= v:
         raise IndexError(f"embedding id out of range [0, {v})")
     return _gather("embedding_lookup", table, idx)
-
-
-def add_row(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-d vector to every row of an n-by-d matrix."""
-    if x.data.ndim != 2 or b.shape != (x.shape[1],):
-        raise ShapeError(f"add_row: {x.shape} with row {b.shape}")
-    return _make("add_row", x.data + b.data, (x, b), lambda g: (g, g.sum(axis=0)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -394,23 +357,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _make("ffn", hidden()[0] @ w2d + b2.data, (x, w1, b1, w2, b2), grad)
 
 
-def rows(x: Tensor, start: int, length: int) -> Tensor:
-    """Contiguous row slice of a matrix; gradients scatter back into place."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"rows needs a 2-D tensor, got {x.shape}")
-    if length < 1 or start < 0 or start + length > x.shape[0]:
-        raise ShapeError(f"row slice [{start}:{start + length}) outside {x.shape}")
-    return _gather("rows", x, np.arange(start, start + length))
-
-
-def cols(x: Tensor, start: int, length: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"cols needs a 2-D tensor, got {x.shape}")
-    if length < 1 or start < 0 or start + length > x.shape[1]:
-        raise ShapeError(f"col slice [{start}:{start + length}) outside {x.shape}")
-    return _gather("cols", x, (slice(None), np.arange(start, start + length)))
-
-
 def _concat(kind: str, parts: list[Tensor], axis) -> Tensor:
     """2-D ``parts`` joined along ``axis``, or any parts flattened and joined when it is None; the gradient splits back."""
     if not parts:
@@ -421,10 +367,6 @@ def _concat(kind: str, parts: list[Tensor], axis) -> Tensor:
     shapes = [p.shape for p in parts]
     return _make(kind, np.concatenate([p.data for p in parts], axis=axis), parts,
                  lambda g: [piece.reshape(shape) for piece, shape in zip(np.split(g, ends, axis=axis or 0), shapes)])
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    return _concat("concat_cols", parts, 1)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -568,12 +510,3 @@ def take_per_row(x: Tensor, ids) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     return _make("sum_all", np.asarray(np.sum(x.data)), (x,),
                  lambda g: (np.broadcast_to(g, x.shape).astype(np.float64),))
-
-
-def element(v: Tensor, i: int) -> Tensor:
-    """Scalar view into a vector; gradient scatters into position i."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"element needs a 1-D tensor, got {v.shape}")
-    if i < 0 or i >= v.shape[0]:
-        raise IndexError(f"index {i} outside vector of length {v.shape[0]}")
-    return _gather("element", v, i)

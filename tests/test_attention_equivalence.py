@@ -3,12 +3,14 @@
 ``LoopOracle`` computes the network the way it is written in the paper's
 terms: one attention per head and, for LWE attention, per segment; heads are
 sliced with ``cols`` and rejoined with ``concat_cols``, and each segment's
-output is scaled by an ``element`` view of its latent weight and summed. Each
-context utterance and knowledge sentence gets its own cross-attention call in
-the weight generators. It reads the model's parameters and builds each
-attention from ``matmul``, ``transpose``, ``scale``, an additive mask and
-``softmax_lastdim``, sharing no code with the ``attention`` kernel, so it is a
-fixed reference for however the model batches heads and segments.
+output is scaled by its latent weight, picked by ``embedding_lookup``, and
+summed. Each context utterance and knowledge sentence gets its own
+cross-attention call in the weight generators. It reads the model's
+parameters and builds each attention from ``matmul``, ``transpose``,
+``scale``, an additive mask and ``exp`` of ``log_softmax_lastdim``, sharing
+no code with the ``attention`` kernel, so it is a fixed reference for however
+the model batches heads and segments. The kernels the model does not call
+come from ``oracle_ops``.
 """
 
 import math
@@ -22,25 +24,21 @@ from ckl.tensor import (
     Tape,
     Tensor,
     add,
-    add_row,
-    cols,
-    concat_cols,
+    add_norm,
     concat_vec,
-    element,
     embedding_lookup,
-    layer_norm,
+    exp,
+    linear,
+    log_softmax_lastdim,
     matmul,
     mul,
-    relu,
-    rows,
     scale,
     sigmoid,
-    softmax_lastdim,
     sum_all,
-    transpose,
 )
 
 from conftest import encoding_from_views
+from oracle_ops import cols, concat_cols, relu, transpose
 
 FORWARD_ATOL = 1e-12
 GRAD_RTOL = 1e-10
@@ -52,7 +50,7 @@ def attention(q, k, v, mask=None):
     scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(k.shape[1]))
     if mask is not None:
         scores = add(scores, Tensor(mask))
-    return matmul(softmax_lastdim(scores), v)
+    return matmul(exp(log_softmax_lastdim(scores)), v)
 
 
 class LoopOracle:
@@ -61,13 +59,14 @@ class LoopOracle:
         self.cfg = model.config
 
     def project(self, name, x):
-        return add_row(matmul(x, self.p[f"{name}.w"]), self.p[f"{name}.b"])
+        return linear(x, self.p[f"{name}.w"], self.p[f"{name}.b"])
 
     def ffn(self, name, x):
         return self.project(f"{name}.out", relu(self.project(f"{name}.in", x)))
 
-    def norm(self, name, x):
-        return layer_norm(x, self.p[f"{name}.g"], self.p[f"{name}.b"])
+    def norm(self, name, x, y):
+        """LayerNorm(x + y)."""
+        return add_norm(x, y, self.p[f"{name}.g"], self.p[f"{name}.b"])
 
     def mha(self, name, x_q, x_kv, mask=None, n_heads=None):
         n_heads = n_heads or self.cfg.n_heads
@@ -104,25 +103,25 @@ class LoopOracle:
             attn = self.mha(f"{name}.attn", q, kv, n_heads=1)
         else:
             attn = self.mha_lwe(f"{name}.attn", q, views, lw, n_heads=1)
-        h = self.norm(f"{name}.ln1", add(q, attn))
-        return self.norm(f"{name}.ln2", add(h, self.ffn(f"{name}.ffn", h)))
+        h = self.norm(f"{name}.ln1", q, attn)
+        return self.norm(f"{name}.ln2", h, self.ffn(f"{name}.ffn", h))
 
     def encode(self, sample):
         src = sample.source_ids()
         x = add(
             embedding_lookup(self.p["emb.token"], src),
-            rows(self.p["emb.pos_src"], 0, len(src)),
+            embedding_lookup(self.p["emb.pos_src"], np.arange(len(src))),
         )
         for i in range(self.cfg.n_encoder_layers):
-            x = self.norm(f"enc{i}.ln1", add(x, self.mha(f"enc{i}.attn", x, x)))
-            x = self.norm(f"enc{i}.ln2", add(x, self.ffn(f"enc{i}.ffn", x)))
-        views = [rows(x, off, length) for off, length in sample.segment_offsets()]
+            x = self.norm(f"enc{i}.ln1", x, self.mha(f"enc{i}.attn", x, x))
+            x = self.norm(f"enc{i}.ln2", x, self.ffn(f"enc{i}.ffn", x))
+        views = [embedding_lookup(x, np.arange(off, off + n)) for off, n in sample.segment_offsets()]
         return encoding_from_views(views, sample.m)
 
     def views(self, enc):
         """Each segment's rows of the memory, in segment order."""
         starts = np.cumsum([0] + enc.lengths[:-1])
-        return [rows(enc.memory, int(s), n) for s, n in zip(starts, enc.lengths)]
+        return [embedding_lookup(enc.memory, np.arange(s, s + n)) for s, n in zip(starts, enc.lengths)]
 
     def clw_generate(self, enc):
         r_parts, k_parts = [], []
@@ -135,7 +134,7 @@ class LoopOracle:
     def klw_generate(self, enc, clwk):
         z = self.p["klw.latent"]
         if self.cfg.use_ck_dep:
-            lw = [element(clwk, i) for i in range(enc.m)]
+            lw = [embedding_lookup(clwk, [i]) for i in range(enc.m)]
             z = self.cross_block("klw.ck", z, views=self.views(enc)[: enc.m], lw=lw)
         parts = []
         for view in self.views(enc)[enc.m :]:
@@ -147,17 +146,17 @@ class LoopOracle:
         t = len(prefix)
         y = add(
             embedding_lookup(self.p["emb.token"], prefix),
-            rows(self.p["emb.pos_tgt"], 0, t),
+            embedding_lookup(self.p["emb.pos_tgt"], np.arange(t)),
         )
         mask = np.triu(np.full((t, t), MASK_VALUE), k=1)
         views = self.views(enc)
-        lw = [element(clwr, i) for i in range(enc.m)] + [
-            element(klw, j) for j in range(enc.l)
+        lw = [embedding_lookup(clwr, [i]) for i in range(enc.m)] + [
+            embedding_lookup(klw, [j]) for j in range(enc.l)
         ]
         for i in range(self.cfg.n_decoder_layers):
-            y = self.norm(f"dec{i}.ln1", add(y, self.mha(f"dec{i}.self", y, y, mask)))
-            y = self.norm(f"dec{i}.ln2", add(y, self.mha_lwe(f"dec{i}.cross", y, views, lw)))
-            y = self.norm(f"dec{i}.ln3", add(y, self.ffn(f"dec{i}.ffn", y)))
+            y = self.norm(f"dec{i}.ln1", y, self.mha(f"dec{i}.self", y, y, mask))
+            y = self.norm(f"dec{i}.ln2", y, self.mha_lwe(f"dec{i}.cross", y, views, lw))
+            y = self.norm(f"dec{i}.ln3", y, self.ffn(f"dec{i}.ffn", y))
         return self.project("out", y)
 
     def forward(self, sample):

@@ -183,3 +183,17 @@ def test_analyze_prefers_explicit_keys_and_rejects_a_damaged_echo(tmp_path, caps
     err = capsys.readouterr().err
     assert f"effective_config.txt: line {n_lines + 1}: config key max_source_len" in err
     assert not (tmp_path / "an").exists()
+
+
+def test_encode_settings_below_their_least_are_refused_before_anything_is_written(tmp_path, capsys):
+    """``m_max=0`` would keep every utterance, and ``max_target_len=1`` no room for BOS and EOS."""
+    with pytest.raises(ValueError, match="max_target_len must be >= 2"):
+        ModelConfig(vocab_size=10, max_target_len=1)
+    assert main(write_run(tmp_path, TRUNCATED_RECORDS)) == 0  # generations for analyze to read
+    config = tmp_path / "bad.cfg"
+    config.write_text("m_max=0\n")
+    prep = ["prep", "--data", str(tmp_path / "data.jsonl"), "--out", str(tmp_path / "prep")]
+    for argv, out in ((prep, "prep"), (analyze_argv(tmp_path), "an")):
+        assert main(argv + ["--config", str(config)]) == 2
+        assert "m_max must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()

@@ -1,5 +1,7 @@
+import ast
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,31 +14,34 @@ from ckl.tensor import (
     Tensor,
     add,
     add_norm,
-    add_row,
     attention,
-    cols,
-    concat_cols,
     concat_rows,
     concat_vec,
-    element,
     embedding_lookup,
     exp,
     ffn,
-    layer_norm,
     linear,
     log_softmax_lastdim,
     matmul,
     mul,
-    relu,
-    rows,
     scale,
     sigmoid,
-    softmax_lastdim,
     sub,
     sum_all,
     take_per_row,
-    transpose,
 )
+
+from oracle_ops import cols, concat_cols, relu, transpose
+
+
+def softmax(x):
+    """The softmax over the last axis, as ``exp`` of ``log_softmax_lastdim``."""
+    return exp(log_softmax_lastdim(x))
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """The layer norm over the last axis, as ``add_norm`` with a zero residual."""
+    return add_norm(x, Tensor(np.zeros(x.shape)), gamma, beta, eps)
 
 
 class TestMatmul:
@@ -67,25 +72,27 @@ class TestMatmul:
 
 
 class TestSoftmax:
+    """The softmax through its log, ``log_softmax_lastdim``, the kernel the model calls."""
+
     def test_symmetry(self):
-        out = softmax_lastdim(Tensor([0.0, 0.0]))
-        assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
+        out = log_softmax_lastdim(Tensor([0.0, 0.0]))
+        assert np.allclose(out.data, [math.log(0.5)] * 2, atol=1e-15)
 
     def test_closed_form(self):
-        out = softmax_lastdim(Tensor([math.log(2.0), 0.0]))
-        assert np.allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+        out = log_softmax_lastdim(Tensor([math.log(2.0), 0.0]))
+        assert np.allclose(out.data, [math.log(2.0 / 3.0), math.log(1.0 / 3.0)], atol=1e-15)
 
     def test_stability_no_overflow(self):
-        out = softmax_lastdim(Tensor([1000.0, 0.0]))
+        out = log_softmax_lastdim(Tensor([1000.0, 0.0]))
         assert np.isfinite(out.data).all()
-        assert out.data[0] > 1.0 - 1e-12 and out.data[1] < 1e-12
+        assert -1e-12 < out.data[0] <= 0.0 and abs(out.data[1] + 1000.0) < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.uniform(-50, 50, (6, 9)))
-        out = softmax_lastdim(x)
-        assert np.max(np.abs(out.data.sum(axis=-1) - 1.0)) < 1e-12
-        assert (out.data >= 0).all() and (out.data <= 1).all()
+        out = log_softmax_lastdim(x)
+        assert (out.data <= 0).all()
+        assert np.max(np.abs(np.exp(out.data).sum(axis=-1) - 1.0)) < 1e-12
 
     def test_empty_last_dim_rejected(self):
         with pytest.raises(ShapeError):
@@ -123,7 +130,7 @@ class TestLayerNorm:
 
 
 class TestAddNorm:
-    """``add_norm`` is ``layer_norm`` of ``add`` in one record."""
+    """``add_norm`` of ``x`` and ``y`` is the layer norm of ``add(x, y)`` in one record."""
 
     def value_and_grads(self, step, arrays, shared):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -272,7 +279,8 @@ class TestEmbeddingLookup:
     @pytest.mark.parametrize(
         "gather, shape",
         [(lambda x: embedding_lookup(x, [2, 0]), (4, 3)), (lambda x: take_per_row(x, [0, 2, 1, 2]), (4, 3)),
-         (lambda x: rows(x, 1, 2), (4, 3)), (lambda x: cols(x, 1, 2), (4, 3)), (lambda x: element(x, 1), (4,))],
+         (lambda x: embedding_lookup(x, np.arange(1, 3)), (4, 3)), (lambda x: cols(x, 1, 2), (4, 3)),
+         (lambda x: embedding_lookup(x, [1]), (4,))],
         ids=["embedding_lookup", "take_per_row", "rows", "cols", "element"],
     )
     def test_every_gather_copies_so_an_in_place_update_of_its_input_leaves_it(self, gather, shape):
@@ -286,9 +294,9 @@ class TestEmbeddingLookup:
         "gather, index, shape",
         [(lambda x: embedding_lookup(x, _IDS), _IDS, (50, 64)),
          (lambda x: take_per_row(x, _COLUMNS), (np.arange(200), _COLUMNS), (200, 64)),
-         (lambda x: rows(x, 30, 120), np.arange(30, 150), (200, 64)),
+         (lambda x: embedding_lookup(x, np.arange(30, 150)), np.arange(30, 150), (200, 64)),
          (lambda x: cols(x, 5, 40), (slice(None), np.arange(5, 45)), (200, 64)),
-         (lambda x: element(x, 7), 7, (50,))],
+         (lambda x: embedding_lookup(x, [7]), [7], (50,))],
         ids=["embedding_lookup", "take_per_row", "rows", "cols", "element"],
     )
     def test_every_gather_gradient_is_np_add_at_bit_for_bit(self, gather, index, shape):
@@ -358,7 +366,7 @@ class TestBackward:
     def test_softmax_sum_has_zero_gradient(self):
         x = Tensor([0.3, -1.2, 0.7], requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(softmax_lastdim(x))
+            loss = sum_all(softmax(x))
             grads = tape.backward(loss)
         assert np.max(np.abs(grads[x.node_id])) < 1e-12
 
@@ -371,9 +379,9 @@ class TestBackward:
         b2 = rng.uniform(-2, 2, 3)
 
         def loss(xt, w1t, b1t, w2t, b2t):
-            h = relu(add_row(matmul(xt, w1t), b1t))
-            out = add_row(matmul(h, w2t), b2t)
-            return sum_all(softmax_lastdim(out))
+            h = relu(linear(xt, w1t, b1t))
+            out = linear(h, w2t, b2t)
+            return sum_all(softmax(out))
 
         gradcheck(loss, [x, w1, b1, w2, b2])
 
@@ -385,7 +393,7 @@ class TestBackward:
 
         def backward(grads=None):  # a tape serves one backward
             with Tape() as tape:
-                h = sigmoid(add_row(matmul(const, w), x))
+                h = sigmoid(linear(const, w, x))
                 return tape.backward(mul(sum_all(mul(h, h)), s), grads)
 
         once = backward()
@@ -451,14 +459,14 @@ class TestGradientSuite:
         gradcheck(lambda x: sum_all(sigmoid(x)), [a])
         gradcheck(lambda x: sum_all(exp(x)), [a * 0.5])
         gradcheck(lambda x: sum_all(mul(relu(x), relu(x))), [a])
-        gradcheck(lambda x: sum_all(mul(softmax_lastdim(x), x)), [a])
+        gradcheck(lambda x: sum_all(mul(softmax(x), x)), [a])
         gradcheck(lambda x: sum_all(mul(log_softmax_lastdim(x), x)), [a])
         gradcheck(
             lambda x, g, be: sum_all(mul(layer_norm(x, g, be), x)),
             [a, rng.uniform(0.5, 2, 4), rng.uniform(-1, 1, 4)],
         )
-        gradcheck(lambda x, y: sum_all(add_row(x, y)), [a, v])
-        gradcheck(lambda x: sum_all(mul(rows(x, 1, 2), rows(x, 1, 2))), [a])
+        gradcheck(lambda x, y: sum_all(linear(x, Tensor(np.eye(4)), y)), [a, v])  # x plus the row y
+        gradcheck(lambda x: sum_all(mul(embedding_lookup(x, [1, 2]), embedding_lookup(x, [1, 2]))), [a])
         gradcheck(lambda x: sum_all(mul(cols(x, 1, 2), cols(x, 1, 2))), [a])
         gradcheck(
             lambda x, y: sum_all(mul(concat_cols([x, y]), concat_cols([x, y]))),
@@ -466,7 +474,7 @@ class TestGradientSuite:
         )
         gradcheck(lambda x, y: sum_all(mul(concat_vec([x, y]), concat_vec([x, y]))), [a, v])
         gradcheck(lambda x: sum_all(mul(take_per_row(x, [3, 0, 1]), take_per_row(x, [3, 0, 1]))), [a])
-        gradcheck(lambda x: mul(element(x, 2), element(x, 2)), [v])
+        gradcheck(lambda x: mul(embedding_lookup(x, [2]), embedding_lookup(x, [2])), [v])
 
     def test_scalar_broadcast_gradients(self, gradcheck):
         rng = np.random.default_rng(8)
@@ -511,7 +519,7 @@ class TestAttentionKernels:
         assert out.shape == (3, 9)
         for h in range(3):
             scores = q[:, 2 * h : 2 * h + 2] @ k[:, 2 * h : 2 * h + 2].T / math.sqrt(2)
-            expected = softmax_lastdim(Tensor(scores)).data @ v[:, 3 * h : 3 * h + 3]
+            expected = softmax(Tensor(scores)).data @ v[:, 3 * h : 3 * h + 3]
             assert np.allclose(out[:, 3 * h : 3 * h + 3], expected, atol=1e-14)
 
     def test_attention_rejects_bad_head_counts_and_operands(self):
@@ -563,7 +571,7 @@ class TestAttentionKernels:
         rng = np.random.default_rng(25)
         x, w, b = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (4, 5)), rng.uniform(-2, 2, 5)
         out = linear(Tensor(x), Tensor(w), Tensor(b)).data
-        assert np.array_equal(out, add_row(matmul(Tensor(x), Tensor(w)), Tensor(b)).data)
+        assert np.array_equal(out, x @ w + b)
         for bad in [(np.ones((3, 5)), w, b), (x, w, np.ones(4)), (x, w, np.ones((1, 5))), (np.ones(4), w, b)]:
             with pytest.raises(ShapeError):
                 linear(*(Tensor(t) for t in bad))
@@ -574,7 +582,7 @@ class TestAttentionKernels:
         w = np.array([0.5, 2.0, 0.0])
         out = attention_weights(x, segments=([2, 3, 1], Tensor(w)))
         for s, (a, b) in enumerate([(0, 2), (2, 5), (5, 6)]):
-            expected = softmax_lastdim(Tensor(x[:, a:b])).data * w[s]
+            expected = softmax(Tensor(x[:, a:b])).data * w[s]
             assert np.allclose(out[:, a:b], expected, atol=1e-15)
 
     def test_huge_score_leaves_other_segments_standalone(self):
@@ -584,7 +592,7 @@ class TestAttentionKernels:
         out = attention_weights(x, segments=([2, 3, 2], Tensor(np.ones(3))))
         assert np.isfinite(out).all()
         for a, b in [(0, 2), (5, 7)]:
-            standalone = softmax_lastdim(Tensor(x[:, a:b])).data
+            standalone = softmax(Tensor(x[:, a:b])).data
             assert np.max(np.abs(out[:, a:b] - standalone)) <= 1e-15
         assert out[1, 3] == 1.0
 
@@ -723,7 +731,7 @@ class TestInvariants:
             rng = np.random.default_rng(11)
             x = Tensor(rng.uniform(-2, 2, (5, 5)), requires_grad=True)
             with Tape() as tape:
-                h = softmax_lastdim(matmul(x, x))
+                h = softmax(matmul(x, x))
                 loss = sum_all(mul(h, h))
                 grads = tape.backward(loss)
             return loss.item(), grads[x.node_id].copy()
@@ -760,6 +768,21 @@ class TestInvariants:
         assert np.array_equal((x + y).data, [4.0, 6.0])
         assert np.array_equal((x - y).data, [-2.0, -2.0])
         assert np.array_equal((x * 2.0).data, [2.0, 4.0])
+        # a numpy scalar or array is taken by * as by + and -
+        assert np.array_equal((x + np.int64(2)).data, [3.0, 4.0])
+        assert np.array_equal((x * np.int64(2)).data, [2.0, 4.0]) and np.array_equal((2 * x).data, [2.0, 4.0])
+        assert np.array_equal((x * np.array([2.0, 3.0])).data, [2.0, 6.0])
         assert np.array_equal((-x).data, [-1.0, -2.0])
         m = Tensor([[1.0, 0.0], [0.0, 1.0]])
         assert np.array_equal((m @ m).data, m.data)
+
+
+def test_every_public_function_is_imported_by_another_module_of_the_package():
+    """The core carries only the kernels the model calls, not ones that tests alone use."""
+    package = Path(tensor.__file__).parent
+    defined = {node.name for node in ast.parse((package / "tensor.py").read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    imported = {alias.name for path in package.glob("*.py") if path.name != "tensor.py"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "ckl.tensor") for alias in node.names}
+    assert sorted(defined - imported) == []

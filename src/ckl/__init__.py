@@ -7,7 +7,7 @@ loop, generation metrics, and a command-line driver.
 """
 
 from .corpus import DialogueSample, EncodedSample, Vocabulary, build_vocab, encode_sample, load_jsonl
-from .model import CKLModel, LatentWeights, ModelConfig, attention, lwe_attention
+from .model import CKLModel, LatentWeights, ModelConfig, attention
 from .tensor import Tape, Tensor
 from .training import TrainingConfig, train
 from .weak_supervision import PseudoGroundTruth, TfIdfIndex, build_pseudo_gt
@@ -29,7 +29,6 @@ __all__ = [
     "build_vocab",
     "encode_sample",
     "load_jsonl",
-    "lwe_attention",
     "train",
 ]
 

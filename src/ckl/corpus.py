@@ -205,15 +205,6 @@ class EncodedSample:
             out.extend(seg)
         return out
 
-    def segment_offsets(self) -> list[tuple[int, int]]:
-        """(offset, length) of each segment inside source_ids, skipping SEPs."""
-        offsets = []
-        pos = 0
-        for length in self.segment_lengths:
-            offsets.append((pos, length))
-            pos += length + 1  # the trailing SEP
-        return offsets
-
 
 def _joined_len(segments: list[list[str]]) -> int:
     return sum(map(len, segments)) + len(segments) - 1

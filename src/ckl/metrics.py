@@ -119,9 +119,6 @@ class WordVectorTable:
             vectors[token] = vec
         return cls(vectors)
 
-    def get(self, token: str) -> np.ndarray | None:
-        return self.vectors.get(token)
-
     def sentence_vectors(self, tokens: list[str]) -> list[np.ndarray]:
         vecs = [self.vectors[t] for t in tokens if t in self.vectors]
         if not vecs:

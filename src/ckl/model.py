@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import BOS, EOS, EncodeConfig, EncodedSample
+from .corpus import BOS, EOS, SEP, EncodeConfig, EncodedSample
 from .tensor import (
     ShapeError,
     Tape,
@@ -50,7 +50,6 @@ from .tensor import (
     add,
     add_norm,
     attention,
-    concat_rows,
     concat_vec,
     embedding_lookup,
     ffn,
@@ -159,21 +158,6 @@ class LatentWeights:
             "clwk": self.clwk.tolist(),
             "klw": self.klw.tolist(),
         }
-
-
-def lwe_attention(q: Tensor, segments: list[tuple[Tensor, Tensor]], lw: list) -> Tensor:
-    """Per-segment attention outputs scaled by latent weights, then summed.
-
-    The softmax runs within each segment independently; entries of ``lw`` may
-    be floats or scalar tensors (so gradients can flow into learned weights).
-    """
-    if any(k.shape[0] != v.shape[0] for k, v in segments):
-        raise ShapeError("every segment needs as many value rows as key rows")
-    w = concat_vec([x if isinstance(x, Tensor) else Tensor(float(x)) for x in lw])
-    lengths = [k.shape[0] for k, _ in segments]
-    k = concat_rows([k for k, _ in segments])
-    v = concat_rows([v for _, v in segments])
-    return attention(q, k, v, segments=(lengths, w))
 
 
 class CKLModel:
@@ -285,12 +269,12 @@ class CKLModel:
         lens = [len(src) for src in srcs]
         if max(lens) > self.config.max_source_len:
             raise ShapeError(f"source of {max(lens)} tokens exceeds max_source_len={self.config.max_source_len}")
-        x = add(embedding_lookup(self.params["emb.token"], np.concatenate(srcs)),
+        ids = np.concatenate(srcs)
+        x = add(embedding_lookup(self.params["emb.token"], ids),
                 embedding_lookup(self.params["emb.pos_src"], np.concatenate([np.arange(n) for n in lens])))
         for i in range(self.config.n_encoder_layers):
             x = self._block(f"enc{i}", x, x, self.config.n_heads, blocks=(lens, lens))
-        keep = [start + off + i for start, sample in zip(np.cumsum([0] + lens), samples)
-                for off, length in sample.segment_offsets() for i in range(length)]
+        keep = np.flatnonzero(ids != SEP)  # SEP appears only between segments
         lengths = [n for sample in samples for n in sample.segment_lengths]
         pack = tuple((sample.m, sample.l) for sample in samples)
         return SegmentedEncoding(embedding_lookup(x, keep), lengths, sum(sample.m for sample in samples), pack)

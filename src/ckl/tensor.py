@@ -18,7 +18,8 @@ normalise consecutive key segments separately, weighting each segment; with
 within each sample, every layout running as one batch of blocks padded to
 the longest, with no loop over blocks. Both gathers, ``embedding_lookup``
 (rows of a matrix, elements of a vector) and ``take_per_row``, share one
-scatter-add gradient rule, and both concats one split rule.
+scatter-add gradient rule. ``concat_vec`` is the one concat; its gradient
+splits back.
 There is no broadcasting beyond scalar-vs-tensor; every other shape mismatch
 is a hard error so gradient rules stay simple and bugs stay loud.
 """
@@ -367,11 +368,6 @@ def _concat(kind: str, parts: list[Tensor], axis) -> Tensor:
     shapes = [p.shape for p in parts]
     return _make(kind, np.concatenate([p.data for p in parts], axis=axis), parts,
                  lambda g: [piece.reshape(shape) for piece, shape in zip(np.split(g, ends, axis=axis or 0), shapes)])
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 2-D tensors with equal column counts."""
-    return _concat("concat_rows", parts, 0)
 
 
 def concat_vec(parts: list[Tensor]) -> Tensor:

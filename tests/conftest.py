@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ckl.model import SegmentedEncoding
-from ckl.tensor import Tape, Tensor, concat_rows
+from ckl.tensor import Tape, Tensor
 
 
 def finite_difference(f, arrays, h=1e-5):
@@ -50,8 +50,8 @@ def check_gradients(build_loss, arrays, rtol=1e-4, h=1e-5):
 
 
 def encoding_from_views(views, m):
-    """An encoding whose memory stacks ``views``; the first ``m`` are context."""
-    return SegmentedEncoding(concat_rows(views), [v.shape[0] for v in views], m)
+    """An encoding whose memory stacks the constant ``views``; the first ``m`` are context."""
+    return SegmentedEncoding(Tensor(np.concatenate([v.data for v in views])), [v.shape[0] for v in views], m)
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from ckl.metrics import (
     spearman,
     WordVectorTable,
 )
-from ckl.model import CKLModel, ModelConfig, attention, lwe_attention
+from ckl.model import CKLModel, ModelConfig, attention
 from ckl.synthetic import overfit_corpus, retrieval_corpus, write_jsonl
 from ckl.tensor import Tape, Tensor
 from ckl.training import TrainingConfig, mean_per_token_nll, train
@@ -184,7 +184,13 @@ def test_criterion_2_lwe_reduction_identity():
             segments.append(
                 (Tensor(rng.normal(size=(n, d))), Tensor(rng.normal(size=(n, d))))
             )
-        combined = lwe_attention(q, segments, [1.0] * len(segments))
+        # The decoder's and klw.ck's call: one segment attention over the segments' stacked keys and values.
+        combined = attention(
+            q,
+            Tensor(np.concatenate([k.data for k, _ in segments])),
+            Tensor(np.concatenate([v.data for _, v in segments])),
+            segments=([k.shape[0] for k, _ in segments], Tensor(np.ones(len(segments)))),
+        )
         expected = sum(attention(q, k, v).data for k, v in segments)
         worst = max(worst, float(np.max(np.abs(combined.data - expected))))
     report(2, worst < 1e-12, f"LWE unit-weight identity, max abs diff {worst:.2e} < 1e-12")

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ckl.corpus import BOS, EOS, EncodedSample
-from ckl.model import CKLModel, ModelConfig
+from ckl.model import CKLModel, ModelConfig, SegmentedEncoding
 from ckl.tensor import (
     Tape,
     Tensor,
@@ -115,8 +115,10 @@ class LoopOracle:
         for i in range(self.cfg.n_encoder_layers):
             x = self.norm(f"enc{i}.ln1", x, self.mha(f"enc{i}.attn", x, x))
             x = self.norm(f"enc{i}.ln2", x, self.ffn(f"enc{i}.ffn", x))
-        views = [embedding_lookup(x, np.arange(off, off + n)) for off, n in sample.segment_offsets()]
-        return encoding_from_views(views, sample.m)
+        lengths = sample.segment_lengths
+        starts = np.cumsum([0] + [n + 1 for n in lengths[:-1]])  # one SEP after every segment but the last
+        keep = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
+        return SegmentedEncoding(embedding_lookup(x, keep), list(lengths), sample.m)
 
     def views(self, enc):
         """Each segment's rows of the memory, in segment order."""

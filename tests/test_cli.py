@@ -346,7 +346,7 @@ class TestGenerate:
     def test_beam_one_equals_greedy(self, trained):
         tmp, data, config, vocab, checkpoint = trained
         outs = []
-        for i, flags in enumerate((["--beam", "1"], ["--greedy"])):
+        for i, flags in enumerate((["--beam", "1"], ["--greedy"], ["--beam", "0"])):
             out = tmp / f"gen{i}"
             assert (
                 main(
@@ -356,7 +356,7 @@ class TestGenerate:
                 == 0
             )
             outs.append((out / "generations.jsonl").read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_negative_beam_exits_2_and_writes_nothing(self, trained, capsys):
         tmp, data, config, vocab, checkpoint = trained

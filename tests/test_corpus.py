@@ -263,9 +263,11 @@ class TestEncodeSample:
         assert len(enc.segment_lengths) == enc.m + enc.l
         src = enc.source_ids()
         assert sum(enc.segment_lengths) + (enc.m + enc.l - 1) == len(src)
-        for (off, length), seg in zip(enc.segment_offsets(), enc.context_ids + enc.knowledge_ids):
-            assert src[off : off + length] == seg
         assert src.count(SEP) == enc.m + enc.l - 1
+        seps = [i for i, t in enumerate(src) if t == SEP]
+        pieces = [src[a + 1 : b] for a, b in zip([-1] + seps, seps + [len(src)])]
+        assert pieces == enc.context_ids + enc.knowledge_ids
+        assert [len(p) for p in pieces] == enc.segment_lengths
 
     def test_idempotent(self):
         s = DialogueSample(GOOD["context"], GOOD["knowledge"], GOOD["response"])

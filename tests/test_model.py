@@ -11,7 +11,6 @@ from ckl.model import (
     ModelConfig,
     SegmentedEncoding,
     attention,
-    lwe_attention,
 )
 from ckl.tensor import ShapeError, Tape, Tensor
 
@@ -87,59 +86,6 @@ class TestAttentionKernel:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             attention(Tensor(np.ones((1, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
-
-
-class TestLweAttention:
-    def rand_segments(self, rng, n_seg, d):
-        return [
-            (
-                Tensor(rng.normal(size=(rng.integers(1, 5), d))),
-                None,
-            )
-            for _ in range(n_seg)
-        ]
-
-    def test_unit_weights_equal_sum_of_attentions(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            d = int(rng.integers(1, 6))
-            tq = int(rng.integers(1, 5))
-            q = Tensor(rng.normal(size=(tq, d)))
-            segments = []
-            for _ in range(int(rng.integers(1, 5))):
-                n = int(rng.integers(1, 5))
-                segments.append((Tensor(rng.normal(size=(n, d))), Tensor(rng.normal(size=(n, d)))))
-            combined = lwe_attention(q, segments, [1.0] * len(segments))
-            expected = sum(attention(q, k, v).data for k, v in segments)
-            assert np.max(np.abs(combined.data - expected)) < 1e-12
-
-    def test_zero_weight_equals_segment_removed(self):
-        rng = np.random.default_rng(2)
-        q = Tensor(rng.normal(size=(2, 3)))
-        segments = [
-            (Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3))))
-            for _ in range(3)
-        ]
-        weights = [0.7, 0.0, 1.3]
-        full = lwe_attention(q, segments, weights)
-        reduced = lwe_attention(q, [segments[0], segments[2]], [0.7, 1.3])
-        assert np.allclose(full.data, reduced.data, atol=1e-12)
-
-    def test_doubling_weight_is_linear(self):
-        rng = np.random.default_rng(3)
-        q = Tensor(rng.normal(size=(2, 3)))
-        segments = [
-            (Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3))))
-            for _ in range(2)
-        ]
-        base = lwe_attention(q, segments, [0.5, 0.8])
-        doubled = lwe_attention(q, segments, [0.5, 1.6])
-        extra = attention(q, *segments[1])
-        assert np.allclose(doubled.data - base.data, 0.8 * extra.data, atol=1e-12)
-
-    def test_empty_segments_rejected(self):
-        with pytest.raises(ShapeError):
-            lwe_attention(Tensor(np.ones((1, 2))), [], [])
 
 
 class TestEncode:
@@ -600,28 +546,3 @@ class TestModelConfig:
     def test_round_trip_dict(self):
         cfg = tiny_config(use_ck_dep=False)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-
-
-class TestFullModelGradients:
-    def test_against_finite_differences(self, gradcheck):
-        """Every parameter of a d_model=8, 1-layer model, m=l=2."""
-        config = tiny_config(vocab_size=12, max_source_len=16, max_target_len=6)
-        sample = tiny_sample(m=2, l=2)
-        template = CKLModel(config, seed=21)
-        names = list(template.params)
-        arrays = [template.params[n].data.copy() for n in names]
-
-        def build_loss(*leaves):
-            model = CKLModel.__new__(CKLModel)
-            model.config = config
-            model.params = dict(zip(names, leaves))
-            logits, weights = model.forward(sample)
-            loss = nll(logits, sample.response_ids[1:])
-            from ckl.losses import AwlParams, awl, mse
-
-            l_clwr = mse(weights.clwr, [1.0, 0.0])
-            l_clwk = mse(weights.clwk, [0.0, 1.0])
-            l_klw = mse(weights.klw, [1.0, 0.0])
-            return awl(l_clwr, l_clwk, l_klw, loss, AwlParams())
-
-        gradcheck(build_loss, arrays)

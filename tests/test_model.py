@@ -88,6 +88,76 @@ class TestAttentionKernel:
             attention(Tensor(np.ones((1, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
 
 
+def lwe(q, segments, weights, n_heads=1):
+    """LWE attention as the decoder and klw.ck call it: one segment attention over the stacked keys and values."""
+    return attention(
+        q,
+        Tensor(np.concatenate([k.data for k, _ in segments])),
+        Tensor(np.concatenate([v.data for _, v in segments])),
+        n_heads,
+        segments=([k.shape[0] for k, _ in segments], Tensor(np.asarray(weights, dtype=float))),
+    )
+
+
+class TestLweAttention:
+    """Segment attention with latent weights: each segment normalised alone, then scaled by its weight."""
+
+    @staticmethod
+    def rand_segments(rng, n_seg, d):
+        return [
+            (Tensor(rng.normal(size=(n, d))), Tensor(rng.normal(size=(n, d))))
+            for n in rng.integers(1, 5, size=n_seg)
+        ]
+
+    def test_unit_weights_equal_sum_of_attentions(self):
+        rng = np.random.default_rng(1)
+        for n_heads in [1, 2] * 50:
+            d = n_heads * int(rng.integers(1, 4))
+            q = Tensor(rng.normal(size=(int(rng.integers(1, 5)), d)))
+            segments = self.rand_segments(rng, int(rng.integers(1, 5)), d)
+            combined = lwe(q, segments, [1.0] * len(segments), n_heads)
+            expected = sum(attention(q, k, v, n_heads).data for k, v in segments)
+            assert np.max(np.abs(combined.data - expected)) < 1e-12
+
+    def test_every_head_scales_each_segment_by_its_weight(self):
+        rng = np.random.default_rng(4)
+        q = Tensor(rng.normal(size=(3, 4)))
+        segments = self.rand_segments(rng, 3, 4)
+        weights = [0.4, 1.7, 0.9]
+        expected = sum(w * attention(q, k, v, n_heads=2).data for w, (k, v) in zip(weights, segments))
+        assert np.allclose(lwe(q, segments, weights, n_heads=2).data, expected, atol=1e-12)
+
+    def test_zero_weight_equals_segment_removed(self):
+        rng = np.random.default_rng(2)
+        q = Tensor(rng.normal(size=(2, 3)))
+        segments = [
+            (Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3))))
+            for _ in range(3)
+        ]
+        full = lwe(q, segments, [0.7, 0.0, 1.3])
+        reduced = lwe(q, [segments[0], segments[2]], [0.7, 1.3])
+        assert np.allclose(full.data, reduced.data, atol=1e-12)
+
+    def test_doubling_weight_is_linear(self):
+        rng = np.random.default_rng(3)
+        q = Tensor(rng.normal(size=(2, 3)))
+        segments = [
+            (Tensor(rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 3))))
+            for _ in range(2)
+        ]
+        base = lwe(q, segments, [0.5, 0.8])
+        doubled = lwe(q, segments, [0.5, 1.6])
+        extra = attention(q, *segments[1])
+        assert np.allclose(doubled.data - base.data, 0.8 * extra.data, atol=1e-12)
+
+    def test_empty_segments_rejected(self):
+        with pytest.raises(ShapeError, match="zero-sized"):  # no segment leaves no key to stack
+            Tensor(np.ones((0, 2)))
+        with pytest.raises(ShapeError, match=r"segment lengths \[\] must be positive ints summing to 2"):
+            attention(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))),
+                      segments=([], Tensor(np.ones(1))))
+
+
 class TestEncode:
     def test_shapes_and_views(self):
         model = CKLModel(tiny_config(), seed=0)
@@ -121,6 +191,15 @@ class TestEncode:
         assert enc_a.memory.shape == enc_b.memory.shape == (6, 8)
         assert enc_a.lengths == [2, 3, 1]
         assert enc_b.lengths == [2, 1, 3]
+
+    def test_a_pack_encodes_each_sample_as_alone(self):
+        model = CKLModel(tiny_config(), seed=0)
+        a, b = tiny_sample(m=2, l=2), tiny_sample(m=1, l=3)
+        pack = model.encode(a, b)
+        alone = [model.encode(a), model.encode(b)]
+        assert np.allclose(pack.memory.data, np.concatenate([enc.memory.data for enc in alone]), atol=1e-12)
+        assert pack.lengths == a.segment_lengths + b.segment_lengths
+        assert (pack.m, pack.samples) == (3, ((2, 2), (1, 3)))
 
     def test_over_length_rejected(self):
         model = CKLModel(tiny_config(max_source_len=4), seed=0)
@@ -522,6 +601,12 @@ class TestGenerate:
             assert out[0] == BOS
             assert EOS not in out[1:-1], seed
             assert out[-1] == EOS or len(out) == 6, seed
+
+    @pytest.mark.parametrize("beam_size", [1, 3])
+    def test_max_len_none_or_zero_means_max_target_len(self, beam_size):
+        model = CKLModel(tiny_config(), seed=19)
+        outs = [model.generate(tiny_sample(), beam_size, max_len) for max_len in (None, 0, 8)]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_width_below_one_rejected(self):
         with pytest.raises(ValueError):

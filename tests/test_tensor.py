@@ -734,3 +734,13 @@ def test_every_public_function_is_imported_by_another_module_of_the_package():
                 for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.ImportFrom) and node.module in ("tensor", "ckl.tensor") for alias in node.names}
     assert sorted(defined - imported) == []
+
+
+def test_every_name_in_the_package_all_is_defined():
+    """``from ckl import *`` binds each name of ``ckl.__all__``, listed once."""
+    import ckl
+
+    namespace = {}
+    exec("from ckl import *", namespace)
+    assert len(set(ckl.__all__)) == len(ckl.__all__)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(ckl.__all__)

@@ -9,9 +9,9 @@ from ckl.tensor import (
     Tape,
     Tensor,
     add_norm,
-    exp,
-    log_softmax_lastdim,
+    cross_entropy,
     matmul,
+    mul,
     sigmoid,
     sum_all,
 )
@@ -20,8 +20,8 @@ print("== forward ops ==")
 a = Tensor([[1.0, 2.0], [3.0, 4.0]])
 b = Tensor([[5.0, 6.0], [7.0, 8.0]])
 print("a @ b =\n", matmul(a, b).data)
-log_p = log_softmax_lastdim(Tensor([np.log(2.0), 0.0]))
-print("log_softmax([log 2, 0]) =", log_p.data, "; its exp, the softmax, =", exp(log_p).data)
+nll = cross_entropy(Tensor([[np.log(2.0), 0.0], [0.0, 0.0]]), [0, 1])
+print("cross_entropy([[log 2, 0], [0, 0]], targets [0, 1]) = -log(2/3) - log(1/2) =", nll.item())
 print("sigmoid(log 3) =", sigmoid(Tensor(np.log(3.0))).item())
 gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
 residual = add_norm(Tensor([1.0, 3.0]), Tensor([0.0, 2.0]), gamma, beta)
@@ -30,7 +30,7 @@ print("add_norm([1, 3], [0, 2]) = layer norm of [1, 5] =", residual.data)
 print("\n== tape and backward ==")
 x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
 with Tape() as tape:
-    y = sum_all(sigmoid(x) * sigmoid(x))
+    y = sum_all(mul(sigmoid(x), sigmoid(x)))
     grads = tape.backward(y)
 print("d/dx sum(sigmoid(x)^2) =", grads[x.node_id])
 print("tape recorded", len(tape.records), "ops")
@@ -43,7 +43,7 @@ for i in range(3):
     for sign, slot in ((+1, 0), (-1, 1)):
         probe = base.copy()
         probe[i] += sign * h
-        val = sum_all(sigmoid(Tensor(probe)) * sigmoid(Tensor(probe))).item()
+        val = sum_all(mul(sigmoid(Tensor(probe)), sigmoid(Tensor(probe)))).item()
         fd[i] += sign * val / (2 * h)
 print("finite differences      =", fd)
 print("max abs deviation       =", np.max(np.abs(fd - grads[x.node_id])))

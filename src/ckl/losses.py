@@ -12,18 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    add,
-    exp,
-    log_softmax_lastdim,
-    mul,
-    scale,
-    sub,
-    sum_all,
-    take_per_row,
-)
+from .tensor import ShapeError, Tensor, add, cross_entropy, exp, mul, scale, sub, sum_all
 
 
 def mse(pred: Tensor, target, lengths=None) -> Tensor:
@@ -41,16 +30,8 @@ def mse(pred: Tensor, target, lengths=None) -> Tensor:
 
 
 def nll(logits: Tensor, targets: list[int]) -> Tensor:
-    """Sequence-summed negative log likelihood, computed via log-sum-exp."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"nll needs T x V logits, got {logits.shape}")
-    t, v = logits.shape
-    if len(targets) != t:
-        raise ShapeError(f"{len(targets)} targets for {t} logit rows")
-    if any(not 0 <= y < v for y in targets):
-        raise IndexError(f"target id outside [0, {v})")
-    picked = take_per_row(log_softmax_lastdim(logits), targets)
-    return scale(sum_all(picked), -1.0)
+    """Sequence-summed negative log likelihood of ``targets`` under T x V ``logits``, as one ``cross_entropy`` record."""
+    return cross_entropy(logits, targets)
 
 
 class AwlParams:

@@ -233,13 +233,6 @@ def mean_spearman(pairs: list[tuple[list[float], list[float]]]) -> tuple[float, 
     return (total / defined if defined else 0.0), defined, undefined
 
 
-def pooled_spearman(pairs: list[tuple[list[float], list[float]]]) -> float:
-    """Spearman over the concatenation of all pairs (ranks pooled globally)."""
-    xs = [v for x, _ in pairs for v in x]
-    ys = [v for _, y in pairs for v in y]
-    return spearman(xs, ys)
-
-
 def write_metric_report(path, rows: list[tuple[str, float, int, int]]) -> None:
     """CSV with columns metric,value,n_pairs,n_excluded."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -8,16 +8,17 @@ rule, which maps the output gradient to one gradient per input, in order.
 run, and adds leaf gradients to a dict that may span tapes. ``_make`` checks
 each op output for NaN/Inf; training checks the global gradient norm per step.
 
-Only the kernels the model calls are provided, on 2-D operands. Four are
+Only the kernels the model calls are provided, on 2-D operands. Five are
 fused records: ``linear``, a projection plus its bias; ``ffn``, the ReLU
 feed-forward of two of them; ``add_norm``, a post-norm residual step, the
-layer norm of a sum; and ``attention``, all of multi-head attention, which
+layer norm of a sum; ``attention``, all of multi-head attention, which
 splits and merges the heads by reshape inside, and can hide future keys or
 normalise consecutive key segments separately, weighting each segment; with
 ``blocks`` it is block-diagonal, so a pack of several samples' rows attends
 within each sample, every layout running as one batch of blocks padded to
-the longest, with no loop over blocks. Both gathers, ``embedding_lookup``
-(rows of a matrix, elements of a vector) and ``take_per_row``, share one
+the longest, with no loop over blocks; and ``cross_entropy``, the summed
+negative log-softmax of one target per row. The one gather,
+``embedding_lookup`` (rows of a matrix, elements of a vector), has a
 scatter-add gradient rule. ``concat_vec`` is the one concat; its gradient
 splits back.
 There is no broadcasting beyond scalar-vs-tensor; every other shape mismatch
@@ -90,39 +91,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Operator sugar; floats become constant tensors.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if not isinstance(other, Tensor) and np.ndim(other) == 0:
-            return scale(self, other)
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 class Tape:
@@ -263,19 +231,30 @@ def exp(x: Tensor) -> Tensor:
     return _make("exp", y, (x,), lambda g: (g * y,))
 
 
-def log_softmax_lastdim(x: Tensor) -> Tensor:
-    if x.data.ndim < 1:
-        raise ShapeError("log_softmax needs at least one dimension")
-    m = np.max(x.data, axis=-1, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    y = shifted - lse
-    soft = np.exp(y)
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """``-Σ_t log softmax(logits[t])[targets[t]]``, the summed negative log-likelihood of one target per row.
+
+    One record, which keeps each row shifted by its max, so no exp overflows, and one log-sum-exp per row. Its
+    backward rebuilds the softmax ``exp(shifted - lse)`` from them and subtracts one at each target.
+    """
+    if logits.data.ndim != 2:
+        raise ShapeError(f"cross_entropy needs T x V logits, got {logits.shape}")
+    idx = np.asarray(targets, dtype=np.int64)
+    n, v = logits.shape
+    if idx.shape != (n,):
+        raise ShapeError(f"{idx.size} targets for {n} logit rows")
+    if np.any(idx < 0) or np.any(idx >= v):
+        raise IndexError(f"target id outside [0, {v})")
+    rows = np.arange(n)
+    shifted = logits.data - np.max(logits.data, axis=-1, keepdims=True)
+    lse = np.log(np.sum(np.exp(shifted), axis=-1))
 
     def grad(g):
-        return (g - soft * np.sum(g, axis=-1, keepdims=True),)
+        d = np.exp(shifted - lse[:, None]) * g
+        d[rows, idx] -= g
+        return (d,)
 
-    return _make("log_softmax", y, (x,), grad)
+    return _make("cross_entropy", np.asarray(-np.sum(shifted[rows, idx] - lse)), (logits,), grad)
 
 
 def add_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -358,21 +337,13 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _make("ffn", hidden()[0] @ w2d + b2.data, (x, w1, b1, w2, b2), grad)
 
 
-def _concat(kind: str, parts: list[Tensor], axis) -> Tensor:
-    """2-D ``parts`` joined along ``axis``, or any parts flattened and joined when it is None; the gradient splits back."""
-    if not parts:
-        raise ShapeError(f"{kind} of an empty list")
-    if axis is not None and any(p.data.ndim != 2 or p.shape[1 - axis] != parts[0].shape[1 - axis] for p in parts):
-        raise ShapeError(f"{kind} needs 2-D tensors with equal {('column', 'row')[axis]} counts")
-    ends = np.cumsum([p.data.size if axis is None else p.shape[axis] for p in parts[:-1]])
-    shapes = [p.shape for p in parts]
-    return _make(kind, np.concatenate([p.data for p in parts], axis=axis), parts,
-                 lambda g: [piece.reshape(shape) for piece, shape in zip(np.split(g, ends, axis=axis or 0), shapes)])
-
-
 def concat_vec(parts: list[Tensor]) -> Tensor:
-    """Flatten each tensor and concatenate into one vector."""
-    return _concat("concat_vec", parts, None)
+    """Flatten each tensor and concatenate into one vector; the gradient splits back."""
+    if not parts:
+        raise ShapeError("concat_vec of an empty list")
+    ends, shapes = np.cumsum([p.data.size for p in parts[:-1]]), [p.shape for p in parts]
+    return _make("concat_vec", np.concatenate([p.data for p in parts], axis=None), parts,
+                 lambda g: [piece.reshape(shape) for piece, shape in zip(np.split(g, ends), shapes)])
 
 
 def _starts(lengths, total: int, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -488,19 +459,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
         return merge(ds.transpose(0, 1, 3, 2) @ kh, q_slot), merge(ds @ qh, k_slot), merge(a @ gh, k_slot), gw
 
     return _make("attention", merge(a.transpose(0, 1, 3, 2) @ vh, q_slot), inputs, grad)
-
-
-def take_per_row(x: Tensor, ids) -> Tensor:
-    """Pick one column per row: out[t] = x[t, ids[t]]."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"take_per_row needs a 2-D tensor, got {x.shape}")
-    idx = np.asarray(ids, dtype=np.int64)
-    n, v = x.shape
-    if idx.shape != (n,):
-        raise ShapeError(f"need exactly one index per row, got {idx.shape} for {n} rows")
-    if np.any(idx < 0) or np.any(idx >= v):
-        raise IndexError(f"column index out of range [0, {v})")
-    return _gather("take_per_row", x, (np.arange(n), idx))
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import read_json_lines, write_json_lines
+from .corpus import write_json_lines
 
 
 def word_f1(a: list[str], b: list[str]) -> float:
@@ -106,8 +106,3 @@ def build_pseudo_gt(
 def save_label_cache(path, labels: list[PseudoGroundTruth]) -> None:
     write_json_lines(path, ({"gt_clwr": lab.gt_clwr, "gt_clwk": lab.gt_clwk, "gt_klw": lab.gt_klw,
                              "top1_rk": lab.top1_rk_index} for lab in labels))
-
-
-def load_label_cache(path) -> list[PseudoGroundTruth]:
-    return [PseudoGroundTruth(gt_clwr=list(obj["gt_clwr"]), gt_clwk=list(obj["gt_clwk"]), gt_klw=list(obj["gt_klw"]),
-                              top1_rk_index=int(obj["top1_rk"])) for _lineno, obj in read_json_lines(path)]

@@ -29,7 +29,6 @@ from ckl.tensor import (
     embedding_lookup,
     exp,
     linear,
-    log_softmax_lastdim,
     matmul,
     mul,
     scale,
@@ -38,7 +37,7 @@ from ckl.tensor import (
 )
 
 from conftest import encoding_from_views
-from oracle_ops import cols, concat_cols, relu, transpose
+from oracle_ops import cols, concat_cols, log_softmax_lastdim, relu, transpose
 
 FORWARD_ATOL = 1e-12
 GRAD_RTOL = 1e-10

@@ -9,11 +9,11 @@ import pytest
 
 from ckl import checkpoint as ckpt
 from ckl.cli import SCHEMA, build_parser, main
-from ckl.corpus import build_vocab, load_jsonl
+from ckl.corpus import build_vocab, load_jsonl, read_json_lines
 from ckl.model import CKLModel, ModelConfig
 from ckl.synthetic import retrieval_corpus, write_jsonl
 from ckl.training import TrainingConfig, prepare_training_set
-from ckl.weak_supervision import load_label_cache
+from ckl.weak_supervision import PseudoGroundTruth
 
 ACTION_FLAGS = {"--greedy", "--force", "--config"}
 
@@ -64,7 +64,8 @@ class TestSingleSource:
         config.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
         out = tmp_path / "prep"
         assert main(["prep", "--data", str(data), "--out", str(out), "--config", str(config)]) == 0
-        prep_labels = load_label_cache(out / "labels.jsonl")
+        prep_labels = [PseudoGroundTruth(obj["gt_clwr"], obj["gt_clwk"], obj["gt_klw"], obj["top1_rk"])
+                       for _lineno, obj in read_json_lines(out / "labels.jsonl")]
 
         vocab = build_vocab(samples)
         seed = settings.pop("seed")

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from ckl.corpus import build_vocab
 from ckl.losses import AwlParams, awl, mse, nll
-from ckl.tensor import ShapeError, Tape, Tensor, sum_all
+from ckl.model import CKLModel, ModelConfig
+from ckl.synthetic import overfit_corpus, retrieval_corpus
+from ckl.tensor import ShapeError, Tape, Tensor, scale, sum_all
+from ckl.training import TrainingConfig, prepare_training_set, split_packs
+
+from oracle_ops import nll_chain
 
 
 class TestMse:
@@ -66,6 +72,50 @@ class TestNll:
         for _ in range(20):
             logits = rng.uniform(-3, 3, (3, 6))
             assert nll(Tensor(logits), [0, 1, 2]).item() >= 0.0
+
+    def test_equals_the_four_record_chain_on_random_draws(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            t, v = rng.integers(1, 13), rng.integers(2, 81)
+            logits = Tensor(rng.normal(0.0, rng.choice([0.1, 1.0, 10.0, 100.0]), (t, v)), requires_grad=True)
+            assert_nll_equals_chain(lambda: logits, rng.integers(0, v, t), [logits], rng.uniform(-3, 3))
+
+    @pytest.mark.parametrize("corpus, model", [
+        (lambda: overfit_corpus(16), dict(d_model=64, n_heads=2, n_encoder_layers=2, n_decoder_layers=2, d_ff=256,
+                                          max_source_len=64)),
+        (lambda: retrieval_corpus(40, n_knowledge=8), dict(d_model=32, n_heads=2, n_encoder_layers=1,
+                                                           n_decoder_layers=1, d_ff=64, max_source_len=96)),
+    ], ids=["overfit", "wide"])
+    def test_equals_the_four_record_chain_on_the_benchmark_packs(self, corpus, model):
+        """Every pack of training's split of each corpus, on the benchmark's model for it, every parameter a leaf."""
+        samples = corpus()
+        vocab = build_vocab(samples)
+        config = ModelConfig(vocab_size=len(vocab), **model)
+        encoded, _labels = prepare_training_set(samples, vocab, config, TrainingConfig())
+        net = CKLModel(config, seed=5)
+        leaves = list(net.parameters().values())
+        packs = split_packs(np.arange(len(encoded)), encoded, config.d_model)
+        assert len(packs) > 1
+        for pack in packs:
+            pack_samples = [encoded[i] for i in pack]
+            targets = [y for sample in pack_samples for y in sample.response_ids[1:]]
+            assert_nll_equals_chain(lambda: net.forward(*pack_samples)[0], targets, leaves, 1.0 / len(pack))
+
+
+def assert_nll_equals_chain(build_logits, targets, leaves, upstream):
+    """``nll`` of the logits ``build_logits()`` makes is bit-equal to ``oracle_ops.nll_chain``'s, and each leaf's
+    gradient of the loss scaled by ``upstream`` (as training scales it) agrees within 1e-15 of its largest entry."""
+    runs = []
+    for loss_fn in (nll, nll_chain):
+        with Tape() as tape:
+            loss = loss_fn(build_logits(), targets)
+            grads = tape.backward(scale(loss, upstream))
+        runs.append((loss.data, [grads.get(leaf.node_id) for leaf in leaves]))
+    (fused, fused_grads), (chain, chain_grads) = runs
+    assert fused.shape == chain.shape == () and fused.tobytes() == chain.tobytes()
+    for got, want in zip(fused_grads, chain_grads):
+        assert (got is None) == (want is None)
+        assert want is None or np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestAwl:

@@ -18,7 +18,6 @@ from ckl.metrics import (
     embedding_corpus_scores,
     mean_spearman,
     p_at_n,
-    pooled_spearman,
     rouge_l,
     rouge_l_corpus,
     spearman,
@@ -305,13 +304,6 @@ class TestSpearman:
         pairs = [([1.0, 2.0], [1.0, 2.0]), ([1.0, 1.0], [0.0, 1.0])]
         mean, defined, undefined = mean_spearman(pairs)
         assert (mean, defined, undefined) == (pytest.approx(1.0), 1, 1)
-
-    def test_pooled_variant_concatenates(self):
-        pairs = [([0.9, 0.1], [1.0, 0.0]), ([0.2, 0.8, 0.3], [0.0, 1.0, 0.0])]
-        pooled = pooled_spearman(pairs)
-        assert pooled == pytest.approx(
-            oracle_spearman([0.9, 0.1, 0.2, 0.8, 0.3], [1, 0, 0, 1, 0]), abs=1e-12
-        )
 
 
 class TestOracleEquivalence:

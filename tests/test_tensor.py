@@ -16,25 +16,24 @@ from ckl.tensor import (
     add_norm,
     attention,
     concat_vec,
+    cross_entropy,
     embedding_lookup,
     exp,
     ffn,
     linear,
-    log_softmax_lastdim,
     matmul,
     mul,
     scale,
     sigmoid,
     sub,
     sum_all,
-    take_per_row,
 )
 
-from oracle_ops import cols, concat_cols, relu, transpose
+from oracle_ops import cols, concat_cols, log_softmax_lastdim, relu, take_per_row, transpose
 
 
 def softmax(x):
-    """The softmax over the last axis, as ``exp`` of ``log_softmax_lastdim``."""
+    """The softmax over the last axis, as ``exp`` of the loop oracle's ``log_softmax_lastdim``."""
     return exp(log_softmax_lastdim(x))
 
 
@@ -71,7 +70,7 @@ class TestMatmul:
 
 
 class TestSoftmax:
-    """The softmax through its log, ``log_softmax_lastdim``, the kernel the model calls."""
+    """The loop oracle's softmax through its log, ``oracle_ops.log_softmax_lastdim``."""
 
     def test_symmetry(self):
         out = log_softmax_lastdim(Tensor([0.0, 0.0]))
@@ -96,6 +95,31 @@ class TestSoftmax:
     def test_empty_last_dim_rejected(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((2, 0)))
+
+
+class TestCrossEntropy:
+    """The kernel behind ``losses.nll``; ``tests/test_losses.py`` holds it to the four-record chain it replaced."""
+
+    def test_stability_no_overflow(self):
+        out = cross_entropy(Tensor([[1000.0, 0.0], [0.0, -1000.0]]), [1, 0])
+        assert abs(out.item() - 1000.0) < 1e-12
+
+    def test_one_record_and_a_gradient_of_softmax_minus_one_hot(self):
+        x = Tensor([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]], requires_grad=True)
+        with Tape() as tape:
+            loss = cross_entropy(x, [2, 0])
+            grads = tape.backward(loss)
+        assert [record[0] for record in tape.records] == ["cross_entropy"]
+        soft = np.exp(x.data) / np.exp(x.data).sum(axis=1, keepdims=True)
+        assert np.allclose(grads[x.node_id], soft - np.eye(3)[[2, 0]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape, targets, error", [
+        ((3,), [0], ShapeError), ((2, 3), [0], ShapeError), ((2, 3), [[0, 1]], ShapeError),
+        ((2, 3), [0, 3], IndexError), ((2, 3), [-1, 0], IndexError),
+    ], ids=["vector-logits", "too-few-targets", "2-d-targets", "target-past-the-vocabulary", "negative-target"])
+    def test_bad_shapes_and_targets_raise(self, shape, targets, error):
+        with pytest.raises(error):
+            cross_entropy(Tensor(np.zeros(shape)), targets)
 
 
 class TestSigmoid:
@@ -709,20 +733,6 @@ class TestInvariants:
                 assert nid != out_id
                 assert nid in seen or nid == x.node_id
             seen.add(out_id)
-
-    def test_operator_sugar(self):
-        x = Tensor([1.0, 2.0])
-        y = Tensor([3.0, 4.0])
-        assert np.array_equal((x + y).data, [4.0, 6.0])
-        assert np.array_equal((x - y).data, [-2.0, -2.0])
-        assert np.array_equal((x * 2.0).data, [2.0, 4.0])
-        # a numpy scalar or array is taken by * as by + and -
-        assert np.array_equal((x + np.int64(2)).data, [3.0, 4.0])
-        assert np.array_equal((x * np.int64(2)).data, [2.0, 4.0]) and np.array_equal((2 * x).data, [2.0, 4.0])
-        assert np.array_equal((x * np.array([2.0, 3.0])).data, [2.0, 6.0])
-        assert np.array_equal((-x).data, [-1.0, -2.0])
-        m = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal((m @ m).data, m.data)
 
 
 def test_every_public_function_is_imported_by_another_module_of_the_package():

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from ckl.corpus import read_json_lines
 from ckl.weak_supervision import (
     PseudoGroundTruth,
     TfIdfIndex,
     build_pseudo_gt,
-    load_label_cache,
     rank_knowledge,
     save_label_cache,
     tfidf_score,
@@ -178,4 +178,6 @@ class TestLabelCache:
         ]
         p = tmp_path / "labels.jsonl"
         save_label_cache(p, labels)
-        assert load_label_cache(p) == labels
+        records = [obj for _lineno, obj in read_json_lines(p)]
+        assert records == [{"gt_clwr": lab.gt_clwr, "gt_clwk": lab.gt_clwk, "gt_klw": lab.gt_klw,
+                            "top1_rk": lab.top1_rk_index} for lab in labels]

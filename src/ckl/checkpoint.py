@@ -18,13 +18,12 @@ config) is reported as a ``CheckpointError``.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from collections.abc import Mapping
-from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_file
 from .model import CKLModel, ModelConfig
 from .tensor import Tensor
 
@@ -36,8 +35,7 @@ class CheckpointError(ValueError):
 
 
 def save(path, config: ModelConfig, params: dict[str, Tensor]) -> None:
-    """Write to a temporary file beside ``path``, then rename it into place: a write that fails midway, as on a full
-    disk, leaves any previous checkpoint at ``path`` whole and no temporary file behind."""
+    """Write through ``corpus.write_file``, so a save that fails midway leaves any previous checkpoint whole."""
     chunks = [MAGIC]
     cfg = config.to_dict()
     chunks.append(struct.pack("<I", len(cfg)))
@@ -53,15 +51,7 @@ def save(path, config: ModelConfig, params: dict[str, Tensor]) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
         chunks.append(arr.tobytes())
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(chunks))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_file(path, b"".join(chunks))
 
 
 class _Reader:

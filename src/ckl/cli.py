@@ -35,6 +35,7 @@ from .corpus import (
     read_json_lines,
     tokenize,
     write_json_lines,
+    write_lines,
 )
 from .metrics import (
     bleu_n,
@@ -159,8 +160,7 @@ class RunConfig:
         return cls(**given, **{name: self.values[name] for name in names})
 
     def echo(self, out_dir: Path) -> None:
-        lines = [f"{key}={self.values[key]}" for key in sorted(SCHEMA)]
-        (out_dir / "effective_config.txt").write_text("\n".join(lines) + "\n")
+        write_lines(out_dir / "effective_config.txt", (f"{key}={self.values[key]}" for key in sorted(SCHEMA)))
 
 
 def _ensure_out(cfg: RunConfig) -> Path:
@@ -187,7 +187,7 @@ def cmd_prep(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     vocab.save(out / "vocab.txt")
     save_label_cache(out / "labels.jsonl", labels)
-    (out / "tfidf_stats.json").write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n")
+    write_lines(out / "tfidf_stats.json", [json.dumps(stats, sort_keys=True, indent=2)])
     print(
         f"prep: n={stats['samples']} mean_m={stats['mean_context_utterances']:.2f} "
         f"mean_l={stats['mean_knowledge_sentences']:.2f} vocab={len(vocab)}"
@@ -340,7 +340,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     for key in keys:
         mean, defined, undefined = mean_spearman(spearman_pairs[key])
         lines.append(f"spearman_{key},,{mean!r},{defined},{undefined}")
-    (_ensure_out(cfg) / "analysis.csv").write_text("\n".join(lines) + "\n")
+    write_lines(_ensure_out(cfg) / "analysis.csv", lines)
     print(f"analyze: wrote {len(lines) - 1} rows")
     return 0
 

@@ -1,4 +1,4 @@
-"""Corpus loading, JSON Lines reading and writing, rule tokenization, vocabulary, and sample encoding.
+"""Corpus loading, the atomic file writer, JSON Lines I/O, rule tokenization, vocabulary, and sample encoding.
 
 Dataset files are JSON Lines with keys ``context`` (array of strings, last
 entry is the post), ``knowledge`` (array of strings) and ``response``
@@ -16,6 +16,7 @@ one-token post is truncated from the right.
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
 from collections import Counter
@@ -71,10 +72,28 @@ def read_json_lines(path):
             raise DatasetError(f"{path}: line {lineno}: invalid JSON ({err.msg})") from err
 
 
+def write_file(path, data: bytes | str) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it into place: a write that fails midway leaves
+    any previous file whole and no temporary file. Text is UTF-8; surrogateescape keeps a path's bytes in any locale."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8", "surrogateescape") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_lines(path, lines) -> None:
+    """Each line plus a newline, through ``write_file``."""
+    write_file(path, "".join(line + "\n" for line in lines))
+
+
 def write_json_lines(path, records) -> None:
     """One key-sorted JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    write_lines(path, (json.dumps(record, sort_keys=True) for record in records))
 
 
 def load_jsonl(path) -> list[DialogueSample]:
@@ -126,9 +145,7 @@ class Vocabulary:
         return [self.id_to_token[i] for i in ids]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for token in self.id_to_token:
-                fh.write(token + "\n")
+        write_lines(path, self.id_to_token)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

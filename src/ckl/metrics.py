@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from .corpus import numbered_lines
+from .corpus import numbered_lines, write_lines
 
 
 class UndefinedCorrelationError(ValueError):
@@ -235,7 +235,5 @@ def mean_spearman(pairs: list[tuple[list[float], list[float]]]) -> tuple[float, 
 
 def write_metric_report(path, rows: list[tuple[str, float, int, int]]) -> None:
     """CSV with columns metric,value,n_pairs,n_excluded."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("metric,value,n_pairs,n_excluded\n")
-        for metric, value, n_pairs, n_excluded in rows:
-            fh.write(f"{metric},{value!r},{n_pairs},{n_excluded}\n")
+    lines = (f"{metric},{value!r},{n_pairs},{n_excluded}" for metric, value, n_pairs, n_excluded in rows)
+    write_lines(path, ["metric,value,n_pairs,n_excluded", *lines])

@@ -409,7 +409,8 @@ class CKLModel:
             finished += [c for c in candidates[:beam_size] if c[0][-1] == EOS]
             beams = [c for c in candidates[:beam_size] if c[0][-1] != EOS]
             parents = [parent for *_, parent in beams]
-            cache[1:] = [x[parents] for x in cache[1:]]  # one gather per array reorders the hypotheses
+            if parents != list(range(len(cache[1]))):  # every row kept in place, as greedy's [0], needs no copy
+                cache[1:] = [x[parents] for x in cache[1:]]  # one gather per array reorders the hypotheses
         finished.extend(beams)
         finished.sort(key=lambda c: -(c[1] / max(1, len(c[0]) - 1)))
         return finished[0][0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DialogueSample, EncodedSample, Vocabulary, encode_sample
+from .corpus import DialogueSample, EncodedSample, Vocabulary, encode_sample, write_lines
 from .losses import AwlParams, awl, mse, nll
 from .model import CKLModel, ModelConfig
 from .tensor import NumericError, Tape, Tensor, scale
@@ -252,11 +252,8 @@ def train(
 
 
 def write_trace(path, trace: list[TraceRow], effective_n: int, total_n: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# effective_samples={effective_n} total_samples={total_n}\n")
-        fh.write(TRACE_HEADER + "\n")
-        for row in trace:
-            fh.write(row.csv() + "\n")
+    write_lines(path, [f"# effective_samples={effective_n} total_samples={total_n}", TRACE_HEADER,
+                       *(row.csv() for row in trace)])
 
 
 def mean_per_token_nll(model: CKLModel, encoded: list[EncodedSample]) -> float:

@@ -1,4 +1,5 @@
-"""Property: a damaged checkpoint restores or raises CheckpointError, nothing else; a failed save damages nothing."""
+"""Property: a damaged checkpoint restores or raises CheckpointError, nothing else; a failed write of any artifact
+damages nothing."""
 
 import errno
 import tempfile
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckl import checkpoint as ckpt
+from ckl import checkpoint as ckpt, corpus
+from ckl.cli import main
 from ckl.model import CKLModel, ModelConfig
+from ckl.synthetic import overfit_corpus, write_jsonl
 
 CONFIG = ModelConfig(vocab_size=7, d_model=4, n_heads=2, n_encoder_layers=1, n_decoder_layers=1, d_ff=4,
                      max_source_len=8, max_target_len=4, m_max=2)
@@ -67,19 +70,57 @@ class FullDisk:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def test_a_save_that_fails_midway_leaves_the_previous_checkpoint_and_no_temporary_file(tmp_path, monkeypatch):
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(BLOB)
-    params = CKLModel(CONFIG, seed=1).parameters()
+# Artifact to the command that writes it. Each command runs on the outputs the pipeline fixture made.
+ARTIFACTS = {
+    **dict.fromkeys(("effective_config.txt", "vocab.txt", "labels.jsonl", "tfidf_stats.json"), "prep"),
+    **dict.fromkeys(("checkpoint.ckpt", "trace.csv"), "train"),
+    "generations.jsonl": "generate",
+    "metrics.csv": "evaluate",
+    "analysis.csv": "analyze",
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Flags of each command, given the prep, train and generate outputs of a tiny run."""
+    run = tmp_path_factory.mktemp("pipeline")
+    write_jsonl(run / "data.jsonl", overfit_corpus(4, seed=0))
+    (run / "run.cfg").write_text("d_model=8\nn_heads=2\nn_encoder_layers=1\nn_decoder_layers=1\nd_ff=8\n"
+                                 "max_source_len=64\nmax_target_len=8\nepochs=1\nbatch_size=4\n")
+    data, config = ["--data", str(run / "data.jsonl")], ["--config", str(run / "run.cfg")]
+    flags = {
+        "prep": data + config,
+        "train": data + config + ["--vocab", str(run / "prep" / "vocab.txt")],
+        "generate": data + ["--vocab", str(run / "prep" / "vocab.txt"),
+                            "--checkpoint", str(run / "train" / "checkpoint.ckpt")],
+        "evaluate": data + ["--generations", str(run / "generate" / "generations.jsonl")],
+    }
+    flags["analyze"] = flags["evaluate"]
+    for command in ("prep", "train", "generate"):
+        assert main([command, *flags[command], "--out", str(run / command)]) == 0
+    return flags
+
+
+@pytest.mark.parametrize("artifact", ARTIFACTS)
+def test_a_write_that_fails_midway_leaves_the_previous_file_and_no_temporary_file(pipeline, artifact, tmp_path,
+                                                                                   monkeypatch, capsys):
+    command, path = ARTIFACTS[artifact], tmp_path / artifact
+    path.write_bytes(b"previous\n")
     written = []
-    monkeypatch.setattr(ckpt, "open", lambda file, mode: written.append(file) or FullDisk(open(file, mode)),
-                        raising=False)
-    with pytest.raises(OSError, match="No space left"):
-        ckpt.save(path, CONFIG, params)
+
+    def open_failing_on_artifact(file, mode):
+        if not Path(file).name.startswith(f".{artifact}."):
+            return open(file, mode)
+        written.append(Path(file))
+        return FullDisk(open(file, mode))
+
+    monkeypatch.setattr(corpus, "open", open_failing_on_artifact, raising=False)
+    assert main([command, *pipeline[command], "--out", str(tmp_path)]) == 2
+    assert "No space left" in capsys.readouterr().err
     assert len(written) == 1 and written[0].parent == tmp_path  # the failed write went to a file beside path
-    assert path.read_bytes() == BLOB
-    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"previous\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
     monkeypatch.undo()
-    ckpt.save(path, CONFIG, params)
-    assert path.read_bytes() != BLOB and list(tmp_path.iterdir()) == [path]
-    assert ckpt.load(path)[1].keys() == params.keys()
+    assert main([command, *pipeline[command], "--out", str(tmp_path)]) == 0
+    assert path.read_bytes() != b"previous\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ckl
 from ckl import checkpoint as ckpt
 from ckl.cli import main
 from ckl.corpus import Vocabulary, build_vocab, load_jsonl, tokenize
@@ -723,3 +728,32 @@ class TestVocabularyFileContract:
         vocab = Vocabulary.load(out / "vocab.txt")
         for i, token in enumerate(lines):
             assert vocab.token_to_id[token] == i
+
+
+def test_every_command_runs_on_non_ascii_paths_under_an_ascii_locale(tmp_path):
+    """Under the C locale with UTF-8 mode and locale coercion off, Python decodes a non-ASCII path with
+    surrogateescape; every file is still written as UTF-8, and the echoed paths keep their bytes."""
+    root = tmp_path / "données"
+    root.mkdir()
+    data, config = root / "été.jsonl", root / "réglages.cfg"
+    write_jsonl(data, overfit_corpus(4, seed=0))
+    write_config(config, epochs=1)
+    src = [str(Path(ckl.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": os.pathsep.join(src)}
+    paths = {name: os.fsencode(root / name) for name in ("prep", "train", "generate", "evaluate", "analyze")}
+    generations = os.fsencode(root / "generate" / "generations.jsonl")
+    flags = {
+        "prep": [b"--config", os.fsencode(config)],
+        "train": [b"--config", os.fsencode(config), b"--vocab", os.fsencode(root / "prep" / "vocab.txt")],
+        "generate": [b"--vocab", os.fsencode(root / "prep" / "vocab.txt"),
+                     b"--checkpoint", os.fsencode(root / "train" / "checkpoint.ckpt")],
+        "evaluate": [b"--generations", generations],
+        "analyze": [b"--generations", generations],
+    }
+    for command, out in paths.items():
+        argv = [sys.executable, "-m", "ckl.cli", command.encode(), b"--data", os.fsencode(data), *flags[command],
+                b"--out", out]
+        run = subprocess.run(argv, env=env, capture_output=True)
+        assert run.returncode == 0, (command, run.stderr)
+        echoed = (root / command / "effective_config.txt").read_bytes().splitlines()
+        assert b"out=" + out in echoed and b"data=" + os.fsencode(data) in echoed

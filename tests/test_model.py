@@ -412,6 +412,29 @@ class TestDecoderCache:
         assert np.array_equal(a[0], b[0]) and not np.allclose(a[1], b[1])
         assert all(np.array_equal(x, y) for x, y in zip(parent[1:], before))
 
+    def test_a_beam_that_loses_a_hypothesis_to_eos_keeps_each_row_on_its_prefix(self, monkeypatch):
+        """Beam 4 with EOS raised in the output bias: a step keeps all four rows in place, so ``decode`` skips the
+        gather, and the next step's survivors are rows 0, 1 and 2 of four, which must still be gathered."""
+        model = CKLModel(tiny_config(n_decoder_layers=2), seed=26)
+        model.params["out.b"].data[EOS] += 1.0
+        enc, weights = model.condition(tiny_sample())
+        hyps_per_step, forward = [], model.decoder_forward
+
+        def checked(prefix, enc, clwr, klw, cache=None):
+            logits = forward(prefix, enc, clwr, klw, cache)
+            hyps = [list(ids) for ids in zip(*prefix)]
+            for row, ids in zip(logits.data, hyps):
+                assert relative_gap(row, forward(ids, enc, clwr, klw).data[-1]) <= 1e-12, ids
+            hyps_per_step.append(hyps)
+            return logits
+
+        monkeypatch.setattr(model, "decoder_forward", checked)
+        model.decode(enc, weights, beam_size=4)
+        # Per step after the first: the rows the cache held, and each hypothesis's parent row among them.
+        gathers = [(len(before), [before.index(ids[:-1]) for ids in after])
+                   for before, after in zip(hyps_per_step, hyps_per_step[1:])]
+        assert (4, [0, 1, 2, 3]) in gathers and (4, [0, 1, 2]) in gathers
+
     @pytest.mark.parametrize("t", [0, 2, 3])
     def test_prefix_must_extend_its_cache(self, t):
         model, enc, clwr, klw = self.conditioned()

@@ -11,9 +11,7 @@ from ckl.tensor import (
     add_norm,
     cross_entropy,
     matmul,
-    mul,
     sigmoid,
-    sum_all,
 )
 
 print("== forward ops ==")
@@ -28,22 +26,21 @@ residual = add_norm(Tensor([1.0, 3.0]), Tensor([0.0, 2.0]), gamma, beta)
 print("add_norm([1, 3], [0, 2]) = layer norm of [1, 5] =", residual.data)
 
 print("\n== tape and backward ==")
-x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+x = Tensor([[0.5, -1.0, 2.0]], requires_grad=True)  # one row of three logits, squashed by sigmoid
 with Tape() as tape:
-    y = sum_all(mul(sigmoid(x), sigmoid(x)))
+    y = cross_entropy(sigmoid(x), [2])
     grads = tape.backward(y)
-print("d/dx sum(sigmoid(x)^2) =", grads[x.node_id])
-print("tape recorded", len(tape.records), "ops")
+print("d/dx -log softmax(sigmoid(x))[2] =", grads[x.node_id])
+print("tape recorded", len(tape.records), "ops:", [record[0] for record in tape.records])
 
 print("\n== gradient vs central differences ==")
 h = 1e-5
 fd = np.zeros(3)
 base = x.data.copy()
 for i in range(3):
-    for sign, slot in ((+1, 0), (-1, 1)):
+    for sign in (+1, -1):
         probe = base.copy()
-        probe[i] += sign * h
-        val = sum_all(mul(sigmoid(Tensor(probe)), sigmoid(Tensor(probe)))).item()
-        fd[i] += sign * val / (2 * h)
-print("finite differences      =", fd)
-print("max abs deviation       =", np.max(np.abs(fd - grads[x.node_id])))
+        probe[0, i] += sign * h
+        fd[i] += sign * cross_entropy(sigmoid(Tensor(probe)), [2]).item() / (2 * h)
+print("finite differences              =", fd)
+print("max abs deviation               =", np.max(np.abs(fd - grads[x.node_id][0])))

@@ -24,9 +24,8 @@ model_cfg = ModelConfig(
     d_ff=64,
     max_source_len=48,
     max_target_len=12,
-    top_n=1,
 )
-train_cfg = TrainingConfig(learning_rate=3e-3, epochs=25, batch_size=20, seed=0)
+train_cfg = TrainingConfig(learning_rate=3e-3, epochs=25, batch_size=20, seed=0, top_n=1)
 
 print(f"training on {len(samples)} samples ...")
 result = train(samples, vocab, model_cfg, train_cfg)

@@ -1,18 +1,20 @@
-"""Training losses and their uncertainty-weighted aggregation.
+"""Training losses and their uncertainty-weighted aggregation, each one tape record.
 
 Each latent-weight loss is an element-mean MSE against its binary pseudo
 ground truth; the generation loss is the sequence-summed negative log
 likelihood. The total uses homoscedastic task weighting with trainable
 log-variances s_i = ln(delta_i^2), so every task weight 1/(2 delta_i^2) stays
 positive by construction and the regulariser ln(delta_1..delta_4) becomes
-sum(s_i) / 2.
+sum(s_i) / 2. ``mse`` and ``awl`` compute their values and gradients with the
+arithmetic of the elementwise chains they replace, so their bits are those of
+the chains (``tests/oracle_ops.py`` keeps them as the reference).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, add, cross_entropy, exp, mul, scale, sub, sum_all
+from .tensor import ShapeError, Tensor, _make, cross_entropy
 
 
 def mse(pred: Tensor, target, lengths=None) -> Tensor:
@@ -24,9 +26,15 @@ def mse(pred: Tensor, target, lengths=None) -> Tensor:
     lengths = [pred.size] if lengths is None else list(lengths)
     if pred.size < 1 or min(lengths) < 1 or sum(lengths) != pred.size:
         raise ShapeError(f"mse of {pred.size} elements in samples of {lengths} elements")
-    diff = sub(pred, t)
-    per_element = np.repeat([1.0 / n for n in lengths], lengths).reshape(pred.shape)
-    return sum_all(mul(mul(diff, diff), Tensor(per_element)))
+    diff = pred.data - t.data
+    w = np.repeat([1.0 / n for n in lengths], lengths).reshape(pred.shape)
+
+    def grad(g):  # the two equal terms of d (diff * diff), summed; the target gets their negation
+        d = (g * w) * diff
+        d = d + d
+        return d, -d
+
+    return _make("mse", np.asarray(np.sum(diff * diff * w)), (pred, t), grad)
 
 
 def nll(logits: Tensor, targets: list[int]) -> Tensor:
@@ -57,23 +65,23 @@ def awl(
     use_loss_clwk: bool = True,
     use_loss_klw: bool = True,
 ) -> Tensor:
-    """Half the sum of exp(-s_i) * L_i + s_i over the enabled tasks.
+    """Half the sum of exp(-s_i) * L_i + s_i over the enabled tasks, added in task order.
 
     A disabled flag drops both the weighted loss term and its s_i
-    regulariser, so the corresponding s_i receives no gradient at all. The
-    generation loss is always enabled.
+    regulariser: neither is an input, so the corresponding s_i receives no
+    gradient at all. The generation loss is always enabled. Each s_i is an
+    input twice, for its regulariser and for its weight, so a leaf gradient
+    summed over packs takes its two terms in the order the chain added them.
     """
-    enabled = [
-        (l_clwr, params.s[0], use_loss_clwr),
-        (l_clwk, params.s[1], use_loss_clwk),
-        (l_klw, params.s[2], use_loss_klw),
-        (l_nll, params.s[3], True),
-    ]
-    total = None
-    for loss, s, flag in enabled:
-        if flag:
-            term = add(mul(exp(scale(s, -1.0)), loss), s)
-            total = term if total is None else add(total, term)
-    # Halved once, not per term: halving is exact in float64, so the value and
-    # every gradient are bit-identical to halving each term, in fewer records.
-    return scale(total, 0.5)
+    tasks = [(loss, s) for loss, s, flag in zip((l_clwr, l_clwk, l_klw, l_nll), params.s,
+                                                 (use_loss_clwr, use_loss_clwk, use_loss_klw, True)) if flag]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing weight makes the total non-finite
+        parts = [(loss.data, np.exp(s.data * -1.0), s.data) for loss, s in tasks]
+        terms = [e * loss + s for loss, e, s in parts]
+        total = sum(terms[1:], terms[0])
+
+    def grad(g):  # per task: d L, then d s from its regulariser, then from its weight exp(-s)
+        h = g * 0.5
+        return [d for loss, e, _s in parts for d in (h * e, h, -((h * loss) * e))]
+
+    return _make("awl", np.asarray(total * 0.5), [x for loss, s in tasks for x in (loss, s, s)], grad)

@@ -61,10 +61,11 @@ from .tensor import (
 
 @dataclass
 class ModelConfig:
-    """Architecture, encode settings and loss switches.
+    """Architecture, encode settings and the context-knowledge dependence switch.
 
-    Boolean fields are the switches; every other field is a size that must be
+    The boolean field is the switch; every other field is a size that must be
     at least 1. The encode settings take ``EncodeConfig``'s defaults and checks.
+    The label and loss settings are training's (``TrainingConfig``).
     """
 
     vocab_size: int
@@ -76,10 +77,6 @@ class ModelConfig:
     max_source_len: int = EncodeConfig.max_source_len
     max_target_len: int = EncodeConfig.max_target_len
     m_max: int = EncodeConfig.m_max
-    top_n: int = 1
-    use_loss_klw: bool = True
-    use_loss_clwr: bool = True
-    use_loss_clwk: bool = True
     use_ck_dep: bool = True
 
     def __post_init__(self):

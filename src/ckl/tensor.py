@@ -21,8 +21,10 @@ negative log-softmax of one target per row. The one gather,
 ``embedding_lookup`` (rows of a matrix, elements of a vector), has a
 scatter-add gradient rule. ``concat_vec`` is the one concat; its gradient
 splits back.
-There is no broadcasting beyond scalar-vs-tensor; every other shape mismatch
-is a hard error so gradient rules stay simple and bugs stay loud.
+There is no broadcasting: ``add`` takes two operands of one shape, and every
+shape mismatch is a hard error so gradient rules stay simple and bugs stay
+loud. The training losses build their own one-record kernels on ``_make``
+(``losses.py``); the kernels only tests use live in ``tests/oracle_ops.py``.
 """
 
 from __future__ import annotations
@@ -190,27 +192,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
-def _binary(kind: str, a: Tensor, b: Tensor, fwd, grads) -> Tensor:
-    lone = None if a.shape == b.shape else 1 if b.data.size == 1 else 0  # a one-element operand acts as a scalar
-    if lone is not None and (a, b)[lone].data.size != 1:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not match")
-    shapes = (a.shape, b.shape)
-    x, y = (t.data.reshape(()) if i == lone else t.data for i, t in enumerate((a, b)))
-    both = grads(x, y)  # maps g to both operands' gradients as the forward saw them, holding only what it reads
-    return _make(kind, fwd(x, y), (a, b),
-                 lambda g: [np.sum(gt).reshape(shapes[i]) if i == lone else gt for i, gt in enumerate(both(g))])
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("add", a, b, lambda x, y: x + y, lambda x, y: lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", a, b, lambda x, y: x - y, lambda x, y: lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("mul", a, b, lambda x, y: x * y, lambda x, y: lambda g: (g * y, g * x))
+    """The sum of two operands of one shape; the gradient passes to both, and the record keeps neither."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not match")
+    return _make("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -223,12 +209,6 @@ def sigmoid(x: Tensor) -> Tensor:
     y = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
     inside = (np.abs(x.data) <= _SIGMOID_CLIP).astype(np.float64)
     return _make("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y) * inside,))
-
-
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        y = np.exp(x.data)
-    return _make("exp", y, (x,), lambda g: (g * y,))
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -460,7 +440,3 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int = 1, causal: bool = 
 
     return _make("attention", merge(a.transpose(0, 1, 3, 2) @ vh, q_slot), inputs, grad)
 
-
-def sum_all(x: Tensor) -> Tensor:
-    return _make("sum_all", np.asarray(np.sum(x.data)), (x,),
-                 lambda g: (np.broadcast_to(g, x.shape).astype(np.float64),))

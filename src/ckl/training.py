@@ -52,6 +52,10 @@ class TrainingConfig:
     seed: int = 0
     data_fraction: float = 1.0
     grad_clip: float = 1.0
+    top_n: int = 1  # knowledge sentences labelled relevant per sample
+    use_loss_klw: bool = True
+    use_loss_clwr: bool = True
+    use_loss_clwk: bool = True
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
@@ -62,6 +66,8 @@ class TrainingConfig:
             raise ValueError("data_fraction must be in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
 
 
 class AdamState:
@@ -180,7 +186,7 @@ def prepare_training_set(
     encoded = [encode_sample(s, vocab, model_cfg.encode_config()) for s in chosen]
     _index, labels = build_labels(
         [(e.context_tokens, e.knowledge_tokens, e.response_tokens) for e in encoded],
-        model_cfg.top_n,
+        train_cfg.top_n,
     )
     return encoded, labels
 
@@ -234,8 +240,8 @@ def train(
                 with Tape() as tape, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     losses = sample_losses(model, [encoded[i] for i in pack], [labels[i] for i in pack])
                     means = [scale(loss, 1.0 / len(pack)) for loss in losses]
-                    total = scale(awl(*means, awl_params, use_loss_clwr=model_cfg.use_loss_clwr,
-                                      use_loss_clwk=model_cfg.use_loss_clwk, use_loss_klw=model_cfg.use_loss_klw),
+                    total = scale(awl(*means, awl_params, use_loss_clwr=train_cfg.use_loss_clwr,
+                                      use_loss_clwk=train_cfg.use_loss_clwk, use_loss_klw=train_cfg.use_loss_klw),
                                   len(pack))
                     tape.backward(total, leaf_grads)
             except NumericError as err:

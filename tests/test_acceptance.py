@@ -49,7 +49,6 @@ def small_config(vocab_size, **overrides):
         max_source_len=32,
         max_target_len=6,
         m_max=4,
-        top_n=1,
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -63,17 +62,13 @@ def test_criterion_1_gradient_suite(gradcheck):
         concat_vec,
         cross_entropy,
         embedding_lookup,
-        exp,
         ffn,
         linear,
         matmul,
-        mul,
         scale,
         sigmoid,
-        sub,
-        sum_all,
     )
-    from oracle_ops import cols, concat_cols, relu, transpose
+    from oracle_ops import cols, concat_cols, exp, mul, relu, sub, sum_all, transpose
 
     start = time.perf_counter()
     rng = np.random.default_rng(100)
@@ -137,6 +132,21 @@ def test_criterion_1_gradient_suite(gradcheck):
     gradcheck(lambda x, g, be: sum_all(mul(add_norm(x, x, g, be), x)), [a, *affine])
     ffn_weights = [rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, 5), rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, 2)]
     gradcheck(lambda x, *w: sum_all(mul(ffn(x, *w), ffn(x, *w))), [a, *ffn_weights])
+    loss_rng = np.random.default_rng(102)  # the losses' own draws, as for the blocks
+    # mse of a pack of three samples, against a tracked target, under a non-unit upstream gradient
+    gradcheck(lambda p, t: mul(mse(p, t, [2, 1, 3]), mse(p, t)), [loss_rng.uniform(0, 1, 6), loss_rng.uniform(0, 1, 6)])
+    task_losses, log_variances = loss_rng.uniform(0.1, 3, 4), loss_rng.uniform(-2, 2, 4)
+    for off in (None, 0, 1, 2):  # every task on, then each switch off in turn: its L and s are constants
+        on = [i for i in range(4) if i != off]
+
+        def weighted(*leaves, on=on, flags=tuple(i != off for i in range(3))):
+            losses, params = [Tensor(x) for x in task_losses], AwlParams()
+            params.s = [Tensor(x) for x in log_variances]
+            for j, i in enumerate(on):
+                losses[i], params.s[i] = leaves[j], leaves[len(on) + j]
+            return scale(awl(*losses, params, *flags), 3.0)
+
+        gradcheck(weighted, [np.array(task_losses[i]) for i in on] + [np.array(log_variances[i]) for i in on])
 
     # full model, d_model=8, one layer each, m = l = 2
     from ckl.corpus import BOS, EOS, EncodedSample
@@ -382,8 +392,8 @@ def test_criterion_7_awl_analytic_checks():
     # a disabled flag keeps its s constant across 100 real training steps
     samples = overfit_corpus(4, seed=2)
     vocab = build_vocab(samples)
-    cfg = small_config(len(vocab), max_source_len=64, max_target_len=12, use_loss_klw=False)
-    tcfg = TrainingConfig(learning_rate=1e-3, epochs=50, batch_size=2, seed=3)
+    cfg = small_config(len(vocab), max_source_len=64, max_target_len=12)
+    tcfg = TrainingConfig(learning_rate=1e-3, epochs=50, batch_size=2, seed=3, use_loss_klw=False)
     result = train(samples, vocab, cfg, tcfg, max_steps=100)
     s_trace = [row.s[2] for row in result.trace]
     frozen = all(v == 0.0 for v in s_trace) and result.awl_params.values()[2] == 0.0

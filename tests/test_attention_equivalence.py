@@ -27,17 +27,14 @@ from ckl.tensor import (
     add_norm,
     concat_vec,
     embedding_lookup,
-    exp,
     linear,
     matmul,
-    mul,
     scale,
     sigmoid,
-    sum_all,
 )
 
 from conftest import encoding_from_views
-from oracle_ops import cols, concat_cols, log_softmax_lastdim, relu, transpose
+from oracle_ops import cols, concat_cols, exp, log_softmax_lastdim, mul, relu, sum_all, transpose
 
 FORWARD_ATOL = 1e-12
 GRAD_RTOL = 1e-10

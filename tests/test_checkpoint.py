@@ -37,6 +37,21 @@ def restores_or_raises_checkpoint_error(blob: bytes) -> None:
             pass
 
 
+def test_a_checkpoint_that_records_the_training_keys_still_loads(tmp_path):
+    """Checkpoints record the model's keys alone; older ones also hold the label and loss settings, which load
+    ignores."""
+    assert b"top_n" not in BLOB and b"use_loss" not in BLOB
+
+    class Older:
+        def to_dict(self):
+            return {**CONFIG.to_dict(), "top_n": "2", "use_loss_klw": "0", "use_loss_clwr": "1", "use_loss_clwk": "1"}
+
+    path = tmp_path / "older.ckpt"
+    ckpt.save(path, Older(), CKLModel(CONFIG, seed=0).parameters())
+    assert ckpt.load(path)[0] == CONFIG
+    assert ckpt.restore_model(path).config == CONFIG
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, len(BLOB) - 1))
 def test_truncated_checkpoint(end):

@@ -363,6 +363,15 @@ class TestGenerate:
             outs.append((out / "generations.jsonl").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_training_only_config_keys_leave_decoding_to_the_checkpoint(self, trained):
+        """The label and loss settings are training's: a config that holds them decodes as one without them."""
+        tmp, data, config, vocab, checkpoint = trained
+        argv = ["generate", "--data", data, "--vocab", vocab, "--checkpoint", checkpoint]
+        training_only = write_config(tmp / "training_only.cfg", top_n=2, use_loss_klw=0)
+        assert main(argv + ["--out", str(tmp / "given"), "--config", training_only]) == 0
+        assert main(argv + ["--out", str(tmp / "plain")]) == 0
+        assert (tmp / "given" / "generations.jsonl").read_bytes() == (tmp / "plain" / "generations.jsonl").read_bytes()
+
     def test_negative_beam_exits_2_and_writes_nothing(self, trained, capsys):
         tmp, data, config, vocab, checkpoint = trained
         out = tmp / "gen"

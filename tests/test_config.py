@@ -68,10 +68,10 @@ class TestSingleSource:
                        for _lineno, obj in read_json_lines(out / "labels.jsonl")]
 
         vocab = build_vocab(samples)
-        seed = settings.pop("seed")
+        seed, top_n = settings.pop("seed"), settings.pop("top_n")
         model_cfg = ModelConfig(vocab_size=len(vocab), **settings)
         _encoded, labels = prepare_training_set(
-            samples, vocab, model_cfg, TrainingConfig(seed=seed)
+            samples, vocab, model_cfg, TrainingConfig(seed=seed, top_n=top_n)
         )
         # prepare_training_set visits the samples in one seeded shuffle.
         order = np.random.default_rng(seed).permutation(len(samples))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ from ckl.corpus import build_vocab
 from ckl.losses import AwlParams, awl, mse, nll
 from ckl.model import CKLModel, ModelConfig
 from ckl.synthetic import overfit_corpus, retrieval_corpus
-from ckl.tensor import ShapeError, Tape, Tensor, scale, sum_all
+from ckl.tensor import NumericError, ShapeError, Tape, Tensor, scale
 from ckl.training import TrainingConfig, prepare_training_set, split_packs
 
-from oracle_ops import nll_chain
+from oracle_ops import awl_chain, mse_chain, nll_chain, sum_all
 
 
 class TestMse:
@@ -176,3 +177,50 @@ class TestAwl:
             total = awl(*self.losses((l_i, 0.1, 0.1, 0.1)), params)
             grads = tape.backward(total)
         assert grads[params.s[0].node_id].item() == pytest.approx(0.0, abs=1e-12)
+
+    def test_an_overflowing_weight_is_a_numeric_error(self):
+        params = AwlParams()
+        params.s[1] = Tensor(np.asarray(-800.0), requires_grad=True)  # exp(800) overflows
+        with Tape(), np.errstate(all="raise"), pytest.raises(NumericError, match="awl"):
+            awl(*self.losses(), params)
+
+
+SWITCHES = list(itertools.product((True, False), repeat=3))  # use_loss_clwr, use_loss_clwk, use_loss_klw
+
+
+def losses_and_gradients(fused: bool, draw: int):
+    """Training's loss arithmetic on random packs, by the fused records or by ``oracle_ops``' chains: per pack,
+    the packed ``mse`` and three more losses, each the pack's sum, scaled to means, weighted by ``awl`` under one
+    switch setting, and scaled back by the pack size. One to three packs backward into one dict, as a step's do.
+    Returns every loss value, and every leaf's gradient (None when it gets none)."""
+    rng = np.random.default_rng(draw)
+    params = AwlParams()
+    for s in params.s:
+        s.data[...] = rng.normal(0.0, 2.0)
+    flags = SWITCHES[draw % len(SWITCHES)]
+    values, leaves, grads = [], list(params.s), {}
+    for _pack in range(rng.integers(1, 4)):
+        size = int(rng.integers(1, 9))
+        lengths = rng.integers(1, 6, size)
+        pred = Tensor(rng.uniform(0.0, 1.0, lengths.sum()), requires_grad=True)
+        target = Tensor(rng.integers(0, 2, lengths.sum()).astype(np.float64), requires_grad=bool(draw % 2))
+        others = [Tensor(rng.uniform(0.0, 3.0), requires_grad=True) for _ in range(3)]
+        with Tape() as tape:
+            loss = (mse if fused else mse_chain)(pred, target, lengths)
+            means = [scale(x, 1.0 / size) for x in (loss, *others)]
+            total = scale((awl if fused else awl_chain)(*means, params, *flags), size)
+            tape.backward(total, grads)
+        values += [loss.data, total.data]
+        leaves += [pred, target, *others]
+    return values, [grads.get(leaf.node_id) for leaf in leaves]
+
+
+def test_mse_and_awl_equal_their_chains_bit_for_bit():
+    """In value and in every gradient, its type too (the log-variances' stay numpy scalars), over random draws
+    of packed lengths, every switch setting, tracked and constant targets, and pack scales of 1-8."""
+    for draw in range(2000):
+        (fused, fused_grads), (chain, chain_grads) = losses_and_gradients(True, draw), losses_and_gradients(False, draw)
+        assert [v.tobytes() for v in fused] == [v.tobytes() for v in chain]
+        for got, want in zip(fused_grads, chain_grads):
+            assert type(got) is type(want) and (want is None or np.asarray(got).tobytes() == np.asarray(want).tobytes())
+

@@ -15,6 +15,7 @@ from ckl.model import (
 from ckl.tensor import ShapeError, Tape, Tensor
 
 from conftest import encoding_from_views
+from oracle_ops import sum_all
 
 
 def tiny_config(**overrides):
@@ -28,7 +29,6 @@ def tiny_config(**overrides):
         max_source_len=48,
         max_target_len=8,
         m_max=4,
-        top_n=1,
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -503,7 +503,7 @@ class TestDecoderCache:
         assert np.array_equal(model.decoder_forward(self.IDS[:3], enc, clwr, klw, cache).data, untraced)
         with Tape() as tape:
             full = model.decoder_forward(self.IDS[:3], enc, clwr, klw)
-            grads = tape.backward(tensor.sum_all(full))
+            grads = tape.backward(sum_all(full))
         assert np.array_equal(full.data, model.decoder_forward(self.IDS[:3], enc, clwr, klw).data)
         assert relative_gap(full.data[-1], untraced[0]) <= 1e-12
         assert np.abs(grads[model.params["dec0.self.wk.w"].node_id]).sum() > 0
@@ -519,15 +519,11 @@ class TestForward:
         assert weights.clwk.shape == (3,)
         assert weights.klw.shape == (2,)
 
-    def test_loss_flags_do_not_change_forward(self):
-        sample = tiny_sample()
-        full = CKLModel(tiny_config(), seed=14).forward(sample)
-        ablated = CKLModel(
-            tiny_config(use_loss_klw=False, use_loss_clwr=False, use_loss_clwk=False),
-            seed=14,
-        ).forward(sample)
-        assert np.array_equal(full[0].data, ablated[0].data)
-        assert np.array_equal(full[1].klw.data, ablated[1].klw.data)
+    @pytest.mark.parametrize("key", ["top_n", "use_loss_klw", "use_loss_clwr", "use_loss_clwk"])
+    def test_loss_flags_do_not_change_forward(self, key):
+        """The label and loss settings are training's: the model never receives them."""
+        with pytest.raises(TypeError, match=key):
+            tiny_config(**{key: 2 if key == "top_n" else False})
 
     def test_deterministic(self):
         sample = tiny_sample()

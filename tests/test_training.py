@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -164,8 +165,8 @@ class TestTrainLoop:
     def test_ablation_keeps_trace_but_freezes_s3(self):
         samples = overfit_corpus(8, seed=0)
         vocab = build_vocab(samples)
-        mcfg = small_model_config(len(vocab), use_loss_klw=False)
-        tcfg = TrainingConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=1)
+        mcfg = small_model_config(len(vocab))
+        tcfg = TrainingConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=1, use_loss_klw=False)
         result = train(samples, vocab, mcfg, tcfg)
         assert all(np.isfinite(r.l_klw) for r in result.trace)
         assert result.awl_params.values()[2] == 0.0
@@ -295,9 +296,9 @@ def test_step_gradients_equal_per_sample_backward_mean(monkeypatch, use_ck_dep):
             total = awl(
                 *losses(model, [sample], [label]),
                 awl_params,
-                use_loss_clwr=mcfg.use_loss_clwr,
-                use_loss_clwk=mcfg.use_loss_clwk,
-                use_loss_klw=mcfg.use_loss_klw,
+                use_loss_clwr=tcfg.use_loss_clwr,
+                use_loss_clwk=tcfg.use_loss_clwk,
+                use_loss_klw=tcfg.use_loss_klw,
             )
             grads = tape.backward(total)
         for name, leaf in leaves.items():
@@ -402,6 +403,28 @@ def test_a_wide_pack_holds_no_more_at_its_backward_than_an_overfit_pack():
     wide_size, wide = held_at_first_backward(*WIDE_BATCH)
     assert overfit_size == wide_size == 8
     assert 0 < wide <= overfit
+
+
+def test_a_packed_step_writes_each_loss_as_one_record(monkeypatch):
+    """Each pack of 8 of the criterion-4 batch writes 3 ``mse``, 1 ``cross_entropy`` and 1 ``awl`` record, and no
+    elementwise chain: 103 records, where the chains of ``mse`` and ``awl`` made it 131."""
+    samples, model = OVERFIT_BATCH[0](), OVERFIT_BATCH[1]
+    vocab = build_vocab(samples)
+    tapes = []
+
+    class KeptTape(Tape):
+        def __enter__(self):
+            tapes.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(training, "Tape", KeptTape)
+    train(samples, vocab, small_model_config(len(vocab), **model), TrainingConfig(epochs=1, batch_size=16), max_steps=1)
+    assert len(tapes) == 2
+    for tape in tapes:
+        kinds = Counter(record[0] for record in tape.records)
+        assert (kinds["mse"], kinds["cross_entropy"], kinds["awl"]) == (3, 1, 1)
+        assert not kinds.keys() & {"sub", "mul", "exp", "sum_all"}
+        assert len(tape.records) == 103
 
 
 @pytest.mark.xfail(

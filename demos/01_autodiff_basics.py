@@ -10,14 +10,15 @@ from ckl.tensor import (
     Tensor,
     add_norm,
     cross_entropy,
-    matmul,
+    linear,
     sigmoid,
 )
 
 print("== forward ops ==")
 a = Tensor([[1.0, 2.0], [3.0, 4.0]])
 b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-print("a @ b =\n", matmul(a, b).data)
+print("linear(a, b) = a @ b, with no bias =\n", linear(a, b).data)
+print("linear(a, b, [1, -1]) adds the bias to each row =\n", linear(a, b, Tensor([1.0, -1.0])).data)
 nll = cross_entropy(Tensor([[np.log(2.0), 0.0], [0.0, 0.0]]), [0, 1])
 print("cross_entropy([[log 2, 0], [0, 0]], targets [0, 1]) = -log(2/3) - log(1/2) =", nll.item())
 print("sigmoid(log 3) =", sigmoid(Tensor(np.log(3.0))).item())

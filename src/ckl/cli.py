@@ -288,7 +288,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     rows = [(f"bleu-{k}", bleu_n(cands, refs, k), n_pairs, 0) for k in range(1, 5)]
     rows.append(("rouge-l", rouge_l_corpus(cands, refs), n_pairs, 0))
     for k in (1, 2):
-        rows.append((f"distinct-{k}", distinct_n(cands, k), n_pairs, 0))
+        if any(len(cand) >= k for cand in cands):
+            rows.append((f"distinct-{k}", distinct_n(cands, k), n_pairs, 0))
+        else:  # no generation holds a k-gram: 0.0, every pair excluded, as an embedding row reports unscoreable pairs
+            rows.append((f"distinct-{k}", 0.0, 0, n_pairs))
     if cfg["embeddings"]:
         table = WordVectorTable.load(cfg["embeddings"])
         means, excluded = embedding_corpus_scores(cands, refs, table)

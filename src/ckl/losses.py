@@ -5,9 +5,10 @@ ground truth; the generation loss is the sequence-summed negative log
 likelihood. The total uses homoscedastic task weighting with trainable
 log-variances s_i = ln(delta_i^2), so every task weight 1/(2 delta_i^2) stays
 positive by construction and the regulariser ln(delta_1..delta_4) becomes
-sum(s_i) / 2. ``mse`` and ``awl`` compute their values and gradients with the
-arithmetic of the elementwise chains they replace, so their bits are those of
-the chains (``tests/oracle_ops.py`` keeps them as the reference).
+sum(s_i) / 2; ``awl`` totals a pack of samples from their summed losses.
+``mse`` and ``awl`` compute their values and gradients with the arithmetic of
+the elementwise chains they replace, so their bits are those of the chains
+(``tests/oracle_ops.py`` keeps them as the reference).
 """
 
 from __future__ import annotations
@@ -64,24 +65,27 @@ def awl(
     use_loss_clwr: bool = True,
     use_loss_clwk: bool = True,
     use_loss_klw: bool = True,
+    n: int = 1,
 ) -> Tensor:
-    """Half the sum of exp(-s_i) * L_i + s_i over the enabled tasks, added in task order.
+    """The total of a pack of ``n`` samples from its summed losses L_i: ``n`` times half the sum of
+    exp(-s_i) * (L_i * (1 / n)) + s_i over the enabled tasks, added in task order.
 
-    A disabled flag drops both the weighted loss term and its s_i
-    regulariser: neither is an input, so the corresponding s_i receives no
-    gradient at all. The generation loss is always enabled. Each s_i is an
-    input twice, for its regulariser and for its weight, so a leaf gradient
-    summed over packs takes its two terms in the order the chain added them.
+    That is the sum of the samples' totals, each weighing the pack's mean losses; a lone sample (``n=1``)
+    weighs its own. A disabled flag drops both the weighted loss term and its s_i regulariser: neither is
+    an input, so the corresponding s_i receives no gradient at all. The generation loss is always enabled.
+    Each s_i is an input twice, for its regulariser and for its weight, so a leaf gradient summed over
+    packs takes its two terms in the order the elementwise chain added them.
     """
     tasks = [(loss, s) for loss, s, flag in zip((l_clwr, l_clwk, l_klw, l_nll), params.s,
                                                  (use_loss_clwr, use_loss_clwk, use_loss_klw, True)) if flag]
+    n, inv = float(n), 1.0 / n
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing weight makes the total non-finite
-        parts = [(loss.data, np.exp(s.data * -1.0), s.data) for loss, s in tasks]
-        terms = [e * loss + s for loss, e, s in parts]
+        parts = [(loss.data * inv, np.exp(s.data * -1.0), s.data) for loss, s in tasks]
+        terms = [e * mean + s for mean, e, s in parts]
         total = sum(terms[1:], terms[0])
 
     def grad(g):  # per task: d L, then d s from its regulariser, then from its weight exp(-s)
-        h = g * 0.5
-        return [d for loss, e, _s in parts for d in (h * e, h, -((h * loss) * e))]
+        h = (g * n) * 0.5
+        return [d for mean, e, _s in parts for d in ((h * e) * inv, h, -((h * mean) * e))]
 
-    return _make("awl", np.asarray(total * 0.5), [x for loss, s in tasks for x in (loss, s, s)], grad)
+    return _make("awl", np.asarray((total * 0.5) * n), [x for loss, s in tasks for x in (loss, s, s)], grad)

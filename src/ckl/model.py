@@ -54,7 +54,6 @@ from .tensor import (
     embedding_lookup,
     ffn,
     linear,
-    matmul,
     sigmoid,
 )
 
@@ -234,7 +233,7 @@ class CKLModel:
 
     def _kv(self, name, x) -> tuple[Tensor, Tensor]:
         """The keys and values of attention ``name`` for the rows of ``x``."""
-        return matmul(x, self.params[f"{name}.wk.w"]), self._project(f"{name}.wv", x)
+        return linear(x, self.params[f"{name}.wk.w"]), self._project(f"{name}.wv", x)
 
     def _attend(self, name, x_q, k, v, n_heads=None, causal=False, segments=None, blocks=None) -> Tensor:
         """Attention ``name`` of the rows of ``x_q`` to projected keys and values."""

@@ -9,9 +9,10 @@ run, and adds leaf gradients to a dict that may span tapes. ``_make`` checks
 each op output for NaN/Inf; training checks the global gradient norm per step.
 
 Only the kernels the model calls are provided, on 2-D operands. Five are
-fused records: ``linear``, a projection plus its bias; ``ffn``, the ReLU
-feed-forward of two of them; ``add_norm``, a post-norm residual step, the
-layer norm of a sum; ``attention``, all of multi-head attention, which
+fused records: ``linear``, a projection plus its bias if it has one (the
+attention keys have none); ``ffn``, the ReLU feed-forward of two of them;
+``add_norm``, a post-norm residual step, the layer norm of a sum;
+``attention``, all of multi-head attention, which
 splits and merges the heads by reshape inside, and can hide future keys or
 normalise consecutive key segments separately, weighting each segment; with
 ``blocks`` it is block-diagonal, so a pack of several samples' rows attends
@@ -184,24 +185,11 @@ def _make(kind: str, out_data: np.ndarray, inputs, rule) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D operands."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimensions disagree: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    return _make("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """The sum of two operands of one shape; the gradient passes to both, and the record keeps neither."""
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not match")
     return _make("add", a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -287,12 +275,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _gather("embedding_lookup", table, idx)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w`` plus the bias row ``b`` on every row, as one record."""
-    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
-    if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or bs != ws[1:]:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w``, plus the bias row ``b`` on every row when one is given, as one record."""
+    xs, ws, bs = x.data.shape, w.data.shape, None if b is None else b.data.shape
+    if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or bs not in (None, ws[1:]):
         raise ShapeError(f"linear: {xs} x {ws} + {bs}")
     xd, wd = x.data, w.data
+    if b is None:
+        return _make("linear", xd @ wd, (x, w), lambda g: (g @ wd.T, xd.T @ g))
     return _make("linear", xd @ wd + b.data, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 

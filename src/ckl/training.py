@@ -3,11 +3,10 @@
 An optimizer step splits its batch into packs of about ``PACK_BUDGET`` source
 rows × d_model, each pack's rows stacked into one forward pass on one tape
 (block-diagonal attention keeps the samples apart), so each record is paid once
-per pack. A pack of B samples totals ``B · awl(mean losses)``, the sum of its
-samples' AWL totals. Each tape's ``backward`` frees the pack's activations as
-it adds the leaf gradients into the step's one dict; the sum is scaled by
-1/batch once, clipped to a global norm and applied as a bias-corrected Adam
-update.
+per pack, and ``awl`` totals the pack from its summed losses. Each tape's
+``backward`` frees the pack's activations as it adds the leaf gradients into
+the step's one dict; the sum is scaled by 1/batch once, clipped to a global
+norm and applied as a bias-corrected Adam update.
 A NaN/Inf op output or a non-finite gradient norm (checked once per step,
 before Adam) aborts training. Low-resource runs take the first
 ceil(fraction * n) samples of one seeded shuffle, fixed for the whole run. A
@@ -26,7 +25,7 @@ import numpy as np
 from .corpus import DialogueSample, EncodedSample, Vocabulary, encode_sample, write_lines
 from .losses import AwlParams, awl, mse, nll
 from .model import CKLModel, ModelConfig
-from .tensor import NumericError, Tape, Tensor, scale
+from .tensor import NumericError, Tape, Tensor
 from .weak_supervision import PseudoGroundTruth, TfIdfIndex, build_pseudo_gt
 
 
@@ -239,10 +238,8 @@ def train(
             try:  # _make reports non-finite op outputs, so numpy need not warn
                 with Tape() as tape, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     losses = sample_losses(model, [encoded[i] for i in pack], [labels[i] for i in pack])
-                    means = [scale(loss, 1.0 / len(pack)) for loss in losses]
-                    total = scale(awl(*means, awl_params, use_loss_clwr=train_cfg.use_loss_clwr,
-                                      use_loss_clwk=train_cfg.use_loss_clwk, use_loss_klw=train_cfg.use_loss_klw),
-                                  len(pack))
+                    total = awl(*losses, awl_params, use_loss_clwr=train_cfg.use_loss_clwr,
+                                use_loss_clwk=train_cfg.use_loss_clwk, use_loss_klw=train_cfg.use_loss_klw, n=len(pack))
                     tape.backward(total, leaf_grads)
             except NumericError as err:
                 raise TrainingAbort(step, str(err)) from err

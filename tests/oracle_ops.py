@@ -1,9 +1,10 @@
 """Kernels the model does not call, which the loop oracle and the reference tests need.
 
-``transpose`` builds the oracle's ``q k^T``, ``cols`` and ``concat_cols`` split
-and merge its heads one column block at a time, ``log_softmax_lastdim`` gives
-its softmax, and ``relu`` is the activation of its feed-forward and of
-``TestFfn``'s reference. ``sub``, ``mul`` (either of which may take a
+``matmul`` and ``transpose`` build the oracle's key projections and its
+``q k^T``, ``scale`` scales its scores and the reference losses, ``cols`` and
+``concat_cols`` split and merge its heads one column block at a time,
+``log_softmax_lastdim`` gives its softmax, and ``relu`` is the activation of
+its feed-forward and of ``TestFfn``'s reference. ``sub``, ``mul`` (either of which may take a
 one-element operand as a scalar), ``exp`` and ``sum_all`` are the elementwise
 kernels the tests build losses and read-outs with. The reference chains are
 the losses as the fused records replaced them: ``nll_chain`` is ``losses.nll``
@@ -15,7 +16,7 @@ model's kernels are.
 
 import numpy as np
 
-from ckl.tensor import ShapeError, Tensor, _gather, _make, add, scale
+from ckl.tensor import ShapeError, Tensor, _gather, _make, add
 
 
 def _binary(kind: str, a: Tensor, b: Tensor, fwd, grads) -> Tensor:
@@ -27,6 +28,19 @@ def _binary(kind: str, a: Tensor, b: Tensor, fwd, grads) -> Tensor:
     both = grads(x, y)  # maps g to both operands' gradients as the forward saw them, holding only what it reads
     return _make(kind, fwd(x, y), (a, b),
                  lambda g: [np.sum(gt).reshape(shapes[i]) if i == lone else gt for i, gt in enumerate(both(g))])
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2-D operands."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul dimensions disagree: {a.shape} x {b.shape}")
+    ad, bd = a.data, b.data
+    return _make("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    return _make("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

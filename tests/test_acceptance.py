@@ -64,11 +64,9 @@ def test_criterion_1_gradient_suite(gradcheck):
         embedding_lookup,
         ffn,
         linear,
-        matmul,
-        scale,
         sigmoid,
     )
-    from oracle_ops import cols, concat_cols, exp, mul, relu, sub, sum_all, transpose
+    from oracle_ops import cols, concat_cols, exp, matmul, mul, relu, scale, sub, sum_all, transpose
 
     start = time.perf_counter()
     rng = np.random.default_rng(100)
@@ -92,6 +90,7 @@ def test_criterion_1_gradient_suite(gradcheck):
     gradcheck(lambda t: sum_all(mul(embedding_lookup(t, [0, 2, 2]), embedding_lookup(t, [0, 2, 2]))), [rng.uniform(-2, 2, (4, 3))])
     gradcheck(lambda x, y: sum_all(linear(x, Tensor(np.eye(4)), y)), [a, v])  # x plus the row y
     gradcheck(lambda x, y, z: sum_all(mul(linear(x, y, z), linear(x, y, z))), [a, b, v[:2]])
+    gradcheck(lambda x, y: sum_all(mul(linear(x, y), linear(x, y))), [a, b])  # no bias, as the attention keys
     gradcheck(lambda x: sum_all(mul(embedding_lookup(x, [0, 1]), embedding_lookup(x, [0, 1]))), [a])  # rows 0-1
     gradcheck(lambda x: sum_all(mul(cols(x, 1, 2), cols(x, 1, 2))), [a])
     gradcheck(lambda x, y: sum_all(mul(concat_cols([x, y]), concat_cols([x, y]))), [a, a * 2])
@@ -144,7 +143,7 @@ def test_criterion_1_gradient_suite(gradcheck):
             params.s = [Tensor(x) for x in log_variances]
             for j, i in enumerate(on):
                 losses[i], params.s[i] = leaves[j], leaves[len(on) + j]
-            return scale(awl(*losses, params, *flags), 3.0)
+            return awl(*losses, params, *flags, n=3)
 
         gradcheck(weighted, [np.array(task_losses[i]) for i in on] + [np.array(log_variances[i]) for i in on])
 

@@ -28,13 +28,11 @@ from ckl.tensor import (
     concat_vec,
     embedding_lookup,
     linear,
-    matmul,
-    scale,
     sigmoid,
 )
 
 from conftest import encoding_from_views
-from oracle_ops import cols, concat_cols, exp, log_softmax_lastdim, mul, relu, sum_all, transpose
+from oracle_ops import cols, concat_cols, exp, log_softmax_lastdim, matmul, mul, relu, scale, sum_all, transpose
 
 FORWARD_ATOL = 1e-12
 GRAD_RTOL = 1e-10

@@ -149,7 +149,7 @@ class TestTrain:
         # forward pass overflows inside an op and raises NumericError.
         code, out, _ = self.train(workspace, "--learning-rate", "1e300")
         assert code == 3
-        assert "step 2: matmul produced NaN/Inf" in capsys.readouterr().err
+        assert "step 2: linear produced NaN/Inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -553,6 +553,21 @@ class TestEvaluate:
             assert rows[f"bleu-{k}"] == pytest.approx(1.0)
         assert rows["rouge-l"] == pytest.approx(1.0)
         assert not any(key.startswith("embedding") for key in rows)
+
+    @pytest.mark.parametrize("length", [0, 1], ids=["all-empty", "all-one-token"])
+    def test_generations_without_k_grams_write_an_undefined_distinct_row(self, tmp_path, length):
+        """With no k-gram in any generation (a model that emits EOS first gives no 1-gram), distinct-k reads 0.0
+        over no pairs, every pair excluded, and every other row is written as usual."""
+        data = tmp_path / "data.jsonl"
+        write_jsonl(data, overfit_corpus(3, seed=0))
+        gen = tmp_path / "gen.jsonl"
+        gen.write_text("".join(json.dumps({"tokens": ["a"] * length}) + "\n" for _ in range(3)))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--generations", str(gen), "--data", str(data), "--out", str(out)]) == 0
+        rows = {line.split(",")[0]: line.split(",")[1:] for line in (out / "metrics.csv").read_text().splitlines()[1:]}
+        assert list(rows) == ["bleu-1", "bleu-2", "bleu-3", "bleu-4", "rouge-l", "distinct-1", "distinct-2"]
+        assert rows["distinct-1"] == (["0.0", "0", "3"] if length == 0 else [repr(1 / 3), "3", "0"])
+        assert rows["distinct-2"] == ["0.0", "0", "3"]
 
     def test_matches_library_values(self, trained):
         tmp, data, config, vocab, checkpoint = trained

@@ -8,10 +8,10 @@ from ckl.corpus import build_vocab
 from ckl.losses import AwlParams, awl, mse, nll
 from ckl.model import CKLModel, ModelConfig
 from ckl.synthetic import overfit_corpus, retrieval_corpus
-from ckl.tensor import NumericError, ShapeError, Tape, Tensor, scale
+from ckl.tensor import NumericError, ShapeError, Tape, Tensor
 from ckl.training import TrainingConfig, prepare_training_set, split_packs
 
-from oracle_ops import awl_chain, mse_chain, nll_chain, sum_all
+from oracle_ops import awl_chain, mse_chain, nll_chain, scale, sum_all
 
 
 class TestMse:
@@ -190,9 +190,10 @@ SWITCHES = list(itertools.product((True, False), repeat=3))  # use_loss_clwr, us
 
 def losses_and_gradients(fused: bool, draw: int):
     """Training's loss arithmetic on random packs, by the fused records or by ``oracle_ops``' chains: per pack,
-    the packed ``mse`` and three more losses, each the pack's sum, scaled to means, weighted by ``awl`` under one
-    switch setting, and scaled back by the pack size. One to three packs backward into one dict, as a step's do.
-    Returns every loss value, and every leaf's gradient (None when it gets none)."""
+    the packed ``mse`` and three more losses, each the pack's sum, totalled under one switch setting by ``awl``
+    with the pack size, or by the chain of means, ``awl_chain`` and the scale back by the pack size. One to three
+    packs backward into one dict, as a step's do. Returns every loss value, and every leaf's gradient (None when
+    it gets none)."""
     rng = np.random.default_rng(draw)
     params = AwlParams()
     for s in params.s:
@@ -206,9 +207,12 @@ def losses_and_gradients(fused: bool, draw: int):
         target = Tensor(rng.integers(0, 2, lengths.sum()).astype(np.float64), requires_grad=bool(draw % 2))
         others = [Tensor(rng.uniform(0.0, 3.0), requires_grad=True) for _ in range(3)]
         with Tape() as tape:
-            loss = (mse if fused else mse_chain)(pred, target, lengths)
-            means = [scale(x, 1.0 / size) for x in (loss, *others)]
-            total = scale((awl if fused else awl_chain)(*means, params, *flags), size)
+            if fused:
+                loss = mse(pred, target, lengths)
+                total = awl(loss, *others, params, *flags, n=size)
+            else:
+                loss = mse_chain(pred, target, lengths)
+                total = scale(awl_chain(*(scale(x, 1.0 / size) for x in (loss, *others)), params, *flags), size)
             tape.backward(total, grads)
         values += [loss.data, total.data]
         leaves += [pred, target, *others]

@@ -20,12 +20,12 @@ from ckl.tensor import (
     embedding_lookup,
     ffn,
     linear,
-    matmul,
-    scale,
     sigmoid,
 )
 
-from oracle_ops import cols, concat_cols, exp, log_softmax_lastdim, mul, relu, sub, sum_all, take_per_row, transpose
+from oracle_ops import (
+    cols, concat_cols, exp, log_softmax_lastdim, matmul, mul, relu, scale, sub, sum_all, take_per_row, transpose,
+)
 
 
 def softmax(x):
@@ -341,6 +341,7 @@ def _uniform(*shape, rng=np.random.default_rng(12)):
 MULTI_INPUT_OPS = {
     "matmul": (matmul, [_uniform(3, 4), _uniform(4, 2)]),
     "linear": (linear, [_uniform(3, 4), _uniform(4, 2), _uniform(2)]),
+    "linear-without-bias": (linear, [_uniform(3, 4), _uniform(4, 2)]),
     "ffn": (ffn, [_uniform(3, 4), _uniform(4, 5), _uniform(5), _uniform(5, 4), _uniform(4)]),
     "add_norm": (add_norm, [_uniform(3, 4), _uniform(3, 4), _uniform(4), _uniform(4)]),
     "weighted-attention": (lambda q, k, v, w: attention(q, k, v, n_heads=2, segments=([2, 3], w)),
@@ -545,9 +546,29 @@ class TestAttentionKernels:
         x, w, b = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (4, 5)), rng.uniform(-2, 2, 5)
         out = linear(Tensor(x), Tensor(w), Tensor(b)).data
         assert np.array_equal(out, x @ w + b)
-        for bad in [(np.ones((3, 5)), w, b), (x, w, np.ones(4)), (x, w, np.ones((1, 5))), (np.ones(4), w, b)]:
+        assert np.array_equal(linear(Tensor(x), Tensor(w)).data, x @ w)
+        for bad in [(np.ones((3, 5)), w, b), (x, w, np.ones(4)), (x, w, np.ones((1, 5))), (np.ones(4), w, b),
+                    (np.ones((3, 5)), w), (np.ones(4), w)]:
             with pytest.raises(ShapeError):
                 linear(*(Tensor(t) for t in bad))
+
+    def test_linear_without_a_bias_is_matmul_bit_for_bit(self):
+        """In value and in both gradients, under a random upstream gradient, over 2000 draws of shapes and values."""
+        rng = np.random.default_rng(29)
+        for _ in range(2000):
+            n, d, m = rng.integers(1, 7, 3)
+            x, w, g = rng.normal(0, 2, (n, d)), rng.normal(0, 2, (d, m)), rng.normal(0, 2, (n, m))
+            runs = []
+            for op in (linear, matmul):
+                xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+                with Tape() as tape:
+                    out = op(xt, wt)
+                    grads = tape.backward(sum_all(mul(out, Tensor(g))))
+                runs.append([out.data, grads[xt.node_id], grads[wt.node_id]])
+            assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
+        with Tape() as tape:
+            linear(Tensor(x, requires_grad=True), Tensor(w))
+        assert [(kind, len(in_ids)) for kind, in_ids, *_ in tape.records] == [("linear", 2)]
 
     def test_segment_softmax_is_weighted_per_segment_softmax(self):
         rng = np.random.default_rng(21)

@@ -1,10 +1,12 @@
 """Command-line driver: prep, train, generate, evaluate, analyze.
 
 Configuration is a flat key=value text file validated against a schema
-derived from the config dataclasses; command-line flags override file values,
-and the effective configuration is echoed into every output directory, which
-a command creates only once its work has succeeded. Exit codes: 0 ok, 2 input
-error, 3 training abort, 4 checkpoint that is damaged, mismatched or cannot run.
+derived from the config dataclasses; command-line flags override file values.
+A command creates its output directory only once its work has succeeded, and
+echoes the effective configuration there after its last artifact, so an echo
+marks a directory whose files all come from one completed run. Exit codes: 0
+ok, 2 input error, 3 training abort, 4 checkpoint that is damaged, mismatched
+or cannot run.
 """
 
 from __future__ import annotations
@@ -164,13 +166,14 @@ class RunConfig:
 
 
 def _ensure_out(cfg: RunConfig) -> Path:
+    """The output directory, without the echo of an earlier run: ``main`` echoes once every artifact is written."""
     out = cfg.require_path("out")
     out.mkdir(parents=True, exist_ok=True)
-    cfg.echo(out)
+    (out / "effective_config.txt").unlink(missing_ok=True)
     return out
 
 
-def cmd_prep(cfg: RunConfig) -> int:
+def cmd_prep(cfg: RunConfig) -> None:
     samples = load_jsonl(cfg.require_path("data"))
     vocab = build_vocab(samples, min_freq=cfg["min_freq"], max_size=cfg["max_size"])
     enc_cfg = cfg.build(EncodeConfig)
@@ -192,10 +195,9 @@ def cmd_prep(cfg: RunConfig) -> int:
         f"prep: n={stats['samples']} mean_m={stats['mean_context_utterances']:.2f} "
         f"mean_l={stats['mean_knowledge_sentences']:.2f} vocab={len(vocab)}"
     )
-    return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig) -> None:
     data = cfg.require_path("data")
     vocab = Vocabulary.load(cfg.require_path("vocab"))
     samples = load_jsonl(data)
@@ -211,10 +213,9 @@ def cmd_train(cfg: RunConfig) -> int:
         f"train: steps={len(result.trace)} effective_n={result.effective_n} "
         f"final_nll={result.trace[-1].l_nll:.4f}"
     )
-    return 0
 
 
-def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
+def cmd_generate(cfg: RunConfig, force: bool = False) -> None:
     """Decode with the checkpoint's own config; explicit model keys must agree
     with it unless forced, and the echoed config is the checkpoint's."""
     data = cfg.require_path("data")
@@ -242,7 +243,6 @@ def cmd_generate(cfg: RunConfig, force: bool = False) -> int:
         raise ckpt.CheckpointError(f"{cfg['checkpoint']}: the model cannot run: {err}") from err
     write_json_lines(_ensure_out(cfg) / "generations.jsonl", records)
     print(f"generate: wrote {len(records)} records")
-    return 0
 
 
 # What each list field of a generations.jsonl record holds: a test of each item, and the items' name.
@@ -280,7 +280,7 @@ def _load_generations(cfg: RunConfig, keys: tuple[str, ...]) -> tuple[list, list
     return samples, records
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: RunConfig) -> None:
     samples, generations = _load_generations(cfg, ("tokens",))
     cands = [rec["tokens"] for _lineno, rec in generations]
     refs = [tokenize(s.response) for s in samples]
@@ -300,10 +300,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     write_metric_report(_ensure_out(cfg) / "metrics.csv", rows)
     for metric, value, *_ in rows:
         print(f"{metric}: {value:.4f}")
-    return 0
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: RunConfig) -> None:
     """Encode keys not set by --config or a flag come from the generating run's
     effective_config.txt, when one sits beside the generations."""
     gen_path = cfg.require_path("generations")
@@ -345,7 +344,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
         lines.append(f"spearman_{key},,{mean!r},{defined},{undefined}")
     write_lines(_ensure_out(cfg) / "analysis.csv", lines)
     print(f"analyze: wrote {len(lines) - 1} rows")
-    return 0
 
 
 def _add_key_flag(p: argparse.ArgumentParser, key: str) -> None:
@@ -377,18 +375,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(args)
-        cfg.require_path("out")  # every command writes there, but only once its work succeeded
-        if args.command == "prep":
-            return cmd_prep(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
+        out = cfg.require_path("out")  # every command writes there, but only once its work succeeded
         if args.command == "generate":
-            return cmd_generate(cfg, force=args.force)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        parser.error(f"unknown command {args.command}")
+            cmd_generate(cfg, force=args.force)
+        else:
+            {"prep": cmd_prep, "train": cmd_train, "evaluate": cmd_evaluate, "analyze": cmd_analyze}[args.command](cfg)
+        cfg.echo(out)
     except TrainingAbort as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -27,11 +27,11 @@ generators give their latent query one row per segment, a block whose keys are
 that segment's rows, so one call scores every utterance or sentence on its own.
 
 A decode step advances every live hypothesis by one row in one call, each
-hypothesis a self-attention block of its own. Each layer caches all
-hypotheses' self-attention K/V in one array, gathered by parent when beams are
-pruned; the cross-attention K/V and segment weights are shared. Cached calls are
-tape-free. A checkpoint's arrays become the parameters as they are, with
-nothing drawn at random.
+hypothesis a self-attention block of its own. The cache keeps each cached
+hypothesis's ids beside each layer's self-attention K/V, one array for all of
+them, so a call finds every hypothesis's row by its prefix; the cross-attention
+K/V and segment weights are shared. Cached calls are tape-free. A checkpoint's
+arrays become the parameters as they are, with nothing drawn at random.
 """
 
 from __future__ import annotations
@@ -296,12 +296,15 @@ class CKLModel:
         """Decoder logits, one row per prefix position that ``cache`` does not hold yet.
 
         ``prefix_ids`` is ``t`` ids, or ``t`` rows of ``B`` ids, one column per
-        hypothesis; the logits are hypothesis-major. Without a cache this is the
-        teacher-forced pass. A ``cache`` list, empty at first, holds first what
-        the first call makes and every hypothesis shares: the segment weights,
-        the cross-attention keys and values and the memory's rows per sample.
-        Each layer's self-attention keys and values follow as ``(B, rows, d)``
-        arrays. Several hypotheses add one row each, and ``k[parents]`` reorders them.
+        hypothesis, each a causal block; the logits are hypothesis-major. Without
+        a cache this is the teacher-forced pass. A ``cache`` list, empty at first,
+        holds first what every hypothesis shares: ``enc``, the segment weights, the
+        cross-attention keys and values and the memory's rows per sample. Then come
+        each cached hypothesis's ``n`` ids and each layer's self-attention keys and
+        values as ``(hypotheses, n, d)`` arrays. A call finds each hypothesis's row
+        by its first ``n`` ids, so hypotheses may be permuted, repeated or dropped
+        between calls and add any number of rows; a prefix the cache does not hold,
+        or another ``enc``, raises.
         Cached rows are constants and carry no gradient, so a cached call under a tape raises.
         For a pack ``enc`` of several samples, ``prefix_ids`` is one prefix per
         sample, decoded teacher-forced with no cache.
@@ -314,40 +317,48 @@ class CKLModel:
                 raise ShapeError(f"a pack takes prefixes of at most max_target_len={limit} ids, and no cache")
             n, ids, queries, keys, per_sample = 0, np.concatenate(prefix_ids), lens, lens, lens
         else:
-            hyps, n = cache[1].shape[:2] if cache else (None, 0)
-            t, limit = len(prefix_ids), self.config.max_target_len
+            t, limit, n = len(prefix_ids), self.config.max_target_len, len(cache[1][0]) if cache else 0
             if not n < t <= limit:
                 raise ShapeError(f"decoder prefix of {t} tokens must be longer than its {n} cached rows, "
                                  f"and at most max_target_len={limit}")
-            ids = np.asarray(prefix_ids[n:], dtype=np.int64).reshape(t - n, -1).T  # (B, new rows)
+            if cache and cache[0][0] is not enc:
+                raise ShapeError("the cache was filled from another SegmentedEncoding")
+            ids = np.asarray(prefix_ids[n:], dtype=np.int64)
+            held = list(zip(*prefix_ids[:n])) if ids.ndim > 1 else [tuple(prefix_ids[:n])]  # each one's cached ids
+            ids = ids.reshape(t - n, -1).T  # (B, new rows)
             b, new = ids.shape
-            if b > 1 and (cache is None or new > 1) or hyps not in (None, b):
-                raise ShapeError(f"{b} hypotheses adding {new} rows each to a cache of {hyps or 'no'} hypotheses; "
-                                 "several need a cache of as many hypotheses and add one row each")
+            if n:
+                rows = {hyp: row for row, hyp in enumerate(cache[1])}
+                parents = [rows.get(hyp) for hyp in held]
+                if len(held) != b or None in parents:
+                    raise ShapeError(f"the cache does not hold the first {n} ids of all {b} hypotheses")
+                # One gather per array puts the cached rows in hypothesis order, unless they are in it already.
+                past = cache[2:] if parents == list(range(len(cache[1]))) else [x[parents] for x in cache[2:]]
+            hyps = [prefix + tuple(row) for prefix, row in zip(held if n else [()] * b, ids.tolist())]
             ids, queries, keys, per_sample = ids.ravel(), [new] * b, [t] * b, [b * new]
         pos = np.concatenate([np.arange(k - q, k) for q, k in zip(queries, keys)])  # each sequence's new positions
         y = add(embedding_lookup(self.params["emb.token"], ids), embedding_lookup(self.params["emb.pos_tgt"], pos))
         if not cache:
             is_context, sample = enc.pack()
             order = np.argsort(np.argsort(~is_context, kind="stable"))  # memory order: each sample's clwr, then klw
-            shared = ((enc.lengths, embedding_lookup(concat_vec([clwr, klw]), order)),
+            shared = (enc, (enc.lengths, embedding_lookup(concat_vec([clwr, klw]), order)),
                       [self._kv(f"dec{i}.cross", enc.memory) for i in range(self.config.n_decoder_layers)],
                       np.bincount(sample, enc.lengths).astype(int))
-        segments, cross, memory_rows = cache[0] if cache else shared
+        _, segments, cross, memory_rows = shared = cache[0] if cache else shared
         blocks = (per_sample, memory_rows)  # each sample's rows read its own memory
         kv = []
         for i, (ck, cv) in enumerate(cross):
             k, v = self._kv(f"dec{i}.self", y)
             if n:  # each cached row was checked for NaN/Inf when it was made
-                k, v = (_wrap(np.concatenate([past, x.data.reshape(b, new, -1)], axis=1).reshape(b * t, -1))
-                        for past, x in zip(cache[1 + 2 * i : 3 + 2 * i], (k, v)))
+                k, v = (_wrap(np.concatenate([p, x.data.reshape(b, new, -1)], axis=1).reshape(b * t, -1))
+                        for p, x in zip(past[2 * i : 2 * i + 2], (k, v)))
             if cache is not None:
                 kv += [k.data.reshape(b, t, -1), v.data.reshape(b, t, -1)]
             y = self._norm(f"dec{i}.ln1", y, self._attend(f"dec{i}.self", y, k, v, None, True, None, (queries, keys)))
             y = self._norm(f"dec{i}.ln2", y, self._attend(f"dec{i}.cross", y, ck, cv, None, False, segments, blocks))
             y = self._norm(f"dec{i}.ln3", y, self._ffn(f"dec{i}.ffn", y))
         if cache is not None:
-            cache[:] = [(segments, cross, memory_rows), *kv]
+            cache[:] = [shared, hyps, *kv]
         return self._project("out", y)
 
     def condition(self, *samples: EncodedSample) -> tuple[SegmentedEncoding, LatentWeights]:
@@ -390,23 +401,19 @@ class CKLModel:
         stable sort keeps the lower token id on ties. ``decode_width`` and ``decode_length`` check both arguments.
         """
         beam_size, max_len = self.decode_width(beam_size), self.decode_length(max_len)
-        # A hypothesis is (ids, log-probability, its parent's row in the last step).
-        beams, finished, cache = [([BOS], 0.0, 0)], [], []
+        beams, finished, cache = [([BOS], 0.0)], [], []  # a hypothesis is (ids, log-probability)
         while beams and len(beams[0][0]) < max_len:
-            prefix = list(zip(*(ids for ids, _, _ in beams)))  # position-major: one row of ids per step
+            prefix = list(zip(*(ids for ids, _ in beams)))  # position-major: one row of ids per step
             logits = self.decoder_forward(prefix, enc, weights.clwr, weights.klw, cache).data
-            candidates = []
-            for parent, ((ids, logp, _), row) in enumerate(zip(beams, logits)):
-                shifted = row - row.max()
-                lp = shifted - math.log(np.exp(shifted).sum())
-                for token in np.argsort(-lp, kind="stable")[:beam_size]:
-                    candidates.append((ids + [int(token)], logp + float(lp[token]), parent))
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            # libm's log of each row's sum: numpy's vectorised log can differ from it in the last bit.
+            lp = shifted - np.array([[math.log(total)] for total in np.exp(shifted).sum(axis=1).tolist()])
+            top = np.argsort(-lp, axis=1, kind="stable")[:, :beam_size].tolist()
+            candidates = [(ids + [token], logp + float(scores[token]))
+                          for (ids, logp), tokens, scores in zip(beams, top, lp) for token in tokens]
             candidates.sort(key=lambda c: -(c[1] / (len(c[0]) - 1)))
             finished += [c for c in candidates[:beam_size] if c[0][-1] == EOS]
             beams = [c for c in candidates[:beam_size] if c[0][-1] != EOS]
-            parents = [parent for *_, parent in beams]
-            if parents != list(range(len(cache[1]))):  # every row kept in place, as greedy's [0], needs no copy
-                cache[1:] = [x[parents] for x in cache[1:]]  # one gather per array reorders the hypotheses
         finished.extend(beams)
         finished.sort(key=lambda c: -(c[1] / max(1, len(c[0]) - 1)))
         return finished[0][0]

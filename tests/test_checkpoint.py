@@ -133,9 +133,29 @@ def test_a_write_that_fails_midway_leaves_the_previous_file_and_no_temporary_fil
     assert main([command, *pipeline[command], "--out", str(tmp_path)]) == 2
     assert "No space left" in capsys.readouterr().err
     assert len(written) == 1 and written[0].parent == tmp_path  # the failed write went to a file beside path
-    assert path.read_bytes() == b"previous\n"
+    if artifact == "effective_config.txt":  # the stale echo is removed before the first artifact is written
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == b"previous\n"
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
     monkeypatch.undo()
     assert main([command, *pipeline[command], "--out", str(tmp_path)]) == 0
     assert path.read_bytes() != b"previous\n"
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_a_failed_trace_write_leaves_no_echo_beside_the_new_checkpoint(pipeline, tmp_path, monkeypatch, capsys):
+    """The echo is written last, so a directory holds one only when all its files come from one completed run."""
+    assert main(["train", *pipeline["train"], "--out", str(tmp_path)]) == 0
+    echo, checkpoint = tmp_path / "effective_config.txt", (tmp_path / "checkpoint.ckpt").read_bytes()
+    assert echo.exists()
+
+    def open_failing_on_trace(file, mode):
+        fh = open(file, mode)
+        return FullDisk(fh) if Path(file).name.startswith(".trace.csv.") else fh
+
+    monkeypatch.setattr(corpus, "open", open_failing_on_trace, raising=False)
+    assert main(["train", *pipeline["train"], "--seed", "5", "--out", str(tmp_path)]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert (tmp_path / "checkpoint.ckpt").read_bytes() != checkpoint  # the new run's checkpoint
+    assert not echo.exists()

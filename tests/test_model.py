@@ -382,14 +382,13 @@ class TestDecoderCache:
     @pytest.mark.parametrize("b", [1, 3, 4])
     def test_batched_step_rows_equal_full_prefix(self, b, n_heads, use_ck_dep):
         """``b`` hypotheses branch from one parent and each adds its own ids;
-        between steps a gather by parent index shuffles them."""
+        between steps they are shuffled, and the cache finds each one's row by its prefix."""
         model, enc, clwr, klw = self.conditioned(n_heads=n_heads, use_ck_dep=use_ck_dep)
         cache = []
         model.decoder_forward(self.IDS[:3], enc, clwr, klw, cache)
         order, prefixes = [0] * b, [self.IDS[:3]]
         rng = np.random.default_rng(b)
         for t in range(4, len(self.IDS) + 1):
-            cache[1:] = [x[order] for x in cache[1:]]
             prefixes = [prefixes[j] + [3 + (i + t) % 13] for i, j in enumerate(order)]  # distinct last ids
             step = model.decoder_forward(list(zip(*prefixes)), enc, clwr, klw, cache).data
             assert step.shape == (b, 16)
@@ -401,19 +400,18 @@ class TestDecoderCache:
         model, enc, clwr, klw = self.conditioned()
         parent = []
         model.decoder_forward(self.IDS[:2], enc, clwr, klw, parent)
-        before = [x.copy() for x in parent[1:]]
+        before = [x.copy() for x in parent[2:]]
 
         def two_children(tokens):
-            cache = parent[:1] + [x[[0, 0]] for x in parent[1:]]
             rows = list(zip(*(self.IDS[:2] + [token] for token in tokens)))
-            return model.decoder_forward(rows, enc, clwr, klw, cache).data
+            return model.decoder_forward(rows, enc, clwr, klw, list(parent)).data
 
         a, b = two_children([5, 6]), two_children([5, 7])
         assert np.array_equal(a[0], b[0]) and not np.allclose(a[1], b[1])
-        assert all(np.array_equal(x, y) for x, y in zip(parent[1:], before))
+        assert all(np.array_equal(x, y) for x, y in zip(parent[2:], before))
 
     def test_a_beam_that_loses_a_hypothesis_to_eos_keeps_each_row_on_its_prefix(self, monkeypatch):
-        """Beam 4 with EOS raised in the output bias: a step keeps all four rows in place, so ``decode`` skips the
+        """Beam 4 with EOS raised in the output bias: a step keeps all four rows in place, so the cache skips its
         gather, and the next step's survivors are rows 0, 1 and 2 of four, which must still be gathered."""
         model = CKLModel(tiny_config(n_decoder_layers=2), seed=26)
         model.params["out.b"].data[EOS] += 1.0
@@ -443,21 +441,44 @@ class TestDecoderCache:
         with pytest.raises(ShapeError, match=f"prefix of {t} tokens must be longer than its 3 cached rows"):
             model.decoder_forward(self.IDS[:t], enc, clwr, klw, cache)
 
-    def test_several_hypotheses_need_a_cache_and_one_new_row_each(self):
+    def test_hypotheses_add_any_number_of_rows_with_or_without_a_cache(self):
+        """Each hypothesis is a causal block of its own: its logits equal its own full-prefix pass."""
         model, enc, clwr, klw = self.conditioned()
-        with pytest.raises(ShapeError, match="to a cache of no hypotheses; several need a cache"):
-            model.decoder_forward([(BOS, BOS)], enc, clwr, klw)
-        with pytest.raises(ShapeError, match="2 hypotheses adding 2 rows each"):
-            model.decoder_forward([(BOS, BOS), (5, 6)], enc, clwr, klw, [])
+
+        def check(logits, hyps, new):
+            for got, ids in zip(logits.data.reshape(len(hyps), new, -1), hyps):
+                assert relative_gap(got, model.decoder_forward(ids, enc, clwr, klw).data[-new:]) <= 1e-12, ids
+
+        hyps = [self.IDS[:3], [BOS, 6, 4], [BOS, 5, 10]]
+        check(model.decoder_forward(list(zip(*hyps)), enc, clwr, klw), hyps, 3)
         cache = []
-        model.decoder_forward([BOS], enc, clwr, klw, cache)
-        cache[1:] = [x[[0, 0]] for x in cache[1:]]
-        with pytest.raises(ShapeError, match="2 hypotheses adding 2 rows each"):
-            model.decoder_forward([(BOS, BOS), (5, 6), (7, 8)], enc, clwr, klw, cache)
-        with pytest.raises(ShapeError, match="3 hypotheses adding 1 rows each to a cache of 2 hypotheses"):
-            model.decoder_forward([(BOS, BOS, BOS), (5, 6, 7)], enc, clwr, klw, cache)
+        model.decoder_forward(self.IDS[:2], enc, clwr, klw, cache)
+        hyps = [self.IDS[:4], self.IDS[:2] + [4, 6], self.IDS[:2] + [13, 13]]  # three children of one row
+        check(model.decoder_forward(list(zip(*hyps)), enc, clwr, klw, cache), hyps, 2)
+        hyps = [hyps[2] + [5, 7, 3], hyps[0] + [6, 6, 6], hyps[2] + [4, 4, 4]]  # permuted, repeated and dropped
+        check(model.decoder_forward(list(zip(*hyps)), enc, clwr, klw, cache), hyps, 3)
         with pytest.raises(ShapeError, match="prefix of 0 tokens"):
             model.decoder_forward([], enc, clwr, klw, [])
+
+    def test_a_prefix_the_cache_does_not_hold_raises(self):
+        model, enc, clwr, klw = self.conditioned()
+        cache = []
+        model.decoder_forward(list(zip(self.IDS[:3], [BOS, 6, 4])), enc, clwr, klw, cache)
+        message = "the cache does not hold the first 3 ids of all 2 hypotheses"
+        for prefix in ([(BOS, BOS), (5, 6), (9, 5), (7, 7)],  # the second hypothesis is not cached
+                       [(BOS,), (5,), (9,), (7, 8)]):  # one cached hypothesis, two new ones
+            with pytest.raises(ShapeError, match=message):
+                model.decoder_forward(prefix, enc, clwr, klw, cache)
+        step = model.decoder_forward(self.IDS[:5], enc, clwr, klw, cache).data  # the failed calls changed nothing
+        assert relative_gap(step, model.decoder_forward(self.IDS[:5], enc, clwr, klw).data[3:]) <= 1e-12
+
+    def test_a_cache_from_another_encoding_raises(self):
+        model, enc, clwr, klw = self.conditioned()
+        cache = []
+        model.decoder_forward(self.IDS[:2], enc, clwr, klw, cache)
+        other, weights = model.condition(tiny_sample())  # the same sample, encoded again
+        with pytest.raises(ShapeError, match="the cache was filled from another SegmentedEncoding"):
+            model.decoder_forward(self.IDS[:3], other, weights.clwr, weights.klw, cache)
 
     def test_a_pack_takes_no_cache_and_no_prefix_beyond_max_target_len(self):
         model = CKLModel(tiny_config(), seed=22)
@@ -477,7 +498,6 @@ class TestDecoderCache:
         for b in (1, 4):
             cache = []
             model.decoder_forward(self.IDS[:1], enc, clwr, klw, cache)
-            cache[1:] = [x[[0] * b] for x in cache[1:]]
             monkeypatch.setattr(tensor, "_make", lambda kind, *args: kinds.append(kind) or make(kind, *args))
             for t in range(2, len(self.IDS) + 1):
                 kinds.clear()

@@ -38,7 +38,7 @@ for row in result.trace[:: max(1, len(result.trace) // 8)]:
 print("\n== latent-weight analysis ==")
 pairs, reranked, original, targets = [], [], [], []
 for enc, label in zip(result.encoded, result.labels):
-    klw = result.model.latent_weights(enc).klw.data
+    klw = result.model.condition(enc)[1].klw.data
     pairs.append((list(klw), [float(v) for v in label.gt_klw]))
     reranked.append(sorted(range(len(klw)), key=lambda i: (-klw[i], i)))
     original.append(list(range(len(klw))))

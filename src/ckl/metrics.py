@@ -197,13 +197,15 @@ def _average_ranks(values) -> np.ndarray:
 
 
 def spearman(x, y) -> float:
-    """Pearson correlation of average-tie ranks."""
+    """Pearson correlation of average-tie ranks; undefined for fewer than two values."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("spearman needs two equal-length vectors of size >= 2")
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("spearman needs two equal-length vectors")
     if not np.isfinite([x, y]).all():  # np.unique would pool NaNs into one tie
         raise ValueError("spearman needs finite values")
+    if x.size < 2:
+        raise UndefinedCorrelationError(f"{x.size} values have no rank variance")
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     dx = rx - rx.mean()
@@ -216,7 +218,7 @@ def spearman(x, y) -> float:
 
 
 def mean_spearman(pairs: list[tuple[list[float], list[float]]]) -> tuple[float, int, int]:
-    """Average per-sample Spearman, skipping undefined pairs.
+    """Average per-sample Spearman, skipping undefined pairs; unequal or non-finite pairs raise ``ValueError``.
 
     Returns (mean over defined pairs, defined count, undefined count).
     """
@@ -226,7 +228,7 @@ def mean_spearman(pairs: list[tuple[list[float], list[float]]]) -> tuple[float, 
     for x, y in pairs:
         try:
             total += spearman(x, y)
-        except (UndefinedCorrelationError, ValueError):
+        except UndefinedCorrelationError:
             undefined += 1
             continue
         defined += 1

@@ -110,36 +110,32 @@ class ModelConfig:
 
 @dataclass
 class SegmentedEncoding:
-    """Encoder memory: the rows of every segment, stacked in segment order.
+    """Encoder memory: the rows of every segment, stacked in segment order, and the pack's layout.
 
-    Segment s is ``lengths[s]`` rows long; the first ``m`` segments are the
-    context utterances, the rest the knowledge sentences. A pack stacks its samples'
-    memories; ``samples`` holds each one's ``(m, l)`` (one sample's by default), and ``m`` sums theirs.
+    Segment s is ``lengths[s]`` rows long. A pack stacks its samples' memories
+    (a lone sample is a pack of one); ``samples`` holds each one's ``(m, l)``:
+    its first ``m`` segments are its context utterances, the next ``l`` its
+    knowledge sentences. Made once from these: each segment's part
+    (``context``) and sample (``sample``), each sample's memory rows
+    (``rows``), and ``order``, which takes the pack's ``clwr`` followed by its
+    ``klw`` into memory order.
     """
 
     memory: Tensor
     lengths: list[int]
-    m: int
-    samples: tuple = ()
+    samples: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        self.samples = self.samples or ((self.m, self.l),)
-
-    def pack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per segment: whether it is a context utterance, and its sample."""
-        return (np.concatenate([[True] * m + [False] * l for m, l in self.samples]),
-                np.repeat(np.arange(len(self.samples)), [m + l for m, l in self.samples]))
+        self.context = np.repeat(np.tile([True, False], len(self.samples)), np.ravel(self.samples))
+        self.sample = np.repeat(np.arange(len(self.samples)), [m + l for m, l in self.samples])
+        self.rows = np.bincount(self.sample, self.lengths).astype(int)
+        self.order = np.argsort(np.argsort(~self.context, kind="stable"))
 
     def part(self, context: bool) -> tuple[Tensor, list[int], np.ndarray]:
         """The context's (or the knowledge's) memory rows, segment lengths, and each segment's sample."""
-        is_context, sample = self.pack()
-        mask, lengths = is_context == context, np.asarray(self.lengths)
+        mask, lengths = self.context == context, np.asarray(self.lengths)
         rows = embedding_lookup(self.memory, np.flatnonzero(np.repeat(mask, lengths)))
-        return rows, lengths[mask].tolist(), sample[mask]
-
-    @property
-    def l(self) -> int:  # noqa: E741
-        return len(self.lengths) - self.m
+        return rows, lengths[mask].tolist(), self.sample[mask]
 
 
 @dataclass
@@ -272,8 +268,7 @@ class CKLModel:
             x = self._block(f"enc{i}", x, x, self.config.n_heads, blocks=(lens, lens))
         keep = np.flatnonzero(ids != SEP)  # SEP appears only between segments
         lengths = [n for sample in samples for n in sample.segment_lengths]
-        pack = tuple((sample.m, sample.l) for sample in samples)
-        return SegmentedEncoding(embedding_lookup(x, keep), lengths, sum(sample.m for sample in samples), pack)
+        return SegmentedEncoding(embedding_lookup(x, keep), lengths, tuple((sample.m, sample.l) for sample in samples))
 
     def clw_generate(self, enc: SegmentedEncoding) -> tuple[Tensor, Tensor]:
         """One response weight and one knowledge weight per context utterance."""
@@ -298,16 +293,18 @@ class CKLModel:
         ``prefix_ids`` is ``t`` ids, or ``t`` rows of ``B`` ids, one column per
         hypothesis, each a causal block; the logits are hypothesis-major. Without
         a cache this is the teacher-forced pass. A ``cache`` list, empty at first,
-        holds first what every hypothesis shares: ``enc``, the segment weights, the
-        cross-attention keys and values and the memory's rows per sample. Then come
-        each cached hypothesis's ``n`` ids and each layer's self-attention keys and
-        values as ``(hypotheses, n, d)`` arrays. A call finds each hypothesis's row
-        by its first ``n`` ids, so hypotheses may be permuted, repeated or dropped
-        between calls and add any number of rows; a prefix the cache does not hold,
-        or another ``enc``, raises.
+        holds first what every hypothesis shares: the conditioning ``(enc, clwr,
+        klw)``, the segment weights in memory order (``enc.order``) and the
+        cross-attention keys and values. Then come each cached hypothesis's ``n``
+        ids and each layer's self-attention keys and values as ``(hypotheses, n,
+        d)`` arrays. A call finds each hypothesis's row by its first ``n`` ids, so
+        hypotheses may be permuted, repeated or dropped between calls and add any
+        number of rows; a prefix the cache does not hold, or another ``enc``,
+        ``clwr`` or ``klw`` object, raises.
         Cached rows are constants and carry no gradient, so a cached call under a tape raises.
         For a pack ``enc`` of several samples, ``prefix_ids`` is one prefix per
-        sample, decoded teacher-forced with no cache.
+        sample, decoded teacher-forced with no cache; each sample's rows read its
+        own memory rows (``enc.rows``).
         """
         if cache and Tape._active is not None:
             raise RuntimeError("a cached decoder_forward call is tape-free: its cached keys and values carry no gradient")
@@ -321,8 +318,8 @@ class CKLModel:
             if not n < t <= limit:
                 raise ShapeError(f"decoder prefix of {t} tokens must be longer than its {n} cached rows, "
                                  f"and at most max_target_len={limit}")
-            if cache and cache[0][0] is not enc:
-                raise ShapeError("the cache was filled from another SegmentedEncoding")
+            if cache and any(held is not given for held, given in zip(cache[0][0], (enc, clwr, klw))):
+                raise ShapeError("the cache was filled from another SegmentedEncoding or other segment weights")
             ids = np.asarray(prefix_ids[n:], dtype=np.int64)
             held = list(zip(*prefix_ids[:n])) if ids.ndim > 1 else [tuple(prefix_ids[:n])]  # each one's cached ids
             ids = ids.reshape(t - n, -1).T  # (B, new rows)
@@ -339,13 +336,10 @@ class CKLModel:
         pos = np.concatenate([np.arange(k - q, k) for q, k in zip(queries, keys)])  # each sequence's new positions
         y = add(embedding_lookup(self.params["emb.token"], ids), embedding_lookup(self.params["emb.pos_tgt"], pos))
         if not cache:
-            is_context, sample = enc.pack()
-            order = np.argsort(np.argsort(~is_context, kind="stable"))  # memory order: each sample's clwr, then klw
-            shared = (enc, (enc.lengths, embedding_lookup(concat_vec([clwr, klw]), order)),
-                      [self._kv(f"dec{i}.cross", enc.memory) for i in range(self.config.n_decoder_layers)],
-                      np.bincount(sample, enc.lengths).astype(int))
-        _, segments, cross, memory_rows = shared = cache[0] if cache else shared
-        blocks = (per_sample, memory_rows)  # each sample's rows read its own memory
+            shared = ((enc, clwr, klw), (enc.lengths, embedding_lookup(concat_vec([clwr, klw]), enc.order)),
+                      [self._kv(f"dec{i}.cross", enc.memory) for i in range(self.config.n_decoder_layers)])
+        _, segments, cross = shared = cache[0] if cache else shared
+        blocks = (per_sample, enc.rows)  # each sample's rows read its own memory
         kv = []
         for i, (ck, cv) in enumerate(cross):
             k, v = self._kv(f"dec{i}.self", y)
@@ -372,9 +366,6 @@ class CKLModel:
         enc, w = self.condition(*samples)
         prefixes = [sample.response_ids[:-1] for sample in samples]
         return self.decoder_forward(prefixes if len(samples) > 1 else prefixes[0], enc, w.clwr, w.klw), w
-
-    def latent_weights(self, sample: EncodedSample) -> LatentWeights:
-        return self.condition(sample)[1]
 
     # ----- inference ------------------------------------------------------
 

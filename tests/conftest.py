@@ -51,7 +51,8 @@ def check_gradients(build_loss, arrays, rtol=1e-4, h=1e-5):
 
 def encoding_from_views(views, m):
     """An encoding whose memory stacks the constant ``views``; the first ``m`` are context."""
-    return SegmentedEncoding(Tensor(np.concatenate([v.data for v in views])), [v.shape[0] for v in views], m)
+    lengths = [v.shape[0] for v in views]
+    return SegmentedEncoding(Tensor(np.concatenate([v.data for v in views])), lengths, ((m, len(views) - m),))
 
 
 @pytest.fixture

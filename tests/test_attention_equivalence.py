@@ -112,7 +112,7 @@ class LoopOracle:
         lengths = sample.segment_lengths
         starts = np.cumsum([0] + [n + 1 for n in lengths[:-1]])  # one SEP after every segment but the last
         keep = np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
-        return SegmentedEncoding(embedding_lookup(x, keep), list(lengths), sample.m)
+        return SegmentedEncoding(embedding_lookup(x, keep), list(lengths), ((sample.m, sample.l),))
 
     def views(self, enc):
         """Each segment's rows of the memory, in segment order."""
@@ -121,7 +121,8 @@ class LoopOracle:
 
     def clw_generate(self, enc):
         r_parts, k_parts = [], []
-        for view in self.views(enc)[: enc.m]:
+        [(m, _)] = enc.samples
+        for view in self.views(enc)[:m]:
             h = self.cross_block("clw.block", self.p["clw.latent"], kv=view)
             r_parts.append(sigmoid(self.project("clw.head_r", h)))
             k_parts.append(sigmoid(self.project("clw.head_k", h)))
@@ -129,11 +130,12 @@ class LoopOracle:
 
     def klw_generate(self, enc, clwk):
         z = self.p["klw.latent"]
+        [(m, _)] = enc.samples
         if self.cfg.use_ck_dep:
-            lw = [embedding_lookup(clwk, [i]) for i in range(enc.m)]
-            z = self.cross_block("klw.ck", z, views=self.views(enc)[: enc.m], lw=lw)
+            lw = [embedding_lookup(clwk, [i]) for i in range(m)]
+            z = self.cross_block("klw.ck", z, views=self.views(enc)[:m], lw=lw)
         parts = []
-        for view in self.views(enc)[enc.m :]:
+        for view in self.views(enc)[m:]:
             h = self.cross_block("klw.know", z, kv=view)
             parts.append(sigmoid(self.project("klw.head", h)))
         return concat_vec(parts)
@@ -146,8 +148,9 @@ class LoopOracle:
         )
         mask = np.triu(np.full((t, t), MASK_VALUE), k=1)
         views = self.views(enc)
-        lw = [embedding_lookup(clwr, [i]) for i in range(enc.m)] + [
-            embedding_lookup(klw, [j]) for j in range(enc.l)
+        [(m, l)] = enc.samples  # noqa: E741
+        lw = [embedding_lookup(clwr, [i]) for i in range(m)] + [
+            embedding_lookup(klw, [j]) for j in range(l)
         ]
         for i in range(self.cfg.n_decoder_layers):
             y = self.norm(f"dec{i}.ln1", y, self.mha(f"dec{i}.self", y, y, mask))

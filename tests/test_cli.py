@@ -658,7 +658,7 @@ class TestEvaluate:
         vec = tmp / "vectors.txt"
         vec.write_text("alpha 0.5 0.25\nbeta 0.5 0.75\n")
         path = {"data": data, "config": config, "generations": gen, "embeddings": str(vec)}[reader]
-        lines = open(path, "rb").read().splitlines(keepends=True)
+        lines = Path(path).read_bytes().splitlines(keepends=True)
         lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
         with open(path, "wb") as fh:
             fh.write(b"".join(lines))

@@ -124,7 +124,8 @@ class TestGenerate:
         argv = write_run(tmp_path, records, max_source_len=8)
         with pytest.warns(UserWarning):
             assert main(argv) == 0
-        (record,) = [json.loads(l) for l in (tmp_path / "gen" / "generations.jsonl").open()]
+        text = (tmp_path / "gen" / "generations.jsonl").read_text(encoding="utf-8")
+        (record,) = [json.loads(line) for line in text.splitlines()]
         assert len(record["klw"]) == 1 and len(record["clwr"]) == 1
 
     def test_effective_config_echoes_the_checkpoint(self, tmp_path):

@@ -246,7 +246,7 @@ class TestEncodeSample:
         with pytest.warns(UserWarning):
             enc = encode_sample(s, vocab, config.encode_config())
         model = CKLModel(config, seed=0)
-        assert model.latent_weights(enc).klw.shape == (1,)
+        assert model.condition(enc)[1].klw.shape == (1,)
         assert model.generate(enc)[0] == BOS
 
     def test_oov_becomes_unk(self):

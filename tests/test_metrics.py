@@ -301,9 +301,13 @@ class TestSpearman:
             spearman([1.0, 1.0], [0.0, 1.0])
 
     def test_mean_spearman_skips_undefined(self):
-        pairs = [([1.0, 2.0], [1.0, 2.0]), ([1.0, 1.0], [0.0, 1.0])]
+        pairs = [([1.0, 2.0], [1.0, 2.0]), ([1.0, 1.0], [0.0, 1.0]), ([0.3], [1.0])]  # a one-value pair is undefined
         mean, defined, undefined = mean_spearman(pairs)
-        assert (mean, defined, undefined) == (pytest.approx(1.0), 1, 1)
+        assert (mean, defined, undefined) == (pytest.approx(1.0), 1, 2)
+        for bad in (([0.1, 0.9], [0, 1, 1]), ([0.1, math.nan], [0.0, 1.0])):  # bad input is no undefined pair
+            with pytest.raises(ValueError) as raised:
+                mean_spearman([*pairs, bad])
+            assert not isinstance(raised.value, UndefinedCorrelationError)
 
 
 class TestOracleEquivalence:

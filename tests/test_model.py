@@ -55,7 +55,7 @@ def shifted(enc, start, length, change):
     """``enc`` with ``change`` applied to memory rows [start, start + length)."""
     data = enc.memory.data.copy()
     data[start : start + length] = change(data[start : start + length])
-    return SegmentedEncoding(Tensor(data), enc.lengths, enc.m)
+    return SegmentedEncoding(Tensor(data), enc.lengths, enc.samples)
 
 
 class TestAttentionKernel:
@@ -165,12 +165,12 @@ class TestEncode:
         enc = model.encode(sample)
         assert enc.memory.shape == (sum(sample.segment_lengths), 8)
         assert enc.lengths == sample.segment_lengths
-        assert enc.m == 2 and enc.l == 2
+        assert enc.samples == ((2, 2),)
 
     def test_minimal_sample_has_two_views(self):
         model = CKLModel(tiny_config(), seed=0)
         enc = model.encode(tiny_sample(m=1, l=1))
-        assert enc.m + enc.l == 2
+        assert sum(enc.samples[0]) == 2
 
     def test_swapping_knowledge_swaps_view_layout(self):
         model = CKLModel(tiny_config(), seed=0)
@@ -199,7 +199,17 @@ class TestEncode:
         alone = [model.encode(a), model.encode(b)]
         assert np.allclose(pack.memory.data, np.concatenate([enc.memory.data for enc in alone]), atol=1e-12)
         assert pack.lengths == a.segment_lengths + b.segment_lengths
-        assert (pack.m, pack.samples) == (3, ((2, 2), (1, 3)))
+        assert pack.samples == ((2, 2), (1, 3))
+        # The layout is each sample's own, concatenated, its sample ids offset by the samples before it.
+        assert np.array_equal(pack.context, np.concatenate([enc.context for enc in alone]))
+        assert np.array_equal(pack.sample, np.concatenate([enc.sample + i for i, enc in enumerate(alone)]))
+        assert np.array_equal(pack.rows, np.concatenate([enc.rows for enc in alone]))
+        packed, lone = model.condition(a, b)[1], [model.condition(sample)[1] for sample in (a, b)]
+        for name in ("clwr", "clwk", "klw"):
+            expected = np.concatenate([getattr(weights, name).data for weights in lone])
+            assert np.allclose(getattr(packed, name).data, expected, atol=1e-12)
+        logits = model.forward(a, b)[0].data
+        assert np.allclose(logits, np.concatenate([model.forward(sample)[0].data for sample in (a, b)]), atol=1e-12)
 
     def test_over_length_rejected(self):
         model = CKLModel(tiny_config(max_source_len=4), seed=0)
@@ -477,8 +487,11 @@ class TestDecoderCache:
         cache = []
         model.decoder_forward(self.IDS[:2], enc, clwr, klw, cache)
         other, weights = model.condition(tiny_sample())  # the same sample, encoded again
-        with pytest.raises(ShapeError, match="the cache was filled from another SegmentedEncoding"):
-            model.decoder_forward(self.IDS[:3], other, weights.clwr, weights.klw, cache)
+        zero = Tensor(np.zeros(klw.shape))
+        # Another encoding, or the same encoding with other weight tensors: equal values or zeros.
+        for conditioning in ((other, weights.clwr, weights.klw), (enc, weights.clwr, weights.klw), (enc, clwr, zero)):
+            with pytest.raises(ShapeError, match="the cache was filled from another SegmentedEncoding"):
+                model.decoder_forward(self.IDS[:3], *conditioning, cache)
 
     def test_a_pack_takes_no_cache_and_no_prefix_beyond_max_target_len(self):
         model = CKLModel(tiny_config(), seed=22)
@@ -554,7 +567,7 @@ class TestForward:
     def test_latent_weights_strictly_inside_unit_interval(self):
         model = CKLModel(tiny_config(), seed=16)
         for m, l in ((1, 1), (2, 3), (4, 2)):  # noqa: E741
-            weights = model.latent_weights(tiny_sample(m=m, l=l))
+            _, weights = model.condition(tiny_sample(m=m, l=l))
             for w in (weights.clwr, weights.clwk, weights.klw):
                 assert np.all(w.data > 0.0) and np.all(w.data < 1.0)
 
